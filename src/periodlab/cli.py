@@ -8,7 +8,8 @@ every command prints a single machine-readable key=value summary line.
 
 Exit codes: 0 success / membership, 2 argument parse failure,
 3 validation failure (including Siegel non-membership), 4 numeric
-failure.
+failure (including a computed period matrix outside the Siegel upper
+half-space, which ``periods`` refuses to write).
 """
 
 from __future__ import annotations
@@ -96,19 +97,26 @@ def _cmd_periods(args) -> int:
         "curve": curves.curve_to_dict(curve),
         "nodes": raw.quadrature_nodes,
         "est_error": raw.est_error,
+        "converged": raw.converged,
+        "bilinear_residual": hom.bilinear_residual,
+        "positive_form_min_eig": hom.positive_form_min_eig,
     }
+    entries, kind, out_meta = raw.entries, "raw", meta
+    if args.kind == "normalized":
+        pm = periods.normalize(raw, hom)
+        check = siegel.validate_siegel(pm.entries)
+        if not check.is_member:
+            raise NumericError(
+                "normalized period matrix is not in the Siegel upper half-space "
+                f"(symmetry residual {check.symmetry_residual:.3e}, "
+                f"min Im eigenvalue {check.min_im_eigenvalue:.3e})"
+            )
+        entries, kind, out_meta = pm.entries, "normalized", {**meta, **pm.provenance}
     if args.raw_out:
         with _atomic_output(args.raw_out) as tmp:
             periods.save_period_json(tmp, raw.entries, "raw", meta)
-    if args.kind == "raw":
-        with _atomic_output(args.out) as tmp:
-            periods.save_period_json(tmp, raw.entries, "raw", meta)
-        kind = "raw"
-    else:
-        pm = periods.normalize(raw, hom)
-        with _atomic_output(args.out) as tmp:
-            periods.save_period_json(tmp, pm.entries, "normalized", {**meta, **pm.provenance})
-        kind = "normalized"
+    with _atomic_output(args.out) as tmp:
+        periods.save_period_json(tmp, entries, kind, out_meta)
     _summary(
         "periods",
         curve=curve_label,

@@ -25,6 +25,7 @@ ordering is fixed so every downstream index is reproducible.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -52,6 +53,8 @@ class HyperellipticCurve:
 
     def __init__(self, branch_points: Sequence[Complex], leading_coefficient: Complex = 1.0):
         pts = tuple(complex(b) for b in branch_points)
+        if not all(cmath.isfinite(z) for z in pts + (complex(leading_coefficient),)):
+            raise ValidationError("branch points and leading coefficient must be finite")
         if len(pts) < 3:
             raise ValidationError("hyperelliptic curve needs deg f >= 3 (genus >= 1)")
         for i in range(len(pts)):

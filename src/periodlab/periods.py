@@ -13,14 +13,25 @@ singularities exactly.  The square-root branch is tracked continuously
 along each segment from an anchor at the left endpoint.
 
 Each per-segment branch choice flips the orientation of its loop, so the
-chain's intersection matrix is tridiagonal with unknown signs on the
-off-diagonal.  The signs are recovered from the computed periods
-themselves: for the correct intersection matrix E the bilinear identity
-P^T E^(-1) P = 0 holds and -(i/2) P^T E^(-1) conj(P) is positive
-definite, so a search over the 2^(2g-1) sign patterns picks out E.  A
-wrong pattern fails the identity at O(1), far above quadrature error.
-The resulting symplectic change of basis then normalizes the table to a
-candidate period matrix Omega = B A^(-1).
+chain's intersection matrix E is tridiagonal with a sign s_j on each
+off-diagonal.  The signs come from orientation tracking at the chain
+junctions.  At the branch point c = b_j = a_j+1 shared by segments j and
+j+1, let phi_j(c) be segment j's tracked branch continued to its right
+end, phi_j+1(c) segment j+1's anchor value, and Delta the angle in
+[0, 2 pi) from the ray toward a_j to the ray toward b_j+1.  Continuing
+y ~ sqrt(f'(c) (x - c)) counter-clockwise between the two rays gives
+
+    s_j = sign Re( phi_j+1(c) * conj(phi_j(c)) * exp(i Delta / 2) ),
+
+and the argument is real up to quadrature error.  The Riemann bilinear
+relations then certify E once: on the column-equilibrated table P the
+identity P^T E^(-1) P = 0 must hold to ``BILINEAR_TOL`` and
+-(i/2) P^T E^(-1) conj(P) must be positive definite.  Scaling the
+differential basis leaves Omega and definiteness unchanged but keeps
+small columns from hiding behind large ones.  An ambiguous junction or a
+failed certificate raises NumericError.  The resulting symplectic change
+of basis then normalizes the table to a candidate period matrix
+Omega = B A^(-1).
 
 Fermat periods use the classical closed form: on x^d + y^d = 1 the
 integral of x^(r-1) y^(s-d) dx along the path x = t, y = (1-t^d)^(1/d)
@@ -30,6 +41,7 @@ translate (x, y) -> (zeta^a x, zeta^b y) multiplies it by zeta^(a*r+b*s).
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import json
 import math
@@ -52,8 +64,8 @@ DEFAULT_NODES = 256
 MAX_NODES = 8192
 NODE_DOUBLING_TARGET = 1e-10
 CONDITION_LIMIT = 1e10
-# Residual threshold (relative to the period scale) accepted for the
-# bilinear identity when selecting the intersection sign pattern.
+# Residual threshold accepted for the bilinear identity on the
+# column-equilibrated period table when certifying the intersection form.
 BILINEAR_TOL = 1e-6
 
 
@@ -63,13 +75,18 @@ BILINEAR_TOL = 1e-6
 
 @dataclass(frozen=True, eq=False)
 class RawPeriodTable:
-    """2g x g table of unnormalized cycle-by-differential integrals."""
+    """2g x g table of unnormalized cycle-by-differential integrals.
+
+    ``converged`` records whether node doubling reached its target before
+    the node limit.
+    """
 
     rows: tuple[str, ...]
     cols: tuple[str, ...]
     entries: np.ndarray
     quadrature_nodes: int
     est_error: float
+    converged: bool = True
 
     def __post_init__(self):
         n_cycles, n_diffs = self.entries.shape
@@ -89,11 +106,15 @@ class HomologyBasis:
 
     ``symplectic_transform`` T satisfies T E T^T = [[0, I], [-I, 0]]
     exactly in integer arithmetic, where E is the intersection matrix.
+    ``bilinear_residual`` and ``positive_form_min_eig`` are the certificate
+    of E against the periods (NaN when E was not certified).
     """
 
     cycles: tuple[dict, ...]
     intersection_matrix: tuple[tuple[int, ...], ...]
     symplectic_transform: tuple[tuple[int, ...], ...]
+    bilinear_residual: float = math.nan
+    positive_form_min_eig: float = math.nan
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,11 +147,13 @@ def _tracked_sqrt(values: np.ndarray) -> np.ndarray:
 
 
 def _segment_node_data(roots, leading, a, b, N):
-    """Quadrature nodes x_n and branch values phi_n for one segment.
+    """Quadrature nodes x_n and branch values phi for one segment.
 
     phi is the continuously tracked branch of sqrt(-leading * R(x)) with
-    R the polynomial over the roots other than a and b; the anchor at
-    x = a uses the principal square root.
+    R the polynomial over the roots other than a and b, sampled at a, at
+    the N nodes and at b; the anchor at x = a uses the principal square
+    root.  The quadrature uses phi[1:-1]; the endpoint values orient the
+    chain junctions.
     """
     other = list(roots)
     other.remove(a)
@@ -140,14 +163,13 @@ def _segment_node_data(roots, leading, a, b, N):
     theta = (2.0 * np.arange(1, N + 1) - 1.0) * np.pi / (2.0 * N)
     u = np.cos(theta)[::-1]  # ascending from near -1 to near +1
     x = mid + half * u
-    sample_x = np.concatenate(([complex(a)], x))
+    sample_x = np.concatenate(([complex(a)], x, [complex(b)]))
     v = np.full(sample_x.shape, -complex(leading), dtype=complex)
     for e in other:
         v *= sample_x - e
     # + 0j canonicalizes any -0.0 imaginary parts, which would otherwise
     # flip the principal branch cut of the square root
-    phi = _tracked_sqrt(v + 0j)[1:]
-    return x, phi
+    return x, _tracked_sqrt(v + 0j)
 
 
 def _point_segment_distance(p, a, b) -> float:
@@ -192,7 +214,7 @@ def chebyshev_segment_integral(
         if _point_segment_distance(e, a, b) < 1e-12 * scale:
             raise SingularIntegrandError(f"branch point {e} lies on the integration segment")
     x, phi = _segment_node_data(roots, complex(leading), a, b, N)
-    return complex((np.pi / N) * np.sum(x ** (k - 1) / phi))
+    return complex((np.pi / N) * np.sum(x ** (k - 1) / phi[1:-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -265,38 +287,49 @@ def _tridiagonal_intersection(signs: Sequence[int]) -> list[list[int]]:
     return E
 
 
-def _choose_intersection_matrix(P: np.ndarray) -> list[list[int]]:
-    """Select the chain intersection signs from the periods themselves.
+def _junction_signs(segs, anchors: np.ndarray, ends: np.ndarray) -> list[int]:
+    """Off-diagonal intersection signs from the branches at each junction.
 
-    For the true intersection matrix E the computed 2g x g period table
-    P satisfies P^T E^(-1) P = 0 up to quadrature error, and the
-    Hermitian form -(i/2) P^T E^(-1) conj(P) is positive definite.
+    ``anchors[j]`` and ``ends[j]`` are segment j's tracked branch values at
+    its left and right endpoints (see the module docstring for the rule).
     """
-    n = P.shape[0]
-    g = P.shape[1]
-    scale = float(np.max(np.abs(P))) ** 2
-    best = None
-    for code in range(2 ** (n - 1)):
-        signs = [1 if (code >> i) & 1 == 0 else -1 for i in range(n - 1)]
-        E = np.array(_tridiagonal_intersection(signs), dtype=float)
-        Einv = np.linalg.inv(E)
-        M = P.T @ Einv @ P
-        residual = float(np.max(np.abs(M))) / scale if g > 1 else 0.0
-        H = -0.5j * (P.T @ Einv @ np.conj(P))
-        H = (H + np.conj(H).T) / 2.0
-        min_eig = float(np.linalg.eigvalsh(H)[0])
-        if min_eig <= 0.0:
-            continue
-        if best is None or residual < best[0]:
-            best = (residual, signs)
-    if best is None:
-        raise NumericError("no intersection sign pattern gives a positive period form")
-    residual, signs = best
-    if residual > BILINEAR_TOL:
+    signs = []
+    for j in range(len(segs) - 1):
+        a, c = segs[j]
+        b = segs[j + 1][1]
+        delta = cmath.phase((b - c) / (a - c)) % (2.0 * math.pi)
+        z = anchors[j + 1] * np.conj(ends[j]) * cmath.exp(0.5j * delta)
+        if abs(z.real) < abs(z) / 2.0:
+            raise NumericError(f"junction {j}: branch orientation is ambiguous")
+        signs.append(1 if z.real > 0.0 else -1)
+    return signs
+
+
+def _choose_intersection_matrix(P: np.ndarray, segs, anchors, ends):
+    """Intersection matrix from junction orientations, certified once.
+
+    For the true intersection matrix E the column-equilibrated period
+    table P satisfies P^T E^(-1) P = 0 up to quadrature error, and the
+    Hermitian form -(i/2) P^T E^(-1) conj(P) is positive definite.
+    Returns E with the bilinear residual and the form's minimum
+    eigenvalue.
+    """
+    E = _tridiagonal_intersection(_junction_signs(segs, anchors, ends))
+    Pn = P / np.max(np.abs(P), axis=0)
+    PtEinv = Pn.T @ np.linalg.inv(np.array(E, dtype=float))
+    residual = float(np.max(np.abs(PtEinv @ Pn)))
+    H = -0.5j * (PtEinv @ np.conj(Pn))
+    min_eig = float(np.linalg.eigvalsh((H + np.conj(H).T) / 2.0)[0])
+    if not min_eig > 0.0:
+        raise NumericError(
+            f"period form is not positive definite (min eigenvalue {min_eig:.3e}); "
+            "periods unreliable"
+        )
+    if not residual <= BILINEAR_TOL:
         raise NumericError(
             f"bilinear identity residual {residual:.3e} too large; periods unreliable"
         )
-    return _tridiagonal_intersection(signs)
+    return E, residual, min_eig
 
 
 def symplectic_transform_from_intersection(E: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -359,16 +392,20 @@ def symplectic_transform_from_intersection(E: Sequence[Sequence[int]]) -> list[l
 # Hyperelliptic periods
 
 
-def _chain_period_table(curve: HyperellipticCurve, segs, N: int) -> np.ndarray:
+def _chain_period_table(curve: HyperellipticCurve, segs, N: int):
+    """Chain periods with each segment's branch values at both endpoints."""
     g = curve.genus()
     roots = list(curve.branch_points)
     P = np.empty((2 * g, g), dtype=complex)
+    anchors = np.empty(2 * g, dtype=complex)
+    ends = np.empty(2 * g, dtype=complex)
     for j, (a, b) in enumerate(segs):
         x, phi = _segment_node_data(roots, curve.leading_coefficient, a, b, N)
-        inv_phi = 1.0 / phi
+        anchors[j], ends[j] = phi[0], phi[-1]
+        inv_phi = 1.0 / phi[1:-1]
         for k in range(1, g + 1):
             P[j, k - 1] = 2.0 * (np.pi / N) * np.sum(x ** (k - 1) * inv_phi)
-    return P
+    return P, anchors, ends
 
 
 def hyperelliptic_raw_periods(
@@ -381,24 +418,26 @@ def hyperelliptic_raw_periods(
 
     The node count doubles until the maximum entry change is below
     ``target`` or ``node_limit`` is reached; the final discrepancy is
-    recorded as ``est_error`` either way.
+    recorded as ``est_error`` either way, and ``converged`` says which.
     """
     if nodes < 4:
         raise DomainError("nodes must be >= 4")
+    if nodes > node_limit:
+        raise DomainError(f"nodes must be <= {node_limit}")
     g = curve.genus()
     if g < 1:
         raise DomainError("genus must be >= 1")
     pts, segs = _chain_segments(curve)
     N = nodes
-    P = _chain_period_table(curve, segs, N)
+    P, _, _ = _chain_period_table(curve, segs, N)
     while True:
-        P2 = _chain_period_table(curve, segs, 2 * N)
+        P2, anchors, ends = _chain_period_table(curve, segs, 2 * N)
         err = float(np.max(np.abs(P2 - P)))
         N *= 2
         P = P2
         if err <= target or 2 * N > node_limit:
             break
-    E = _choose_intersection_matrix(P)
+    E, residual, min_eig = _choose_intersection_matrix(P, segs, anchors, ends)
     T = symplectic_transform_from_intersection(E)
     cycles = tuple(
         {
@@ -411,6 +450,8 @@ def hyperelliptic_raw_periods(
         cycles=cycles,
         intersection_matrix=tuple(tuple(r) for r in E),
         symplectic_transform=tuple(tuple(r) for r in T),
+        bilinear_residual=residual,
+        positive_form_min_eig=min_eig,
     )
     raw = RawPeriodTable(
         rows=tuple(f"loop_{j}" for j in range(2 * g)),
@@ -418,6 +459,7 @@ def hyperelliptic_raw_periods(
         entries=P,
         quadrature_nodes=N,
         est_error=err,
+        converged=err <= target,
     )
     return raw, hom
 

@@ -3,10 +3,13 @@
 Everything here is deliberately implemented through a different route
 than the library code it checks: the arithmetic-geometric mean for
 complete elliptic integrals, Gauss-Jacobi quadrature for Fermat path
-integrals, and cofactor expansion for exact determinants.
+integrals, cofactor expansion for exact determinants, and an exhaustive
+search over every chain intersection sign pattern.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 from scipy.special import roots_jacobi
@@ -86,3 +89,35 @@ def cofactor_determinant(m) -> int:
         minor = [[row[c] for c in range(n) if c != j] for row in m[1:]]
         total += (-1) ** j * int(m[0][j]) * cofactor_determinant(minor)
     return total
+
+
+def chain_intersection(signs) -> np.ndarray:
+    """Skew tridiagonal matrix with ``signs`` above the diagonal."""
+    signs = np.asarray(signs, dtype=int)
+    return np.diag(signs, 1) - np.diag(signs, -1)
+
+
+def searched_intersection_matrix(P: np.ndarray) -> np.ndarray:
+    """Chain intersection matrix picked by trying all 2^(2g-1) sign patterns.
+
+    Among the patterns whose form -(i/2) P^T E^(-1) conj(P) is positive
+    definite, the one with the smallest bilinear residual
+    max|P^T E^(-1) P| / max|P|^2 wins.  The cost is exponential in g, so
+    this only serves as a reference at small genus.
+    """
+    P = np.asarray(P, dtype=complex)
+    n = P.shape[0]
+    scale = float(np.max(np.abs(P))) ** 2
+    best_residual, best = np.inf, None
+    for signs in itertools.product((1, -1), repeat=n - 1):
+        E = chain_intersection(signs)
+        Einv = np.linalg.inv(E)
+        form = -0.5j * (P.T @ Einv @ np.conj(P))
+        if np.linalg.eigvalsh((form + form.conj().T) / 2.0)[0] <= 0.0:
+            continue
+        residual = float(np.max(np.abs(P.T @ Einv @ P))) / scale
+        if residual < best_residual:
+            best_residual, best = residual, E
+    if best is None:
+        raise AssertionError("no sign pattern gives a positive period form")
+    return best

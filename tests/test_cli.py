@@ -24,9 +24,14 @@ class TestPeriodsCommand:
         entries, kind, meta = periods.load_period_json(out)
         assert kind == "normalized"
         assert entries.shape == (1, 1)
-        raw_entries, raw_kind, _ = periods.load_period_json(raw)
+        raw_entries, raw_kind, raw_meta = periods.load_period_json(raw)
         assert raw_kind == "raw"
         assert raw_entries.shape == (2, 1)
+        for m in (meta, raw_meta):
+            assert m["converged"] is True
+            assert 0.0 <= m["bilinear_residual"] <= periods.BILINEAR_TOL
+            assert m["positive_form_min_eig"] > 0.0
+        assert {k: meta[k] for k in raw_meta} == raw_meta
 
     def test_curve_file_raw_kind(self, tmp_path):
         curve_path = tmp_path / "curve.json"
@@ -43,6 +48,9 @@ class TestPeriodsCommand:
         _, kind, meta = periods.load_period_json(out)
         assert kind == "raw"
         assert meta["est_error"] <= 1e-10
+        assert meta["converged"] is True
+        assert meta["bilinear_residual"] <= periods.BILINEAR_TOL
+        assert meta["positive_form_min_eig"] > 0.0
 
     def test_fermat_bundled(self, tmp_path):
         out = tmp_path / "fermat.json"
@@ -57,6 +65,46 @@ class TestPeriodsCommand:
         run(["periods", "--bundled", "g2_real_quintic", "--out", a])
         run(["periods", "--bundled", "g2_real_quintic", "--out", b])
         assert a.read_bytes() == b.read_bytes()
+
+    @staticmethod
+    def _curve(tmp_path, points, leading=(1.0, 0.0)):
+        path = tmp_path / "curve.json"
+        payload = {"type": "hyperelliptic", "branch_points": points, "leading": list(leading)}
+        path.write_text(json.dumps(payload))
+        return path
+
+    def _assert_refused(self, argv, code, tmp_path, capsys):
+        out, raw = tmp_path / "omega.json", tmp_path / "raw.json"
+        assert run(argv + ["--out", out, "--raw-out", raw]) == code
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+        assert not out.exists() and not raw.exists()
+        assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".periodlab-")] == []
+
+    def test_non_siegel_omega_refused(self, tmp_path, monkeypatch, capsys):
+        def asymmetric(raw, hom):
+            return periods.PeriodMatrix(g=2, entries=np.array([[1j, 0.5], [0.0, 1j]]))
+
+        monkeypatch.setattr(periods, "normalize", asymmetric)
+        self._assert_refused(["periods", "--bundled", "g2_real_quintic"], 4, tmp_path, capsys)
+
+    def test_nodes_above_limit_refused(self, tmp_path, capsys):
+        # a value only twice the cap: even unguarded it would stay small
+        argv = ["periods", "--bundled", "g1_lemniscatic", "--nodes", 2 * periods.MAX_NODES]
+        self._assert_refused(argv, 2, tmp_path, capsys)
+
+    @pytest.mark.parametrize(
+        "points, leading",
+        [
+            ([[float("nan"), 0.0], [0.0, 0.0], [1.0, 0.0]], (1.0, 0.0)),
+            ([[-1.0, float("inf")], [0.0, 0.0], [1.0, 0.0]], (1.0, 0.0)),
+            ([[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]], (float("nan"), 0.0)),
+        ],
+    )
+    def test_non_finite_curve_refused(self, tmp_path, capsys, points, leading):
+        argv = ["periods", "--curve", self._curve(tmp_path, points, leading)]
+        self._assert_refused(argv, 3, tmp_path, capsys)
 
 
 class TestValidateCommand:

@@ -36,6 +36,20 @@ def test_hyperelliptic_validation():
         HyperellipticCurve([0, 1, 2], leading_coefficient=0)
 
 
+@pytest.mark.parametrize(
+    "points, leading",
+    [
+        ([0, float("nan"), 2], 1.0),
+        ([0, 1, complex(2, float("inf"))], 1.0),
+        ([0, 1, 2], complex(float("nan"), 0.0)),
+        ([0, 1, 2], float("-inf")),
+    ],
+)
+def test_hyperelliptic_rejects_non_finite(points, leading):
+    with pytest.raises(ValidationError, match="finite"):
+        HyperellipticCurve(points, leading)
+
+
 def test_point_at_infinity_flag():
     assert HyperellipticCurve([0, 1, 2, 3, 4]).point_at_infinity_is_branch
     assert not HyperellipticCurve([0, 1, 2, 3, 4, 5]).point_at_infinity_is_branch

@@ -1,11 +1,22 @@
+import cmath
+import math
+import random
+
 import numpy as np
 import pytest
 
-from oracles import elliptic_K, fermat_path_integral, fermat_translated_path_integral
+from oracles import (
+    elliptic_K,
+    fermat_path_integral,
+    fermat_translated_path_integral,
+    searched_intersection_matrix,
+)
+from periodlab import periods
 from periodlab.curves import HyperellipticCurve, bundled_curve
 from periodlab.errors import (
     DomainError,
     NormalizationError,
+    NumericError,
     SingularIntegrandError,
     UnsupportedConfigurationError,
     ValidationError,
@@ -111,6 +122,112 @@ class TestHyperellipticPeriods:
         raw, hom = hyperelliptic_raw_periods(curve)
         pm = normalize(raw, hom)
         assert validate_siegel(pm.entries, tol=1e-8).is_member
+
+    def test_certificate_recorded(self):
+        raw, hom = hyperelliptic_raw_periods(bundled_curve("g3_real_septic"))
+        assert raw.converged
+        assert 0.0 <= hom.bilinear_residual <= periods.BILINEAR_TOL
+        assert hom.positive_form_min_eig > 0.0
+
+    def test_node_limit_reached_is_not_converged(self):
+        # the clustered pair needs far more than 16 nodes
+        curve = HyperellipticCurve([0.0, 1e-3, 1.0])
+        raw, _ = hyperelliptic_raw_periods(curve, nodes=4, node_limit=16)
+        assert raw.quadrature_nodes == 16
+        assert raw.est_error > periods.NODE_DOUBLING_TARGET
+        assert not raw.converged
+
+    def test_nodes_above_limit_rejected(self):
+        with pytest.raises(DomainError):
+            hyperelliptic_raw_periods(bundled_curve("g1_lemniscatic"), nodes=64, node_limit=32)
+
+
+def _chain_data(curve):
+    _, segs = periods._chain_segments(curve)
+    return (segs, *periods._chain_period_table(curve, segs, 512))
+
+
+class TestOrientationTracking:
+    def test_flipped_junction_fails_certificate(self):
+        # a wrong junction sign is refused, never repaired by a search
+        segs, P, anchors, ends = _chain_data(bundled_curve("g2_x5_minus_1"))
+        E, _, _ = periods._choose_intersection_matrix(P, segs, anchors, ends)
+        flipped = ends.copy()
+        flipped[1] *= -1.0
+        assert periods._junction_signs(segs, anchors, flipped)[1] == -E[1][2]
+        with pytest.raises(NumericError):
+            periods._choose_intersection_matrix(P, segs, anchors, flipped)
+
+    def test_ambiguous_junction_rejected(self):
+        segs = [(0j, 1 + 0j), (1 + 0j, 2 + 0j)]
+        # Delta = pi, so z = i * anchor * conj(end) is purely imaginary here
+        anchors = np.array([1.0, 1.0], dtype=complex)
+        ends = np.array([1.0, 1.0], dtype=complex)
+        with pytest.raises(NumericError, match="ambiguous"):
+            periods._junction_signs(segs, anchors, ends)
+        assert periods._junction_signs(segs, anchors, np.array([1j, 1.0])) == [1]
+        assert periods._junction_signs(segs, anchors, np.array([-1j, 1.0])) == [-1]
+
+
+def _branch_points(rng, geometry, n):
+    if geometry == "real":
+        return [complex(rng.uniform(-2.0, 2.0)) for _ in range(n)]
+    if geometry == "circle":
+        return [
+            (1.0 + rng.uniform(-0.15, 0.15))
+            * cmath.exp(2j * math.pi * (k + rng.uniform(-0.2, 0.2)) / n)
+            for k in range(n)
+        ]
+    if geometry == "complex":
+        return [complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)) for _ in range(n)]
+    # clustered pair: n - 1 scattered points plus a partner 1e-4..1e-2 away from one
+    pts = [complex(rng.uniform(-2.0, 2.0), rng.uniform(-1.0, 1.0)) for _ in range(n - 1)]
+    partner = pts[rng.randrange(n - 1)] + 10.0 ** rng.uniform(-4.0, -2.0) * cmath.exp(
+        2j * math.pi * rng.random()
+    )
+    return pts + [partner]
+
+
+LEADING = {
+    "one": lambda rng: 1.0,
+    "minus_one": lambda rng: -1.0,
+    "i": lambda rng: 1j,
+    "random": lambda rng: complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("leading", sorted(LEADING))
+@pytest.mark.parametrize("geometry", ["real", "circle", "complex", "clustered"])
+@pytest.mark.parametrize("g", range(1, 7))
+def test_tracked_intersection_matches_exhaustive_search(g, geometry, leading):
+    rng = random.Random(f"orientation/{g}/{geometry}/{leading}")
+    while True:
+        n = 2 * g + 1 + rng.randrange(2)
+        curve = HyperellipticCurve(_branch_points(rng, geometry, n), LEADING[leading](rng))
+        try:
+            raw, hom = hyperelliptic_raw_periods(curve)
+            break
+        except UnsupportedConfigurationError:
+            continue  # crossing chain: draw another configuration
+    expected = searched_intersection_matrix(raw.entries)
+    assert np.array_equal(np.array(hom.intersection_matrix), expected)
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [float(k) for k in range(17)],  # y^2 = x(x-1)...(x-16), g = 8
+        list(np.linspace(-1.0, 1.0, 21)),  # g = 10
+        list(np.linspace(-1.0, 1.0, 25)),  # g = 12
+    ],
+    ids=["g8_wide_integer", "g10_real", "g12_real"],
+)
+def test_high_genus_real_curves_give_siegel_omega(points):
+    curve = HyperellipticCurve(points)
+    raw, hom = hyperelliptic_raw_periods(curve)
+    check = validate_siegel(normalize(raw, hom).entries)
+    assert check.symmetry_residual <= 1e-8
+    assert check.min_im_eigenvalue > 0.0
 
 
 class TestFermatPeriods:
