@@ -147,10 +147,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_select(args) -> int:
     model = _load_model(args.model)
-    records = modsel.run_trials(model, args.p, args.trials, args.seed)
-    succ = sum(r.success for r in records)
-    nonsing = sum(r.matrix_nonsingular for r in records)
-    stats = modsel._stats(args.trials, succ, nonsing)
+    stats, records = modsel.run_selection(model, args.p, args.trials, args.seed, records=True)
     with _atomic_output(args.out) as tmp:
         modsel.write_trial_log(records, tmp)
     payload = {**stats.as_dict(), "paper_bounds": dict(modsel.paper_bounds(model.genus))}
@@ -162,7 +159,7 @@ def _cmd_select(args) -> int:
         p=args.p,
         trials=args.trials,
         seed=args.seed,
-        successes=succ,
+        successes=stats.successes,
         estimate=f"{stats.estimate:.6f}",
         out=args.out,
     )

@@ -4,9 +4,19 @@ The experiment: draw a g x g 0/1 matrix M with i.i.d. Bernoulli(p)
 entries, use it as a change of basis omega_i = sum_j M_ij zeta_j of the
 holomorphic differentials of a plane-curve model, and test whether the
 products {omega_a omega_b} indexed by the first-three-rows pair set span
-the quadratic-differential space (dimension 3g-3).  All rank decisions
-are exact integer computations; all randomness flows through splitmix64
-streams so runs are bit-reproducible.
+the quadratic-differential space (dimension 3g-3).  All randomness flows
+through splitmix64 streams so runs are bit-reproducible.
+
+Every experiment runs through one chunked pipeline: splitmix64 bits for a
+chunk of trials (``rng.stream_draws``), the g x g matrices and their
+product-span matrices, exact ranks of both, and streaming counts.  The
+ranks come from ``exact.batch_rank``: elimination mod P1 = 2^31 - 1,
+certified by Hadamard's bound; a rank-deficient trial whose bound reaches
+P1 is ranked again mod P2 = 2147483629, and one whose bound reaches P1*P2
+falls back to Bareiss elimination over the integers.  No floating-point
+value decides any rank.  The single-matrix functions (``bernoulli_matrix``,
+``is_nonsingular_exact``, ``product_span_rank``, ``run_trial``) are
+batches of one through the same kernels.
 """
 
 from __future__ import annotations
@@ -15,10 +25,32 @@ import csv
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .curves import PlaneCurveModel
 from .errors import DomainError, ValidationError
-from .exact import integer_rank, is_nonsingular
-from .rng import SplitMix64, derive_seed
+from .exact import batch_rank
+from .rng import MASK64, stream_draws, trial_seeds
+
+# Trials are processed in chunks whose largest per-trial array (g*g draws,
+# or the 3g-3 outer products of g*g entries) fills about this many
+# elements, so memory stays bounded whatever the trial count.  Measured on
+# the benchmark's singularity and select workloads: 2^15 and 2^16 raise
+# peak RSS by 4-6%, and 2^13 is slower (more chunks, each paying numpy's
+# per-call overhead) with no less memory.
+CHUNK_ELEMENTS = 2**14
+
+
+def chunk_trials(per_trial: int) -> int:
+    """Trials per chunk when one trial's largest array has ``per_trial`` elements."""
+    return max(1, CHUNK_ELEMENTS // per_trial)
+
+
+def _chunks(n_trials: int, per_trial: int):
+    step = chunk_trials(per_trial)
+    for start in range(0, n_trials, step):
+        yield start, min(start + step, n_trials)
+
 
 # ---------------------------------------------------------------------------
 # Bernoulli matrices
@@ -31,8 +63,20 @@ class BernoulliMatrix:
     p: float
     seed: int
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
+
+def _bits(seeds: np.ndarray, g: int, p: float) -> np.ndarray:
+    """(len(seeds), g, g) ``int64`` 0/1 matrices, one per splitmix64 seed."""
+    if not 0.0 <= p <= 1.0:
+        raise DomainError("p must lie in [0, 1]")
+    threshold = math.floor(p * 2**64)
+    if threshold > MASK64:  # p = 1: every draw is below 2^64
+        return np.ones((len(seeds), g, g), dtype=np.int64)
+    draws = stream_draws(seeds, g * g)
+    return (draws < np.uint64(threshold)).astype(np.int64).reshape(-1, g, g)
+
+
+def _one_seed(seed: int) -> np.ndarray:
+    return np.array([seed & MASK64], dtype=np.uint64)
 
 
 def bernoulli_matrix(g: int, p: float, seed: int) -> BernoulliMatrix:
@@ -44,19 +88,13 @@ def bernoulli_matrix(g: int, p: float, seed: int) -> BernoulliMatrix:
     """
     if g < 1:
         raise DomainError("g must be >= 1")
-    if not 0.0 <= p <= 1.0:
-        raise DomainError("p must lie in [0, 1]")
-    threshold = math.floor(p * 2**64)
-    stream = SplitMix64(seed)
-    rows = tuple(
-        tuple(1 if stream.next_u64() < threshold else 0 for _ in range(g)) for _ in range(g)
-    )
+    rows = tuple(map(tuple, _bits(_one_seed(seed), g, p)[0].tolist()))
     return BernoulliMatrix(g=g, entries=rows, p=p, seed=seed)
 
 
 def is_nonsingular_exact(m: BernoulliMatrix) -> bool:
     """Exact nonsingularity over the rationals (no floating point)."""
-    return is_nonsingular(m.entries)
+    return bool(batch_rank([m.entries])[0] == m.g)
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +121,37 @@ def first_three_rows_indices(g: int) -> IndexSet:
     return IndexSet(pairs=pairs)
 
 
+def _scatter(model: PlaneCurveModel) -> np.ndarray:
+    """(g*g, 3g-3) 0/1 matrix: row j*g + l holds zeta_j * zeta_l in the quad basis."""
+    g = model.genus
+    quad_index = {mon: c for c, mon in enumerate(model.quad_monomials)}
+    diff = model.diff_monomials
+    scatter = np.zeros((g * g, len(model.quad_monomials)), dtype=np.int64)
+    for j in range(g):
+        for l in range(g):
+            scatter[j * g + l, quad_index[tuple(a + b for a, b in zip(diff[j], diff[l]))]] = 1
+    return scatter
+
+
+def _span_ranks(mats: np.ndarray, scatter: np.ndarray, pairs) -> np.ndarray:
+    """Exact product-span ranks of a (B, g, g) stack of change-of-basis matrices.
+
+    Row (a, b) of a trial's span matrix is outer(M[a], M[b]) flattened,
+    times the scatter matrix: the coefficients of omega_a * omega_b over
+    the quad monomials.
+    """
+    first, second = np.array(pairs).T
+    outer = mats[:, first, :, None] * mats[:, second, None, :]
+    rows = outer.reshape(len(mats), len(pairs), -1) @ scatter
+    del outer  # the largest array of the chunk; not needed while ranking
+    return batch_rank(rows)
+
+
+def _select_ranks(mats: np.ndarray, scatter: np.ndarray, pairs):
+    """(nonsingular, span_rank) arrays for a (B, g, g) stack of matrices."""
+    return batch_rank(mats) == mats.shape[1], _span_ranks(mats, scatter, pairs)
+
+
 def product_span_rank(model: PlaneCurveModel, m: BernoulliMatrix, idx: IndexSet) -> int:
     """Exact rank of the product coefficient matrix in the quad-monomial basis.
 
@@ -94,31 +163,10 @@ def product_span_rank(model: PlaneCurveModel, m: BernoulliMatrix, idx: IndexSet)
     g = model.genus
     if m.g != g:
         raise ValidationError("matrix size must equal the model genus")
-    quad_index = {mon: c for c, mon in enumerate(model.quad_monomials)}
-    diff = model.diff_monomials
-    # prod_col[j][l] = column of zeta_j * zeta_l in the quad basis
-    prod_col = [
-        [quad_index[tuple(a + b for a, b in zip(diff[j], diff[l]))] for l in range(g)]
-        for j in range(g)
-    ]
-    ncols = len(model.quad_monomials)
-    rows = []
-    for a, b in idx.pairs:
-        if not (0 <= a <= b < g):
-            raise ValidationError("index pairs must satisfy 0 <= i <= j < g")
-        ra, rb = m.entries[a], m.entries[b]
-        vec = [0] * ncols
-        for j in range(g):
-            ca = ra[j]
-            if not ca:
-                continue
-            cols_j = prod_col[j]
-            for l in range(g):
-                cb = rb[l]
-                if cb:
-                    vec[cols_j[l]] += ca * cb
-        rows.append(vec)
-    return integer_rank(rows)
+    if not all(0 <= a <= b < g for a, b in idx.pairs):
+        raise ValidationError("index pairs must satisfy 0 <= i <= j < g")
+    mats = np.array([m.entries], dtype=np.int64)
+    return int(_span_ranks(mats, _scatter(model), idx.pairs)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -170,26 +218,66 @@ def _stats(trials: int, successes: int, nonsingular: int, exact: bool = False) -
     )
 
 
+def _records(start, seeds, nonsingular, span, target) -> list[TrialRecord]:
+    return [
+        TrialRecord(start + k, s, ns, r, r == target)
+        for k, (s, ns, r) in enumerate(zip(seeds, nonsingular.tolist(), span.tolist()))
+    ]
+
+
 def run_trial(model: PlaneCurveModel, p: float, seed: int, trial_index: int = 0) -> TrialRecord:
     """One full experiment instance with an explicit per-trial seed."""
     g = model.genus
-    m = bernoulli_matrix(g, p, seed)
-    nonsing = is_nonsingular_exact(m)
-    rank = product_span_rank(model, m, first_three_rows_indices(g))
+    pairs = first_three_rows_indices(g).pairs
+    nonsingular, span = _select_ranks(_bits(_one_seed(seed), g, p), _scatter(model), pairs)
+    return _records(trial_index, [seed], nonsingular, span, 3 * g - 3)[0]
+
+
+def _select_stats(model, n_trials, matrices, log=None, exact=False) -> SuccessStats:
+    """Stream trials 0..n_trials-1 through the ranks; the one select pipeline.
+
+    ``matrices(start, stop)`` returns a chunk's per-trial labels (seeds or
+    codes) and its (B, g, g) matrices.  Records are appended to ``log``
+    when it is a list.
+    """
+    g = model.genus
     target = 3 * g - 3
-    return TrialRecord(
-        trial_index=trial_index,
-        seed=seed,
-        matrix_nonsingular=nonsing,
-        span_rank=rank,
-        success=rank == target,
-    )
+    pairs = first_three_rows_indices(g).pairs
+    scatter = _scatter(model)
+    succ = nonsing = 0
+    for start, stop in _chunks(n_trials, len(pairs) * g * g):
+        labels, mats = matrices(start, stop)
+        nonsingular, span = _select_ranks(mats, scatter, pairs)
+        succ += int(np.count_nonzero(span == target))
+        nonsing += int(np.count_nonzero(nonsingular))
+        if log is not None:
+            log.extend(_records(start, labels.tolist(), nonsingular, span, target))
+    return _stats(n_trials, succ, nonsing, exact)
+
+
+def run_selection(
+    model: PlaneCurveModel, p: float, n_trials: int, seed: int, records: bool = False
+) -> tuple[SuccessStats, list[TrialRecord]]:
+    """Stats of ``n_trials`` seeded trials, plus their records if ``records``.
+
+    Trial i uses the seed derive_seed(seed, i), so the aggregate is
+    independent of execution order and chunking, and any single trial can
+    be reproduced in isolation with ``run_trial``.  Without ``records``
+    the returned list is empty and memory stays bounded by the chunk size.
+    """
+    if n_trials < 1:
+        raise DomainError("n_trials must be >= 1")
+
+    def matrices(start, stop):
+        seeds = trial_seeds(seed, start, stop)
+        return seeds, _bits(seeds, model.genus, p)
+
+    log: list[TrialRecord] = []
+    return _select_stats(model, n_trials, matrices, log if records else None), log
 
 
 def run_trials(model: PlaneCurveModel, p: float, n_trials: int, seed: int) -> list[TrialRecord]:
-    if n_trials < 1:
-        raise DomainError("n_trials must be >= 1")
-    return [run_trial(model, p, derive_seed(seed, i), trial_index=i) for i in range(n_trials)]
+    return run_selection(model, p, n_trials, seed, records=True)[1]
 
 
 def monte_carlo(model: PlaneCurveModel, p: float, n_trials: int, seed: int) -> SuccessStats:
@@ -199,15 +287,13 @@ def monte_carlo(model: PlaneCurveModel, p: float, n_trials: int, seed: int) -> S
     is independent of execution order and any single trial can be
     reproduced in isolation.
     """
-    records = run_trials(model, p, n_trials, seed)
-    succ = sum(r.success for r in records)
-    nonsing = sum(r.matrix_nonsingular for r in records)
-    return _stats(n_trials, succ, nonsing)
+    return run_selection(model, p, n_trials, seed)[0]
 
 
 def exhaustive(model: PlaneCurveModel) -> SuccessStats:
     """Exact success/nonsingularity counts over every 0/1 matrix.
 
+    Matrix number ``code`` has entry (i, j) equal to bit i*g + j of code.
     Refused above genus 3 because the enumeration has 2^(g^2) cases.
     """
     g = model.genus
@@ -215,21 +301,13 @@ def exhaustive(model: PlaneCurveModel) -> SuccessStats:
         raise DomainError(
             f"exhaustive enumeration refused: 2^{g * g} = {2 ** (g * g):.3e} matrices"
         )
-    idx = first_three_rows_indices(g)
-    target = 3 * g - 3
-    succ = 0
-    nonsing = 0
-    total = 2 ** (g * g)
-    for code in range(total):
-        bits = tuple(
-            tuple((code >> (i * g + j)) & 1 for j in range(g)) for i in range(g)
-        )
-        m = BernoulliMatrix(g=g, entries=bits, p=0.5, seed=code)
-        if is_nonsingular_exact(m):
-            nonsing += 1
-        if product_span_rank(model, m, idx) == target:
-            succ += 1
-    return _stats(total, succ, nonsing, exact=True)
+    shifts = np.arange(g * g, dtype=np.int64)
+
+    def matrices(start, stop):
+        codes = np.arange(start, stop, dtype=np.int64)
+        return codes, ((codes[:, None] >> shifts) & 1).reshape(-1, g, g)
+
+    return _select_stats(model, 2 ** (g * g), matrices, exact=True)
 
 
 def singularity_rate(g: int, p: float, n_trials: int, seed: int) -> SuccessStats:
@@ -242,10 +320,9 @@ def singularity_rate(g: int, p: float, n_trials: int, seed: int) -> SuccessStats
     if n_trials < 1:
         raise DomainError("n_trials must be >= 1")
     singular = 0
-    for i in range(n_trials):
-        m = bernoulli_matrix(g, p, derive_seed(seed, i))
-        if not is_nonsingular_exact(m):
-            singular += 1
+    for start, stop in _chunks(n_trials, g * g):
+        mats = _bits(trial_seeds(seed, start, stop), g, p)
+        singular += int(np.count_nonzero(batch_rank(mats) < g))
     return _stats(n_trials, singular, n_trials - singular)
 
 
@@ -268,7 +345,7 @@ def paper_bounds(g: int) -> list[tuple[str, float]]:
     if g < 2:
         raise DomainError("paper_bounds requires g >= 2")
     k = 3 * g - 3
-    displayed = k / 16.0**k
+    displayed = k * 16.0**-k  # underflows to 0.0 for large g; 16.0**k would overflow
     return [
         ("tao_vu_conjectured_nonsingular", 1.0 - 0.5**g),
         ("tao_vu_proved_lower_bound", 1.0 - 0.75**g),

@@ -4,9 +4,17 @@ All Monte Carlo machinery in periodlab draws from this generator so that
 every seeded computation is bit-reproducible across platforms.  The
 constants are the published splitmix64 constants (Steele, Lea, Flood,
 "Fast splittable pseudorandom number generators", OOPSLA 2014).
+
+The stream is counter-based: output k (from 0) of the stream seeded with
+s is mix64(s + (k+1)*gamma) mod 2^64.  ``trial_seeds`` and ``stream_draws``
+evaluate the same formulas on numpy ``uint64`` arrays, whose arithmetic
+wraps mod 2^64, so a whole batch of trials is drawn at once with results
+identical to the scalar ``derive_seed`` and ``SplitMix64`` reference.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 MASK64 = (1 << 64) - 1
 
@@ -41,3 +49,22 @@ def derive_seed(seed: int, index: int) -> int:
     reproduce any single trial in isolation.
     """
     return mix64((seed & MASK64) ^ (index & MASK64))
+
+
+def mix64_array(z: np.ndarray) -> np.ndarray:
+    """``mix64`` applied elementwise to a ``uint64`` array."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    return z ^ (z >> np.uint64(31))
+
+
+def trial_seeds(seed: int, start: int, stop: int) -> np.ndarray:
+    """``derive_seed(seed, i)`` for i in [start, stop), as ``uint64``."""
+    index = np.arange(start, stop, dtype=np.uint64)
+    return mix64_array(np.uint64(seed & MASK64) ^ index)
+
+
+def stream_draws(seeds: np.ndarray, n: int) -> np.ndarray:
+    """(len(seeds), n) array: the first n outputs of SplitMix64(s) per seed."""
+    steps = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+    return mix64_array(np.asarray(seeds, dtype=np.uint64)[:, None] + steps)

@@ -176,6 +176,28 @@ class TestSelectCommands:
         assert "singular=" in capsys.readouterr().out
         assert run(["singularity", "--g", 0, "--trials", 10, "--seed", 1]) == 2
 
+    # counts recorded from the one-trial-at-a-time implementation; the
+    # batched pipeline must reproduce them exactly
+    @pytest.mark.parametrize(
+        "g, trials, seed, singular", [(7, 3000, 99, 1541), (20, 500, 5, 0)]
+    )
+    def test_singularity_pinned(self, capsys, g, trials, seed, singular):
+        assert run(["singularity", "--g", g, "--trials", trials, "--seed", seed]) == 0
+        assert f" singular={singular} " in capsys.readouterr().out
+
+    def test_select_pinned(self, tmp_path, capsys):
+        argv = ["select", "--model", "quintic", "--trials", 700, "--seed", 2**64 - 1]
+        assert run(argv + ["--out", tmp_path / "log.csv"]) == 0
+        assert " successes=169 " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("bad", [["--p", "nan"], ["--p", 1.5], ["--trials", 0]])
+    def test_bad_trial_arguments_exit_two(self, tmp_path, capsys, bad):
+        assert run(["singularity", "--g", 3, "--trials", 10, "--seed", 1] + bad) == 2
+        select = ["select", "--model", "quartic", "--trials", 10, "--seed", 1]
+        assert run(select + ["--out", tmp_path / "log.csv"] + bad) == 2
+        assert not (tmp_path / "log.csv").exists()
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestStatsCommand:
     def test_outputs(self, tmp_path, capsys):
@@ -234,6 +256,13 @@ class TestBoundsCommand:
 
     def test_domain(self):
         assert run(["bounds", "--g", 1]) == 2
+
+    def test_large_genus_underflows_cleanly(self, capsys):
+        assert run(["bounds", "--g", 300]) == 0
+        bounds = json.loads(capsys.readouterr().out)["bounds"]
+        assert all(np.isfinite(v) for v in bounds.values())
+        assert bounds["displayed_expression"] == 0.0
+        assert bounds["union_bound_reading"] == 1.0
 
 
 class TestExitCodes:

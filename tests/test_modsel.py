@@ -1,4 +1,5 @@
 import csv
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -6,16 +7,19 @@ from hypothesis import strategies as st
 
 from oracles import cofactor_determinant
 from periodlab.curves import PlaneCurveModel
+from periodlab.rng import SplitMix64, derive_seed
 from periodlab.errors import DomainError, ValidationError
 from periodlab.modsel import (
     BernoulliMatrix,
     bernoulli_matrix,
+    chunk_trials,
     exhaustive,
     first_three_rows_indices,
     is_nonsingular_exact,
     monte_carlo,
     paper_bounds,
     product_span_rank,
+    run_selection,
     run_trial,
     run_trials,
     singularity_rate,
@@ -46,6 +50,17 @@ class TestBernoulliMatrix:
         m = bernoulli_matrix(40, 0.5, 77)
         density = sum(sum(r) for r in m.entries) / 1600.0
         assert abs(density - 0.5) < 0.05
+
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0 - 2.0**-53, 1.0])
+    def test_matches_scalar_stream(self, p):
+        # entry (i, j) is draw i*g + j of SplitMix64(seed), below floor(p * 2^64)
+        threshold = math.floor(p * 2**64)
+        for seed in (0, -7, 2**64 + 3):
+            stream = SplitMix64(seed)
+            expected = tuple(
+                tuple(int(stream.next_u64() < threshold) for _ in range(7)) for _ in range(7)
+            )
+            assert bernoulli_matrix(7, p, seed).entries == expected
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -141,6 +156,20 @@ class TestTrials:
         assert stats.ci95_halfwidth > 0.0
         assert stats.successes <= stats.nonsingular_count or True  # counts independent
 
+    @pytest.mark.parametrize("seed", [-7, 2**64 + 3])
+    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+    def test_batched_records_match_single_trials_across_chunks(self, seed, p):
+        # chunk boundaries must not change any record
+        chunk = chunk_trials(15 * 6 * 6)  # quintic: 15 pairs of 6 x 6 outer products
+        for n in (1, chunk - 1, chunk, chunk + 1):
+            stats, records = run_selection(QUINTIC, p, n, seed, records=True)
+            assert [r.trial_index for r in records] == list(range(n))
+            for r in records:
+                assert r == run_trial(QUINTIC, p, derive_seed(seed, r.trial_index), r.trial_index)
+            assert stats.successes == sum(r.success for r in records)
+            assert stats.nonsingular_count == sum(r.matrix_nonsingular for r in records)
+            assert run_selection(QUINTIC, p, n, seed)[1] == []
+
     def test_trial_log_row_count(self, tmp_path):
         records = run_trials(QUARTIC, 0.5, 25, 1)
         path = tmp_path / "log.csv"
@@ -174,6 +203,16 @@ class TestSingularityRate:
         stats = singularity_rate(3, 0.5, 4000, 11)
         assert abs(stats.estimate - 338 / 512) < 0.03
         assert stats.successes + stats.nonsingular_count == stats.trials
+
+    def test_matches_single_matrices_across_chunks(self):
+        g = 5
+        chunk = chunk_trials(g * g)
+        for n in (1, chunk - 1, chunk + 1):
+            singular = sum(
+                not is_nonsingular_exact(bernoulli_matrix(g, 0.5, derive_seed(-7, i)))
+                for i in range(n)
+            )
+            assert singularity_rate(g, 0.5, n, -7).successes == singular
 
     def test_deterministic(self):
         a = singularity_rate(4, 0.5, 100, 5)

@@ -1,4 +1,7 @@
-from periodlab.rng import MASK64, SplitMix64, derive_seed, mix64
+import numpy as np
+import pytest
+
+from periodlab.rng import MASK64, SplitMix64, derive_seed, mix64, stream_draws, trial_seeds
 
 
 def test_stream_determinism():
@@ -35,3 +38,17 @@ def test_derive_seed_is_stable_and_spread():
     assert derive_seed(42, 0) == derive_seed(42, 0)
     seeds = {derive_seed(42, i) for i in range(10000)}
     assert len(seeds) == 10000
+
+
+@pytest.mark.parametrize("seed", [0, 42, -7, MASK64, 2**64 + 3, -(2**70)])
+def test_trial_seeds_match_derive_seed(seed):
+    got = trial_seeds(seed, 5, 300).tolist()
+    assert got == [derive_seed(seed, i) for i in range(5, 300)]
+
+
+def test_stream_draws_match_sequential_stream():
+    seeds = [0, 1, MASK64, derive_seed(9, 3)]
+    draws = stream_draws(np.array(seeds, dtype=np.uint64), 50).tolist()
+    for seed, row in zip(seeds, draws):
+        stream = SplitMix64(seed)
+        assert row == [stream.next_u64() for _ in range(50)]
