@@ -77,36 +77,6 @@ def is_nonsingular(rows: Sequence[Sequence[int]]) -> bool:
     return integer_rank(rows) == n
 
 
-def integer_determinant(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant by the Bareiss one-step algorithm."""
-    m = [list(map(int, r)) for r in rows]
-    n = len(m)
-    if any(len(r) != n for r in m):
-        raise ValueError("matrix must be square")
-    sign = 1
-    prev = 1
-    for col in range(n - 1):
-        piv = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign = -sign
-        p = m[col][col]
-        for r in range(col + 1, n):
-            mr = m[r]
-            mc = m[col]
-            c = mr[col]
-            for j in range(col, n):
-                mr[j] = (p * mr[j] - c * mc[j]) // prev
-        prev = p
-    return sign * m[n - 1][n - 1]
-
-
 def _reduce(x: np.ndarray, p: int) -> np.ndarray:
     """x mod p into [0, p), in place.
 

@@ -101,15 +101,8 @@ def is_nonsingular_exact(m: BernoulliMatrix) -> bool:
 # Index sets and the product-span rank test
 
 
-@dataclass(frozen=True)
-class IndexSet:
-    """Ordered pairs (i, j), 0-based, with i <= j."""
-
-    pairs: tuple[tuple[int, int], ...]
-
-
-def first_three_rows_indices(g: int) -> IndexSet:
-    """The 3g-3 pairs {(0,j)}_{j>=0} u {(1,j)}_{j>=1} u {(2,j)}_{j>=2}.
+def first_three_rows_indices(g: int) -> tuple[tuple[int, int], ...]:
+    """The 3g-3 pairs {(0,j)}_{j>=0} u {(1,j)}_{j>=1} u {(2,j)}_{j>=2}, 0-based.
 
     These index the products omega_1*omega_1 .. omega_3*omega_g coming
     from the first three rows of a symmetric period matrix.
@@ -118,7 +111,7 @@ def first_three_rows_indices(g: int) -> IndexSet:
         raise DomainError("first_three_rows_indices requires g >= 3")
     pairs = tuple((i, j) for i in range(3) for j in range(i, g))
     assert len(pairs) == 3 * g - 3
-    return IndexSet(pairs=pairs)
+    return pairs
 
 
 def _scatter(model: PlaneCurveModel) -> np.ndarray:
@@ -152,21 +145,21 @@ def _select_ranks(mats: np.ndarray, scatter: np.ndarray, pairs):
     return batch_rank(mats) == mats.shape[1], _span_ranks(mats, scatter, pairs)
 
 
-def product_span_rank(model: PlaneCurveModel, m: BernoulliMatrix, idx: IndexSet) -> int:
+def product_span_rank(model: PlaneCurveModel, m: BernoulliMatrix, pairs) -> int:
     """Exact rank of the product coefficient matrix in the quad-monomial basis.
 
     omega_i = sum_j M_ij zeta_j with zeta the model's monomial
     differentials; each product omega_a omega_b expands to an integer
     vector over the quad monomials.  Returns the integer rank of the
-    |idx| x (3g-3) matrix of those vectors.
+    |pairs| x (3g-3) matrix of those vectors, one row per pair (a, b).
     """
     g = model.genus
     if m.g != g:
         raise ValidationError("matrix size must equal the model genus")
-    if not all(0 <= a <= b < g for a, b in idx.pairs):
+    if not all(0 <= a <= b < g for a, b in pairs):
         raise ValidationError("index pairs must satisfy 0 <= i <= j < g")
     mats = np.array([m.entries], dtype=np.int64)
-    return int(_span_ranks(mats, _scatter(model), idx.pairs)[0])
+    return int(_span_ranks(mats, _scatter(model), pairs)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +221,7 @@ def _records(start, seeds, nonsingular, span, target) -> list[TrialRecord]:
 def run_trial(model: PlaneCurveModel, p: float, seed: int, trial_index: int = 0) -> TrialRecord:
     """One full experiment instance with an explicit per-trial seed."""
     g = model.genus
-    pairs = first_three_rows_indices(g).pairs
+    pairs = first_three_rows_indices(g)
     nonsingular, span = _select_ranks(_bits(_one_seed(seed), g, p), _scatter(model), pairs)
     return _records(trial_index, [seed], nonsingular, span, 3 * g - 3)[0]
 
@@ -242,7 +235,7 @@ def _select_stats(model, n_trials, matrices, log=None, exact=False) -> SuccessSt
     """
     g = model.genus
     target = 3 * g - 3
-    pairs = first_three_rows_indices(g).pairs
+    pairs = first_three_rows_indices(g)
     scatter = _scatter(model)
     succ = nonsing = 0
     for start, stop in _chunks(n_trials, len(pairs) * g * g):

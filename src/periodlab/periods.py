@@ -29,9 +29,12 @@ identity P^T E^(-1) P = 0 must hold to ``BILINEAR_TOL`` and
 -(i/2) P^T E^(-1) conj(P) must be positive definite.  Scaling the
 differential basis leaves Omega and definiteness unchanged but keeps
 small columns from hiding behind large ones.  An ambiguous junction or a
-failed certificate raises NumericError.  The resulting symplectic change
-of basis then normalizes the table to a candidate period matrix
-Omega = B A^(-1).
+failed certificate raises NumericError.  Because E is a chain, the
+symplectic basis has a closed form (the chain construction of Molin and
+Neurohr, arXiv:1707.07249): on the loops c_0 .. c_2g-1,
+alpha_i = sum_{k<=i} eps_ik c_2k with eps_ii = 1 and eps_ik the product
+of s_2m s_2m+1 over k <= m < i, and beta_i = s_2i c_2i+1.  That change of
+basis normalizes the table to a candidate period matrix Omega = B A^(-1).
 
 Fermat periods use the classical closed form: on x^d + y^d = 1 the
 integral of x^(r-1) y^(s-d) dx along the path x = t, y = (1-t^d)^(1/d)
@@ -146,14 +149,15 @@ def _tracked_sqrt(values: np.ndarray) -> np.ndarray:
     return s * signs
 
 
-def _segment_node_data(roots, leading, a, b, N):
-    """Quadrature nodes x_n and branch values phi for one segment.
+def _segment_moments(roots, leading, a, b, N: int, count: int):
+    """Segment moments int_a^b x^(k-1) / sqrt(f(x)) dx for k = 1..count.
 
-    phi is the continuously tracked branch of sqrt(-leading * R(x)) with
-    R the polynomial over the roots other than a and b, sampled at a, at
-    the N nodes and at b; the anchor at x = a uses the principal square
-    root.  The quadrature uses phi[1:-1]; the endpoint values orient the
-    chain junctions.
+    The one quadrature kernel.  With R the polynomial over the roots other
+    than a and b, phi is the continuously tracked branch of
+    sqrt(-leading * R(x)), anchored at x = a on the principal square root
+    and sampled at a, at the N nodes and at b.  Returns the moments
+    (pi/N) * sum x^(k-1) / phi over the nodes, and phi at a and at b,
+    which orient the chain junctions.
     """
     other = list(roots)
     other.remove(a)
@@ -169,7 +173,12 @@ def _segment_node_data(roots, leading, a, b, N):
         v *= sample_x - e
     # + 0j canonicalizes any -0.0 imaginary parts, which would otherwise
     # flip the principal branch cut of the square root
-    return x, _tracked_sqrt(v + 0j)
+    phi = _tracked_sqrt(v + 0j)
+    inv_phi = 1.0 / phi[1:-1]
+    moments = np.array(
+        [(np.pi / N) * np.sum(x ** (k - 1) * inv_phi) for k in range(1, count + 1)]
+    )
+    return moments, phi[0], phi[-1]
 
 
 def _point_segment_distance(p, a, b) -> float:
@@ -213,8 +222,8 @@ def chebyshev_segment_integral(
             continue
         if _point_segment_distance(e, a, b) < 1e-12 * scale:
             raise SingularIntegrandError(f"branch point {e} lies on the integration segment")
-    x, phi = _segment_node_data(roots, complex(leading), a, b, N)
-    return complex((np.pi / N) * np.sum(x ** (k - 1) / phi[1:-1]))
+    moments, _, _ = _segment_moments(roots, complex(leading), a, b, N, k)
+    return complex(moments[k - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +284,7 @@ def _chain_segments(curve: HyperellipticCurve):
 
 
 # ---------------------------------------------------------------------------
-# Intersection sign recovery and symplectic reduction
+# Intersection sign recovery and symplectic basis
 
 
 def _tridiagonal_intersection(signs: Sequence[int]) -> list[list[int]]:
@@ -333,58 +342,35 @@ def _choose_intersection_matrix(P: np.ndarray, segs, anchors, ends):
 
 
 def symplectic_transform_from_intersection(E: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Integer T with T E T^T = [[0, I], [-I, 0]] for unimodular skew E."""
+    """Integer T with T E T^T = [[0, I], [-I, 0]] for a chain intersection matrix E.
+
+    E must be skew with signs s_j = E[j][j+1] in {1, -1} and zeros off the
+    first diagonals.  Rows of T are alpha_0 .. alpha_g-1, beta_0 .. beta_g-1
+    in the closed form of the module docstring; the identity is verified
+    once in exact integer arithmetic.
+    """
     n = len(E)
-    if n % 2 != 0:
-        raise ValidationError("intersection matrix must have even size")
+    if n == 0 or n % 2 != 0 or any(len(row) != n for row in E):
+        raise ValidationError("intersection matrix must be square of positive even size")
     E = [[int(x) for x in row] for row in E]
-
-    def pair(u, v):
-        return sum(u[i] * E[i][j] * v[j] for i in range(n) for j in range(n) if E[i][j])
-
-    remaining = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    alphas, betas = [], []
-    while remaining:
-        u = remaining.pop(0)
-        ds = [pair(u, w) for w in remaining]
-        while True:
-            nz = [i for i, d in enumerate(ds) if d != 0]
-            if not nz:
-                raise ValidationError("intersection form is degenerate")
-            if len(nz) == 1:
-                break
-            i = min(nz, key=lambda t: abs(ds[t]))
-            for j in nz:
-                if j == i:
-                    continue
-                q = ds[j] // ds[i]
-                if q:
-                    remaining[j] = [wj - q * wi for wj, wi in zip(remaining[j], remaining[i])]
-                    ds[j] -= q * ds[i]
-        i = nz[0]
-        if abs(ds[i]) != 1:
-            raise ValidationError("intersection form is not unimodular")
-        v = remaining.pop(i)
-        if ds[i] < 0:
-            v = [-x for x in v]
-        for idx, w in enumerate(remaining):
-            cwv = pair(w, v)
-            cwu = pair(w, u)
-            remaining[idx] = [wi - cwv * ui + cwu * vi for wi, ui, vi in zip(w, u, v)]
-        alphas.append(u)
-        betas.append(v)
-    T = alphas + betas
+    signs = [E[j][j + 1] for j in range(n - 1)]
+    if any(s not in (1, -1) for s in signs) or E != _tridiagonal_intersection(signs):
+        raise ValidationError(
+            "intersection matrix must be a skew chain with +-1 on the first off-diagonals"
+        )
     g = n // 2
-    check = [[pair(T[i], T[j]) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            expected = 0
-            if j == i + g:
-                expected = 1
-            elif i == j + g:
-                expected = -1
-            if check[i][j] != expected:
-                raise NumericError("symplectic reduction failed verification")
+    alphas, betas, alpha = [], [], [0] * n
+    for i in range(g):
+        if i:
+            alpha = [signs[2 * i - 2] * signs[2 * i - 1] * x for x in alpha]
+        alpha[2 * i] = 1
+        alphas.append(alpha)
+        betas.append([signs[2 * i] if j == 2 * i + 1 else 0 for j in range(n)])
+    T = alphas + betas
+    Tn = np.array(T, dtype=np.int64)
+    J = np.eye(n, k=g, dtype=np.int64) - np.eye(n, k=-g, dtype=np.int64)
+    if not np.array_equal(Tn @ np.array(E, dtype=np.int64) @ Tn.T, J):
+        raise NumericError("symplectic basis failed verification")
     return T
 
 
@@ -400,11 +386,10 @@ def _chain_period_table(curve: HyperellipticCurve, segs, N: int):
     anchors = np.empty(2 * g, dtype=complex)
     ends = np.empty(2 * g, dtype=complex)
     for j, (a, b) in enumerate(segs):
-        x, phi = _segment_node_data(roots, curve.leading_coefficient, a, b, N)
-        anchors[j], ends[j] = phi[0], phi[-1]
-        inv_phi = 1.0 / phi[1:-1]
-        for k in range(1, g + 1):
-            P[j, k - 1] = 2.0 * (np.pi / N) * np.sum(x ** (k - 1) * inv_phi)
+        moments, anchors[j], ends[j] = _segment_moments(
+            roots, curve.leading_coefficient, a, b, N, g
+        )
+        P[j] = 2.0 * moments
     return P, anchors, ends
 
 

@@ -8,6 +8,7 @@ by construction, for use as the non-period baseline in statistics runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,8 @@ def validate_siegel(m: np.ndarray, tol: float = DEFAULT_TOL) -> SiegelValidation
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError("validate_siegel requires a square matrix")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError("tol must be positive and finite")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValidationError("matrix entries must be finite")
     residual = float(np.max(np.abs(m - m.T))) if m.size else 0.0
@@ -57,11 +58,15 @@ def random_siegel(g: int, seed: int, scale: float = 1.0) -> np.ndarray:
 
     S is symmetric with entries uniform in [-scale, scale]; L has standard
     normal entries.  The output passes validate_siegel at tol 1e-12.
+    The seed must be non-negative, and the width 2*scale of the uniform
+    range must be a positive finite float.
     """
     if g < 1:
         raise DomainError("g must be >= 1")
-    if scale <= 0:
-        raise DomainError("scale must be positive")
+    if seed < 0:
+        raise DomainError("seed must be >= 0")
+    if not (scale > 0 and math.isfinite(2.0 * scale)):
+        raise DomainError("scale must be positive with 2*scale finite")
     rng = np.random.default_rng(seed)
     upper = rng.uniform(-scale, scale, size=(g, g))
     s = np.triu(upper)

@@ -3,8 +3,9 @@
 Everything here is deliberately implemented through a different route
 than the library code it checks: the arithmetic-geometric mean for
 complete elliptic integrals, Gauss-Jacobi quadrature for Fermat path
-integrals, cofactor expansion for exact determinants, and an exhaustive
-search over every chain intersection sign pattern.
+integrals, cofactor expansion for exact determinants, an exhaustive
+search over every chain intersection sign pattern, and a general integer
+lattice reduction for the symplectic basis of an intersection form.
 """
 
 from __future__ import annotations
@@ -121,3 +122,66 @@ def searched_intersection_matrix(P: np.ndarray) -> np.ndarray:
     if best is None:
         raise AssertionError("no sign pattern gives a positive period form")
     return best
+
+
+def reduced_symplectic_transform(E) -> list[list[int]]:
+    """Integer T with T E T^T = [[0, I], [-I, 0]] for unimodular skew E.
+
+    General integer lattice reduction: pick a cycle u, reduce the others
+    against it until exactly one pairs with it (to +-1), take that one as
+    its partner v and project both out of the rest.  It knows nothing of
+    the chain structure, so it serves as the reference for the closed-form
+    chain basis.
+    """
+    n = len(E)
+    if n % 2 != 0:
+        raise ValueError("intersection matrix must have even size")
+    E = [[int(x) for x in row] for row in E]
+
+    def pair(u, v):
+        return sum(u[i] * E[i][j] * v[j] for i in range(n) for j in range(n) if E[i][j])
+
+    remaining = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    alphas, betas = [], []
+    while remaining:
+        u = remaining.pop(0)
+        ds = [pair(u, w) for w in remaining]
+        while True:
+            nz = [i for i, d in enumerate(ds) if d != 0]
+            if not nz:
+                raise ValueError("intersection form is degenerate")
+            if len(nz) == 1:
+                break
+            i = min(nz, key=lambda t: abs(ds[t]))
+            for j in nz:
+                if j == i:
+                    continue
+                q = ds[j] // ds[i]
+                if q:
+                    remaining[j] = [wj - q * wi for wj, wi in zip(remaining[j], remaining[i])]
+                    ds[j] -= q * ds[i]
+        i = nz[0]
+        if abs(ds[i]) != 1:
+            raise ValueError("intersection form is not unimodular")
+        v = remaining.pop(i)
+        if ds[i] < 0:
+            v = [-x for x in v]
+        for idx, w in enumerate(remaining):
+            cwv = pair(w, v)
+            cwu = pair(w, u)
+            remaining[idx] = [wi - cwv * ui + cwu * vi for wi, ui, vi in zip(w, u, v)]
+        alphas.append(u)
+        betas.append(v)
+    T = alphas + betas
+    g = n // 2
+    check = [[pair(T[i], T[j]) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            expected = 0
+            if j == i + g:
+                expected = 1
+            elif i == j + g:
+                expected = -1
+            if check[i][j] != expected:
+                raise AssertionError("symplectic reduction failed verification")
+    return T

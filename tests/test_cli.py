@@ -1,10 +1,16 @@
+import contextlib
 import csv
+import io
 import json
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from periodlab import cli, periods
+from periodlab import cli, periods, siegel
 from periodlab.errors import NumericError
 
 
@@ -133,6 +139,17 @@ class TestValidateCommand:
         path.write_text("{not json")
         assert run(["validate", path]) == 3
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-8"])
+    def test_bad_tol_exit_two(self, tmp_path, capsys, tol):
+        path = tmp_path / "member.json"
+        periods.save_period_json(path, siegel.random_siegel(3, 1), "normalized", {})
+        assert run(["validate", path, f"--tol={tol}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+        assert "member=" not in captured.out
+        assert [p.name for p in tmp_path.iterdir()] == ["member.json"]
+
 
 class TestSelectCommands:
     def test_select_log_and_summary(self, tmp_path, capsys):
@@ -246,6 +263,16 @@ class TestSiegelSampleCommand:
         run(["siegel-sample", "--g", 3, "--seed", 2, "--out", b])
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "bad", [["--seed=-1"], ["--seed=1", "--scale=nan"], ["--seed=1", "--scale=inf"]]
+    )
+    def test_bad_arguments_exit_two(self, tmp_path, capsys, bad):
+        assert run(["siegel-sample", "--g", 3, *bad, "--out", tmp_path / "s.json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestBoundsCommand:
     def test_prints_json(self, capsys):
@@ -287,3 +314,43 @@ class TestExitCodes:
         monkeypatch.setattr(parser, "parse_args", lambda argv: args)
         assert cli.main(parser_args) == 4
         assert "synthetic failure" in capsys.readouterr().err
+
+
+# Flag values for the exit-code contract: small and negative ints, and any
+# float (NaN and +-inf included), passed as --flag=value so that negative
+# values are not taken for options.  Ints stop at 12 so that no --g or
+# --trials draw allocates a large array.
+FLAG_VALUES = st.one_of(
+    st.integers(min_value=-5, max_value=12),
+    st.floats(allow_nan=True, allow_infinity=True),
+).map(repr)
+
+CONTRACT_FLAGS = {
+    "validate": ("tol",),
+    "siegel-sample": ("g", "seed", "scale"),
+    "bounds": ("g",),
+    "singularity": ("g", "seed", "p", "trials"),
+}
+WRITES = {"siegel-sample": "--out", "singularity": "--summary"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(CONTRACT_FLAGS)), st.data())
+def test_exit_code_contract(command, data):
+    """Exit 0, 2, 3 or 4, never a traceback, and an output file only on success."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        member = tmp / "member.json"
+        periods.save_period_json(member, siegel.random_siegel(3, 1), "normalized", {})
+        out = tmp / "out.json"
+        argv = [command, str(member)] if command == "validate" else [command]
+        argv += [f"--{flag}={data.draw(FLAG_VALUES, label=flag)}" for flag in CONTRACT_FLAGS[command]]
+        if command in WRITES:
+            argv.append(f"{WRITES[command]}={out}")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err.getvalue()
+        written = ["out.json"] if code == 0 and command in WRITES else []
+        assert sorted(p.name for p in tmp.iterdir()) == ["member.json", *written]

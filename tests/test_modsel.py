@@ -77,8 +77,8 @@ class TestBernoulliMatrix:
 class TestIndexSet:
     def test_first_three_rows(self):
         idx = first_three_rows_indices(3)
-        assert idx.pairs == ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
-        assert len(first_three_rows_indices(6).pairs) == 15
+        assert idx == ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+        assert len(first_three_rows_indices(6)) == 15
         with pytest.raises(DomainError):
             first_three_rows_indices(2)
 

@@ -1,4 +1,6 @@
 import cmath
+import hashlib
+import itertools
 import math
 import random
 
@@ -9,10 +11,11 @@ from oracles import (
     elliptic_K,
     fermat_path_integral,
     fermat_translated_path_integral,
+    reduced_symplectic_transform,
     searched_intersection_matrix,
 )
-from periodlab import periods
-from periodlab.curves import HyperellipticCurve, bundled_curve
+from periodlab import cli, periods
+from periodlab.curves import HyperellipticCurve, bundled_curve, save_curve
 from periodlab.errors import (
     DomainError,
     NormalizationError,
@@ -334,6 +337,69 @@ class TestSymplecticReduction:
     def test_degenerate_rejected(self):
         with pytest.raises(ValidationError):
             symplectic_transform_from_intersection([[0, 0], [0, 0]])
+
+    @pytest.mark.parametrize(
+        "E",
+        [
+            [[0, 2], [-2, 0]],  # not unimodular
+            [[0, 1], [1, 0]],  # not skew
+            [[0, 1, 0], [-1, 0, 1], [0, -1, 0]],  # odd size
+            [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]],  # J, not a chain
+            [[0, 1, 0, 1], [-1, 0, 1, 0], [0, -1, 0, 1], [-1, 0, -1, 0]],  # extra entry
+        ],
+    )
+    def test_non_chain_rejected(self, E):
+        with pytest.raises(ValidationError):
+            symplectic_transform_from_intersection(E)
+
+    @pytest.mark.parametrize("g", range(1, 6))
+    def test_closed_form_matches_reduction_on_every_pattern(self, g):
+        for signs in itertools.product((1, -1), repeat=2 * g - 1):
+            E = periods._tridiagonal_intersection(signs)
+            assert symplectic_transform_from_intersection(E) == reduced_symplectic_transform(E)
+
+    @pytest.mark.parametrize("g", range(6, 11))
+    def test_closed_form_matches_reduction_on_random_patterns(self, g):
+        rng = random.Random(f"symplectic/{g}")
+        for _ in range(15):
+            signs = [rng.choice((1, -1)) for _ in range(2 * g - 1)]
+            E = periods._tridiagonal_intersection(signs)
+            assert symplectic_transform_from_intersection(E) == reduced_symplectic_transform(E)
+
+
+# sha256 of the normalized (--out) and raw (--raw-out) period files, recorded
+# with the general lattice reduction in place of the closed-form chain basis.
+# The complex-branch-point curve also pins the last bits of the quadrature.
+PINNED_PERIOD_FILES = {
+    "g2_x5_minus_1": (
+        "130ff0c6538672c8526ed68e1ee94196e5768efc4586ed3460929e8fe63a9b1e",
+        "242e0c9c3a349771602c2f9b9b7b1a6a1b50646938ac537d7224456bec153133",
+    ),
+    "g2_real_quintic": (
+        "29ced71961ec9569e0f8f5ef37c7c3b9b21e3d59d8ff7a077dd9e50dd98e644d",
+        "cca6978ac1289e60d2fa818094bece0ca09e59b896e7b42b29dd60393267993d",
+    ),
+    "g7_linspace": (
+        "420cd1a91eca42f61b53924393c0c1b116e6fb268e2472bb743878da6de48ed9",
+        "963e033662efe45b96d122deed2cc21003665c93dadd14dfeb0a4372e012ff49",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_PERIOD_FILES))
+def test_period_file_bytes_pinned(name, tmp_path, capsys):
+    if name == "g7_linspace":
+        curve = tmp_path / "curve.json"
+        save_curve(HyperellipticCurve([float(x) for x in np.linspace(-1.0, 1.0, 15)]), curve)
+        source = ["--curve", str(curve)]
+    else:
+        source = ["--bundled", name]
+    out, raw = tmp_path / "omega.json", tmp_path / "raw.json"
+    argv = ["periods", *source, "--kind", "normalized", "--out", str(out), "--raw-out", str(raw)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in (out, raw))
+    assert digests == PINNED_PERIOD_FILES[name]
 
 
 class TestPeriodFiles:

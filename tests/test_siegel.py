@@ -42,8 +42,9 @@ def test_tolerance_gates_symmetry():
 def test_input_validation():
     with pytest.raises(ValidationError):
         validate_siegel(np.zeros((2, 3)))
-    with pytest.raises(DomainError):
-        validate_siegel(np.eye(2) * 1j, tol=0.0)
+    for tol in (0.0, float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            validate_siegel(np.eye(2) * 1j, tol=tol)
     with pytest.raises(ValidationError):
         validate_siegel(np.array([[complex(np.nan, 1.0)]]))
 
@@ -67,7 +68,10 @@ def test_random_siegel_deterministic():
 def test_random_siegel_scale():
     m = random_siegel(3, 5, scale=10.0)
     assert np.max(np.abs(m.real)) <= 10.0
-    with pytest.raises(DomainError):
-        random_siegel(3, 5, scale=0.0)
+    for scale in (0.0, float("nan"), float("inf"), 1e308):  # 2 * 1e308 overflows
+        with pytest.raises(DomainError):
+            random_siegel(3, 5, scale=scale)
     with pytest.raises(DomainError):
         random_siegel(0, 5)
+    with pytest.raises(DomainError):
+        random_siegel(3, -1)
