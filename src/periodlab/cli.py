@@ -3,26 +3,29 @@
 Subcommands map one-to-one onto library operations: ``periods``,
 ``validate``, ``select``, ``exhaustive``, ``singularity``, ``stats``,
 ``siegel-sample`` and ``bounds``.  All randomness flows through explicit
---seed flags, outputs are written atomically (temp file + rename), and
-every command prints a single machine-readable key=value summary line.
+--seed flags, and every command prints a single machine-readable
+key=value summary line.
 
-Exit codes: 0 success / membership, 2 argument parse failure,
-3 validation failure (including Siegel non-membership), 4 numeric
-failure (including a computed period matrix outside the Siegel upper
-half-space, which ``periods`` refuses to write).
+Handlers only compute; ``main`` prints, maps exceptions to exit codes and
+writes all of a command's outputs or none, as one transaction.
+
+Exit codes: 0 success / membership, 2 bad arguments or a path that cannot
+be read or written, 3 validation failure (including malformed input and
+Siegel non-membership), 4 numeric failure (including a computed period
+matrix outside the Siegel upper half-space, which ``periods`` refuses to
+write).
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
+import dataclasses
+import io
 import json
 import os
 import sys
 import tempfile
-
-import numpy as np
 
 from . import curves, modsel, periods, perstats, siegel
 from .errors import DomainError, NumericError, PeriodLabError, ValidationError
@@ -32,31 +35,62 @@ EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_NUMERIC = 4
 
+# Exceptions that end a command, and their exit codes; the first match wins.
+EXIT_CODES = {
+    DomainError: EXIT_USAGE,
+    NumericError: EXIT_NUMERIC,
+    PeriodLabError: EXIT_VALIDATION,
+    OSError: EXIT_USAGE,
+    json.JSONDecodeError: EXIT_VALIDATION,
+    UnicodeDecodeError: EXIT_VALIDATION,
+}
 
-@contextlib.contextmanager
-def _atomic_output(path):
-    """Yield a temp path that replaces ``path`` only on success."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".periodlab-", suffix=".tmp")
-    os.close(fd)
+
+def _summary(command: str, **fields) -> str:
+    return " ".join([command] + [f"{k}={v}" for k, v in fields.items()])
+
+
+def _json_text(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _csv_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+def _commit(outputs) -> None:
+    """Write every ``(path, text)`` of ``outputs``, or none of them.
+
+    All targets are checked, then every text is written to a temp file
+    beside its target, then all are renamed into place.  A failure names
+    the requested path and leaves no file behind.  One window remains: a
+    rename that fails after earlier renames succeeded keeps those files.
+    """
+    fulls = [os.path.abspath(path) for path, _text in outputs]
+    for (path, _text), full in zip(outputs, fulls):
+        if fulls.count(full) > 1:
+            raise DomainError(f"cannot write {path}: named as more than one output")
+        if not os.path.isdir(os.path.dirname(full)):
+            raise DomainError(f"cannot write {path}: no such directory")
+        if os.path.isdir(full):
+            raise DomainError(f"cannot write {path}: is a directory")
+    temps = []
     try:
-        yield tmp
-        os.replace(tmp, path)
+        for (target, text), full in zip(outputs, fulls):
+            fd, tmp = tempfile.mkstemp(".tmp", ".periodlab-", os.path.dirname(full))
+            temps.append(tmp)
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(text.encode("utf-8"))
+        for (target, _text), tmp in zip(outputs, temps):
+            os.replace(tmp, target)
+    except OSError as exc:
+        raise DomainError(f"cannot write {target}: {exc.strerror or exc}") from exc
     finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
-def _summary(command: str, **fields) -> None:
-    parts = [command] + [f"{k}={v}" for k, v in fields.items()]
-    print(" ".join(parts))
-
-
-def _json_dump(path, payload) -> None:
-    with _atomic_output(path) as tmp:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        for tmp in temps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
 
 
 def _load_model(name: str) -> curves.PlaneCurveModel:
@@ -67,10 +101,11 @@ def _load_model(name: str) -> curves.PlaneCurveModel:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers
+# Subcommand handlers: each returns (exit code, summary line, outputs), where
+# outputs lists the (requested path, text) of every file the command writes.
 
 
-def _cmd_periods(args) -> int:
+def _cmd_periods(args):
     if args.curve:
         curve = curves.load_curve(args.curve)
         curve_label = args.curve
@@ -86,10 +121,12 @@ def _cmd_periods(args) -> int:
             "row_labels": [list(c) for c in table.cycles],
             "col_labels": [list(e) for e in table.diff_exponents],
         }
-        with _atomic_output(args.out) as tmp:
-            periods.save_period_json(tmp, table.entries, "raw", meta)
-        _summary("periods", curve=curve_label, g=table.g, kind="raw", out=args.out)
-        return EXIT_OK
+        text = periods.period_json_text(table.entries, "raw", meta)
+        outputs = [(args.out, text)]
+        if args.raw_out:
+            outputs.append((args.raw_out, text))
+        line = _summary("periods", curve=curve_label, g=table.g, kind="raw", out=args.out)
+        return EXIT_OK, line, outputs
     if not isinstance(curve, curves.HyperellipticCurve):
         raise ValidationError("plane-curve models carry no period integrals")
     raw, hom = periods.hyperelliptic_raw_periods(curve, nodes=args.nodes)
@@ -112,12 +149,10 @@ def _cmd_periods(args) -> int:
                 f"min Im eigenvalue {check.min_im_eigenvalue:.3e})"
             )
         entries, kind, out_meta = pm.entries, "normalized", {**meta, **pm.provenance}
+    outputs = [(args.out, periods.period_json_text(entries, kind, out_meta))]
     if args.raw_out:
-        with _atomic_output(args.raw_out) as tmp:
-            periods.save_period_json(tmp, raw.entries, "raw", meta)
-    with _atomic_output(args.out) as tmp:
-        periods.save_period_json(tmp, entries, kind, out_meta)
-    _summary(
+        outputs.append((args.raw_out, periods.period_json_text(raw.entries, "raw", meta)))
+    line = _summary(
         "periods",
         curve=curve_label,
         g=raw.g,
@@ -126,15 +161,15 @@ def _cmd_periods(args) -> int:
         est_error=f"{raw.est_error:.3e}",
         out=args.out,
     )
-    return EXIT_OK
+    return EXIT_OK, line, outputs
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args):
     entries, kind, _meta = periods.load_period_json(args.path)
     if entries.shape[0] != entries.shape[1]:
         raise ValidationError("validate requires a square (normalized) period table")
     result = siegel.validate_siegel(entries, tol=args.tol)
-    _summary(
+    line = _summary(
         "validate",
         path=args.path,
         kind=kind,
@@ -142,18 +177,17 @@ def _cmd_validate(args) -> int:
         min_im_eigenvalue=f"{result.min_im_eigenvalue:.3e}",
         member=int(result.is_member),
     )
-    return EXIT_OK if result.is_member else EXIT_VALIDATION
+    return (EXIT_OK if result.is_member else EXIT_VALIDATION), line, []
 
 
-def _cmd_select(args) -> int:
+def _cmd_select(args):
     model = _load_model(args.model)
     stats, records = modsel.run_selection(model, args.p, args.trials, args.seed, records=True)
-    with _atomic_output(args.out) as tmp:
-        modsel.write_trial_log(records, tmp)
-    payload = {**stats.as_dict(), "paper_bounds": dict(modsel.paper_bounds(model.genus))}
+    outputs = [(args.out, _csv_text(modsel.trial_log_rows(records)))]
     if args.summary:
-        _json_dump(args.summary, payload)
-    _summary(
+        payload = {**stats.as_dict(), "paper_bounds": dict(modsel.paper_bounds(model.genus))}
+        outputs.append((args.summary, _json_text(payload)))
+    line = _summary(
         "select",
         model=args.model,
         p=args.p,
@@ -163,16 +197,17 @@ def _cmd_select(args) -> int:
         estimate=f"{stats.estimate:.6f}",
         out=args.out,
     )
-    return EXIT_OK
+    return EXIT_OK, line, outputs
 
 
-def _cmd_exhaustive(args) -> int:
+def _cmd_exhaustive(args):
     model = _load_model(args.model)
     stats = modsel.exhaustive(model)
-    payload = {**stats.as_dict(), "paper_bounds": dict(modsel.paper_bounds(model.genus))}
+    outputs = []
     if args.summary:
-        _json_dump(args.summary, payload)
-    _summary(
+        payload = {**stats.as_dict(), "paper_bounds": dict(modsel.paper_bounds(model.genus))}
+        outputs.append((args.summary, _json_text(payload)))
+    line = _summary(
         "exhaustive",
         model=args.model,
         trials=stats.trials,
@@ -180,14 +215,13 @@ def _cmd_exhaustive(args) -> int:
         nonsingular=stats.nonsingular_count,
         estimate=f"{stats.estimate:.6f}",
     )
-    return EXIT_OK
+    return EXIT_OK, line, outputs
 
 
-def _cmd_singularity(args) -> int:
+def _cmd_singularity(args):
     stats = modsel.singularity_rate(args.g, args.p, args.trials, args.seed)
-    if args.summary:
-        _json_dump(args.summary, stats.as_dict())
-    _summary(
+    outputs = [(args.summary, _json_text(stats.as_dict()))] if args.summary else []
+    line = _summary(
         "singularity",
         g=args.g,
         p=args.p,
@@ -196,40 +230,25 @@ def _cmd_singularity(args) -> int:
         singular=stats.successes,
         estimate=f"{stats.estimate:.6f}",
     )
-    return EXIT_OK
+    return EXIT_OK, line, outputs
 
 
-def _cmd_stats(args) -> int:
+def _cmd_stats(args):
     entries, kind, _meta = periods.load_period_json(args.input)
     values = entries.ravel()
     spec = perstats.spectrum(values)
+    outputs = []
     if args.spectrum:
-        with _atomic_output(args.spectrum) as tmp:
-            with open(tmp, "w", newline="", encoding="utf-8") as fh:
-                w = csv.writer(fh)
-                w.writerow(["rank", "squared_modulus"])
-                for rank, v in enumerate(spec.values, start=1):
-                    w.writerow([rank, repr(v)])
+        rows = [[rank, repr(v)] for rank, v in enumerate(spec.values, start=1)]
+        outputs.append((args.spectrum, _csv_text([["rank", "squared_modulus"], *rows])))
     if args.hist:
         hist = perstats.arg_histogram(values, args.bins)
-        with _atomic_output(args.hist) as tmp:
-            with open(tmp, "w", newline="", encoding="utf-8") as fh:
-                w = csv.writer(fh)
-                w.writerow(["bin_center", "count"])
-                for center, count in hist:
-                    w.writerow([repr(center), count])
+        rows = [[repr(center), count] for center, count in hist]
+        outputs.append((args.hist, _csv_text([["bin_center", "count"], *rows])))
     fit = None
     if args.fit:
         fit = perstats.fit_power_law(spec)
-        _json_dump(
-            args.fit,
-            {
-                "exponent": fit.exponent,
-                "intercept": fit.intercept,
-                "r_squared": fit.r_squared,
-                "excluded_zeros": fit.excluded_zeros,
-            },
-        )
+        outputs.append((args.fit, _json_text(dataclasses.asdict(fit))))
     band = perstats.band_limit_score(values)
     fields = {
         "input": args.input,
@@ -237,28 +256,25 @@ def _cmd_stats(args) -> int:
         "count": spec.source_count,
         "band_limit_score": f"{band.score:.6f}",
     }
-    if args.k:
+    if args.k is not None:
         fields["best_k_energy"] = f"{perstats.best_k_energy(spec, args.k):.6f}"
     if fit is not None:
         fields["exponent"] = f"{fit.exponent:.6f}"
         fields["r_squared"] = f"{fit.r_squared:.6f}"
-    _summary("stats", **fields)
-    return EXIT_OK
+    return EXIT_OK, _summary("stats", **fields), outputs
 
 
-def _cmd_siegel_sample(args) -> int:
+def _cmd_siegel_sample(args):
     m = siegel.random_siegel(args.g, args.seed, args.scale)
     meta = {"synthetic": True, "seed": args.seed, "scale": args.scale}
-    with _atomic_output(args.out) as tmp:
-        periods.save_period_json(tmp, m, "normalized", meta)
-    _summary("siegel-sample", g=args.g, seed=args.seed, scale=args.scale, out=args.out)
-    return EXIT_OK
+    outputs = [(args.out, periods.period_json_text(m, "normalized", meta))]
+    line = _summary("siegel-sample", g=args.g, seed=args.seed, scale=args.scale, out=args.out)
+    return EXIT_OK, line, outputs
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args):
     values = modsel.paper_bounds(args.g)
-    print(json.dumps({"g": args.g, "bounds": dict(values)}, sort_keys=True))
-    return EXIT_OK
+    return EXIT_OK, json.dumps({"g": args.g, "bounds": dict(values)}, sort_keys=True), []
 
 
 # ---------------------------------------------------------------------------
@@ -339,26 +355,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
-    except DomainError as exc:
-        # a numeric flag outside the preconditions of the operation it feeds
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except PeriodLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed JSON input: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        code, line, outputs = args.func(args)
+        _commit(outputs)
+    except tuple(EXIT_CODES) as exc:
+        # the only ValueErrors in the table are the two decoding errors
+        malformed = "malformed JSON input: " if isinstance(exc, ValueError) else ""
+        print(f"error: {malformed}{exc}", file=sys.stderr)
+        return next(c for kind, c in EXIT_CODES.items() if isinstance(exc, kind))
+    print(line)
+    return code
 
 
 if __name__ == "__main__":

@@ -166,6 +166,13 @@ def curve_to_dict(curve: CurveModel) -> dict:
     raise ValidationError(f"unknown curve model: {type(curve).__name__}")
 
 
+def json_int(value, name: str) -> int:
+    """``value`` if it is a JSON integer; else ValidationError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{name} must be an integer")
+    return value
+
+
 def curve_from_dict(data: dict) -> CurveModel:
     """Parse a curve description, rejecting invariant violations by name."""
     if not isinstance(data, dict) or "type" not in data:
@@ -187,11 +194,11 @@ def curve_from_dict(data: dict) -> CurveModel:
     if kind == "plane":
         if "degree" not in data:
             raise ValidationError("plane description requires 'degree'")
-        return PlaneCurveModel(int(data["degree"]))
+        return PlaneCurveModel(json_int(data["degree"], "degree"))
     if kind == "fermat":
         if "degree" not in data:
             raise ValidationError("fermat description requires 'degree'")
-        return FermatCurve(int(data["degree"]))
+        return FermatCurve(json_int(data["degree"], "degree"))
     raise ValidationError(f"unknown curve type {kind!r}")
 
 

@@ -21,7 +21,6 @@ batches of one through the same kernels.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -351,12 +350,8 @@ def paper_bounds(g: int) -> list[tuple[str, float]]:
 # Trial logs
 
 
-def write_trial_log(records, path) -> None:
-    """CSV log: trial_index, seed, nonsingular (0/1), span_rank, success (0/1)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["trial_index", "seed", "nonsingular", "span_rank", "success"])
-        for r in records:
-            w.writerow(
-                [r.trial_index, r.seed, int(r.matrix_nonsingular), r.span_rank, int(r.success)]
-            )
+def trial_log_rows(records):
+    """CSV rows of a trial log: the header, then one row per trial."""
+    yield ["trial_index", "seed", "nonsingular", "span_rank", "success"]
+    for r in records:
+        yield [r.trial_index, r.seed, int(r.matrix_nonsingular), r.span_rank, int(r.success)]

@@ -53,7 +53,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .curves import FermatCurve, HyperellipticCurve
+from .curves import FermatCurve, HyperellipticCurve, json_int
 from .errors import (
     DomainError,
     NormalizationError,
@@ -183,11 +183,11 @@ def _segment_moments(roots, leading, a, b, N: int, count: int):
 
 def _point_segment_distance(p, a, b) -> float:
     ab = b - a
-    denom = abs(ab) ** 2
-    if denom == 0.0:
+    if ab == 0:
         return abs(p - a)
-    t = ((p - a) * np.conj(ab)).real / denom
-    t = min(1.0, max(0.0, t))
+    # Re((p - a) / ab) is the projection parameter; complex division does
+    # not square |ab|, so it cannot overflow where |ab|^2 would
+    t = min(1.0, max(0.0, ((p - a) / ab).real))
     return abs(p - (a + t * ab))
 
 
@@ -412,16 +412,22 @@ def hyperelliptic_raw_periods(
     g = curve.genus()
     if g < 1:
         raise DomainError("genus must be >= 1")
-    pts, segs = _chain_segments(curve)
-    N = nodes
-    P, _, _ = _chain_period_table(curve, segs, N)
-    while True:
-        P2, anchors, ends = _chain_period_table(curve, segs, 2 * N)
-        err = float(np.max(np.abs(P2 - P)))
-        N *= 2
-        P = P2
-        if err <= target or 2 * N > node_limit:
-            break
+    try:
+        with np.errstate(over="raise"):
+            pts, segs = _chain_segments(curve)
+            N = nodes
+            P, _, _ = _chain_period_table(curve, segs, N)
+            while True:
+                P2, anchors, ends = _chain_period_table(curve, segs, 2 * N)
+                err = float(np.max(np.abs(P2 - P)))
+                N *= 2
+                P = P2
+                if err <= target or 2 * N > node_limit:
+                    break
+    except (FloatingPointError, OverflowError) as exc:
+        raise DomainError(
+            "branch points or leading coefficient too large: the integrand overflows"
+        ) from exc
     E, residual, min_eig = _choose_intersection_matrix(P, segs, anchors, ends)
     T = symplectic_transform_from_intersection(E)
     cycles = tuple(
@@ -557,35 +563,48 @@ def fermat_raw_periods(d: int, rank_tol: float = 1e-9) -> FermatPeriodTable:
 # Period table files
 
 
-def table_to_dict(entries: np.ndarray, kind: str, meta: dict) -> dict:
-    entries = np.asarray(entries, dtype=complex)
+def _period_kind(kind) -> str:
     if kind not in ("raw", "normalized"):
         raise ValidationError("kind must be 'raw' or 'normalized'")
-    g = entries.shape[1]
+    return kind
+
+
+def table_to_dict(entries: np.ndarray, kind: str, meta: dict) -> dict:
+    entries = np.asarray(entries, dtype=complex)
     return {
-        "g": int(g),
-        "kind": kind,
+        "g": int(entries.shape[1]),
+        "kind": _period_kind(kind),
         "entries": [[[float(z.real), float(z.imag)] for z in row] for row in entries],
         "meta": meta,
     }
 
 
 def dict_to_table(data: dict) -> tuple[np.ndarray, str, dict]:
+    if not isinstance(data, dict):
+        raise ValidationError("a period file must hold a JSON object")
     for key in ("g", "kind", "entries"):
         if key not in data:
             raise ValidationError(f"period file missing field {key!r}")
-    entries = np.array(
-        [[complex(re, im) for re, im in row] for row in data["entries"]], dtype=complex
-    )
-    if entries.ndim != 2 or entries.shape[1] != int(data["g"]):
+    g = json_int(data["g"], "period file field 'g'")
+    try:
+        entries = np.array(
+            [[complex(re, im) for re, im in row] for row in data["entries"]], dtype=complex
+        )
+    except (TypeError, ValueError) as exc:
+        raise ValidationError("period file entries must be rows of [re, im] pairs") from exc
+    if entries.ndim != 2 or entries.shape[1] != g:
         raise ValidationError("period file entries do not match the declared genus")
-    return entries, data["kind"], data.get("meta", {})
+    return entries, _period_kind(data["kind"]), data.get("meta", {})
+
+
+def period_json_text(entries: np.ndarray, kind: str, meta: dict) -> str:
+    """The text of a period file: sorted keys, two-space indent, final newline."""
+    return json.dumps(table_to_dict(entries, kind, meta), indent=2, sort_keys=True) + "\n"
 
 
 def save_period_json(path, entries: np.ndarray, kind: str, meta: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(table_to_dict(entries, kind, meta), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(period_json_text(entries, kind, meta))
 
 
 def load_period_json(path) -> tuple[np.ndarray, str, dict]:

@@ -1,7 +1,9 @@
 import contextlib
 import csv
+import errno
 import io
 import json
+import os
 import pathlib
 import tempfile
 
@@ -16,6 +18,17 @@ from periodlab.errors import NumericError
 
 def run(argv):
     return cli.main([str(a) for a in argv])
+
+
+def _refused(argv, code, directory, capsys, before=()):
+    """Exit ``code`` with one error line, and no file added to ``directory``."""
+    assert run(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err and ".periodlab-" not in captured.err
+    assert sorted(p.name for p in directory.iterdir()) == sorted(before)
+    return captured.err
 
 
 class TestPeriodsCommand:
@@ -59,11 +72,12 @@ class TestPeriodsCommand:
         assert meta["positive_form_min_eig"] > 0.0
 
     def test_fermat_bundled(self, tmp_path):
-        out = tmp_path / "fermat.json"
-        assert run(["periods", "--bundled", "fermat_d4", "--out", out]) == 0
+        out, raw = tmp_path / "fermat.json", tmp_path / "raw.json"
+        assert run(["periods", "--bundled", "fermat_d4", "--out", out, "--raw-out", raw]) == 0
         entries, kind, _ = periods.load_period_json(out)
         assert kind == "raw"
         assert entries.shape == (6, 3)
+        assert raw.read_bytes() == out.read_bytes()  # a Fermat table is already raw
 
     def test_deterministic_bytes(self, tmp_path):
         a = tmp_path / "a.json"
@@ -80,13 +94,9 @@ class TestPeriodsCommand:
         return path
 
     def _assert_refused(self, argv, code, tmp_path, capsys):
-        out, raw = tmp_path / "omega.json", tmp_path / "raw.json"
-        assert run(argv + ["--out", out, "--raw-out", raw]) == code
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error: ")
-        assert "Traceback" not in captured.err
-        assert not out.exists() and not raw.exists()
-        assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".periodlab-")] == []
+        before = [p.name for p in tmp_path.iterdir()]
+        argv = argv + ["--out", tmp_path / "omega.json", "--raw-out", tmp_path / "raw.json"]
+        _refused(argv, code, tmp_path, capsys, before)
 
     def test_non_siegel_omega_refused(self, tmp_path, monkeypatch, capsys):
         def asymmetric(raw, hom):
@@ -111,6 +121,28 @@ class TestPeriodsCommand:
     def test_non_finite_curve_refused(self, tmp_path, capsys, points, leading):
         argv = ["periods", "--curve", self._curve(tmp_path, points, leading)]
         self._assert_refused(argv, 3, tmp_path, capsys)
+
+    @pytest.mark.parametrize(
+        "points, code",
+        [
+            # one far point: the scale-relative on-segment check refuses the chain
+            ([[-1.0, 0.0], [0.0, 0.0], [1e300, 0.0]], 3),
+            ([[-1.0, 0.0], [0.0, 0.0], [1.7e308, 0.0]], 3),
+            # all points far: the integrand overflows
+            ([[k * 1e300, 0.0] for k in range(5)], 2),
+            ([[1.7e308, 1.7e308], [0.0, 0.0], [1.0, 0.0]], 2),
+        ],
+    )
+    def test_huge_branch_points_refused(self, tmp_path, capsys, points, code):
+        argv = ["periods", "--curve", self._curve(tmp_path, points)]
+        self._assert_refused(argv, code, tmp_path, capsys)
+
+    def test_huge_scale_alone_is_harmless(self, tmp_path):
+        # Omega does not change under x -> c x; at g = 1 nothing overflows
+        curve = self._curve(tmp_path, [[0.0, 0.0], [1e300, 0.0], [2e300, 0.0]])
+        out = tmp_path / "omega.json"
+        assert run(["periods", "--curve", curve, "--out", out]) == 0
+        assert abs(periods.load_period_json(out)[0][0, 0] - 1j) < 1e-12
 
 
 class TestValidateCommand:
@@ -242,12 +274,22 @@ class TestStatsCommand:
         assert "band_limit_score=" in out
         assert "best_k_energy=" in out
 
+    @pytest.mark.parametrize("bad", [["--k", 0], ["--k", 37], ["--bins", 1]])
+    def test_out_of_range_exit_two(self, tmp_path, capsys, bad):
+        src = tmp_path / "omega.json"
+        periods.save_period_json(src, siegel.random_siegel(6, 3), "normalized", {})
+        assert run(["stats", "--in", src, "--hist", tmp_path / "h.csv", *bad]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["omega.json"]
+
     def test_fit_failure_leaves_no_partial_output(self, tmp_path):
+        # the spectrum and histogram succeed, then the fit fails
         src = tmp_path / "one.json"
         periods.save_period_json(src, np.array([[1j]]), "normalized", {})
-        fit = tmp_path / "fit.json"
-        assert run(["stats", "--in", src, "--fit", fit]) == 2
-        assert not fit.exists()
+        argv = ["stats", "--in", src, "--fit", tmp_path / "fit.json"]
+        argv += ["--spectrum", tmp_path / "s.csv", "--hist", tmp_path / "h.csv"]
+        assert run(argv) == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["one.json"]
 
 
 class TestSiegelSampleCommand:
@@ -292,6 +334,91 @@ class TestBoundsCommand:
         assert bounds["union_bound_reading"] == 1.0
 
 
+class TestOutputTransaction:
+    """A command writes all of its outputs or none."""
+
+    def test_periods_missing_directory(self, tmp_path, capsys):
+        out, raw = tmp_path / "missing" / "x.json", tmp_path / "r.json"
+        argv = ["periods", "--bundled", "g1_lemniscatic", "--out", out, "--raw-out", raw]
+        assert str(out) in _refused(argv, 2, tmp_path, capsys)
+
+    def test_select_missing_directory(self, tmp_path, capsys):
+        log, summary = tmp_path / "s.csv", tmp_path / "missing" / "s.json"
+        argv = ["select", "--model", "quartic", "--trials", 5, "--seed", 1]
+        argv += ["--out", log, "--summary", summary]
+        assert str(summary) in _refused(argv, 2, tmp_path, capsys)
+
+    def test_out_is_directory(self, tmp_path, capsys):
+        (tmp_path / "d").mkdir()
+        argv = ["siegel-sample", "--g", 2, "--seed", 1, "--out", tmp_path / "d"]
+        assert "is a directory" in _refused(argv, 2, tmp_path, capsys, before=["d"])
+        assert list((tmp_path / "d").iterdir()) == []
+
+    def test_failed_write_leaves_nothing(self, tmp_path, monkeypatch, capsys):
+        # the second temp file cannot be made after the first was written
+        made = []
+
+        def mkstemp(*args, **kwargs):
+            if made:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            made.append(real_mkstemp(*args, **kwargs))
+            return made[-1]
+
+        real_mkstemp = tempfile.mkstemp
+        monkeypatch.setattr(tempfile, "mkstemp", mkstemp)
+        log, summary = tmp_path / "s.csv", tmp_path / "s.json"
+        argv = ["select", "--model", "quartic", "--trials", 5, "--seed", 1]
+        err = _refused(argv + ["--out", log, "--summary", summary], 2, tmp_path, capsys)
+        assert err == f"error: cannot write {summary}: {os.strerror(errno.ENOSPC)}\n"
+        assert len(made) == 1
+
+    @pytest.mark.parametrize("alias", ["a.json", "./a.json", "sub/../a.json"])
+    def test_path_named_twice(self, tmp_path, monkeypatch, capsys, alias):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        argv = ["periods", "--bundled", "g1_lemniscatic", "--out", "a.json", "--raw-out", alias]
+        assert "more than one output" in _refused(argv, 2, tmp_path, capsys, before=["sub"])
+
+
+class TestMalformedInput:
+    """Malformed input files exit 2 or 3 with one error line."""
+
+    PERIOD_FILES = {
+        "entries not pairs": {"g": 2, "kind": "raw", "entries": [[1, 2]]},
+        "g not an integer": {"g": "x", "kind": "raw", "entries": [[[1.0, 0.0]]]},
+        "g a float": {"g": 1.0, "kind": "raw", "entries": [[[1.0, 0.0]]]},
+        "unknown kind": {"g": 1, "kind": "bogus", "entries": [[[0.0, 1.0]]]},
+        "not an object": 5,
+    }
+    CURVE_FILES = {
+        "plane degree not an integer": {"type": "plane", "degree": "x"},
+        "fermat degree a float": {"type": "fermat", "degree": 4.5},
+    }
+
+    @pytest.mark.parametrize(
+        "command, name, code",
+        [("validate", name, 3) for name in PERIOD_FILES]
+        + [("stats", name, 3) for name in PERIOD_FILES]
+        + [("periods", name, 3) for name in CURVE_FILES]
+        + [(command, "non-UTF-8 bytes", 3) for command in ("validate", "stats", "periods")]
+        + [(command, "a directory", 2) for command in ("validate", "stats", "periods")],
+    )
+    def test_refused(self, tmp_path, capsys, command, name, code):
+        path = tmp_path / "input.json"
+        if name == "a directory":
+            path.mkdir()
+        elif name == "non-UTF-8 bytes":
+            path.write_bytes(b'{"type": "fermat", "degree": 4, "note": "\xff\xfe"}')
+        else:
+            path.write_text(json.dumps({**self.PERIOD_FILES, **self.CURVE_FILES}[name]))
+        argv = {
+            "validate": ["validate", path],
+            "stats": ["stats", "--in", path, "--spectrum", tmp_path / "s.csv"],
+            "periods": ["periods", "--curve", path, "--out", tmp_path / "o.json"],
+        }[command]
+        _refused(argv, code, tmp_path, capsys, before=["input.json"])
+
+
 class TestExitCodes:
     def test_unknown_command(self, capsys):
         assert run(["frobnicate"]) == 2
@@ -318,39 +445,80 @@ class TestExitCodes:
 
 # Flag values for the exit-code contract: small and negative ints, and any
 # float (NaN and +-inf included), passed as --flag=value so that negative
-# values are not taken for options.  Ints stop at 12 so that no --g or
-# --trials draw allocates a large array.
+# values are not taken for options.  Ints stop at 12 so that no --g,
+# --trials or --nodes draw allocates a large array.
 FLAG_VALUES = st.one_of(
     st.integers(min_value=-5, max_value=12),
     st.floats(allow_nan=True, allow_infinity=True),
 ).map(repr)
 
-CONTRACT_FLAGS = {
-    "validate": ("tol",),
-    "siegel-sample": ("g", "seed", "scale"),
-    "bounds": ("g",),
-    "singularity": ("g", "seed", "p", "trials"),
+
+def _curve_text(points):
+    return json.dumps({"type": "hyperelliptic", "branch_points": points})
+
+
+def _period_text(entries, kind):
+    return json.dumps(periods.table_to_dict(entries, kind, {}))
+
+
+# Input files every draw starts from, by name.
+CONTRACT_INPUTS = {
+    "member.json": _period_text(siegel.random_siegel(3, 1), "normalized"),
+    "rectangular.json": _period_text(np.ones((4, 2)), "raw"),
+    "one.json": _period_text(np.array([[1j]]), "normalized"),
+    "broken.json": "{not json",
+    "real.json": _curve_text([[float(k), 0.0] for k in range(5)]),
+    "nan.json": _curve_text([[float("nan"), 0.0], [0.0, 0.0], [1.0, 0.0]]),
+    "duplicate.json": _curve_text([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]),
+    "huge.json": _curve_text([[k * 1e300, 0.0] for k in range(5)]),
 }
-WRITES = {"siegel-sample": "--out", "singularity": "--summary"}
+PERIOD_INPUTS = ("member.json", "rectangular.json", "one.json", "broken.json")
+CURVE_INPUTS = ("real.json", "nan.json", "duplicate.json", "huge.json", "broken.json")
+
+# Per command: the argument lists a draw picks its source from, the flags
+# drawn from FLAG_VALUES, and the output flags, each given its own file.
+CONTRACT = {
+    "validate": ([[name] for name in PERIOD_INPUTS], ("tol",), ()),
+    "siegel-sample": ([[]], ("g", "seed", "scale"), ("--out",)),
+    "bounds": ([[]], ("g",), ()),
+    "singularity": ([[]], ("g", "seed", "p", "trials"), ("--summary",)),
+    "select": (
+        [["--model", m] for m in ("quartic", "quintic", "sextic")],
+        ("seed", "p", "trials"),
+        ("--out", "--summary"),
+    ),
+    "exhaustive": ([["--model", m] for m in ("quartic", "quintic")], (), ("--summary",)),
+    "periods": (
+        [["--curve", name] for name in CURVE_INPUTS] + [["--bundled", "fermat_d4"]],
+        ("nodes",),
+        ("--out", "--raw-out"),
+    ),
+    "stats": (
+        [["--in", name] for name in PERIOD_INPUTS],
+        ("k", "bins"),
+        ("--spectrum", "--hist", "--fit"),
+    ),
+}
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.sampled_from(sorted(CONTRACT_FLAGS)), st.data())
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(CONTRACT)), st.data())
 def test_exit_code_contract(command, data):
-    """Exit 0, 2, 3 or 4, never a traceback, and an output file only on success."""
+    """Exit 0, 2, 3 or 4, never a traceback; every output on success, no file otherwise."""
+    sources, flags, writes = CONTRACT[command]
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
-        member = tmp / "member.json"
-        periods.save_period_json(member, siegel.random_siegel(3, 1), "normalized", {})
-        out = tmp / "out.json"
-        argv = [command, str(member)] if command == "validate" else [command]
-        argv += [f"--{flag}={data.draw(FLAG_VALUES, label=flag)}" for flag in CONTRACT_FLAGS[command]]
-        if command in WRITES:
-            argv.append(f"{WRITES[command]}={out}")
+        for name, text in CONTRACT_INPUTS.items():
+            (tmp / name).write_text(text)
+        source = data.draw(st.sampled_from(sources), label="source")
+        argv = [command] + [str(tmp / a) if a in CONTRACT_INPUTS else a for a in source]
+        argv += [f"--{flag}={data.draw(FLAG_VALUES, label=flag)}" for flag in flags]
+        outputs = [f"{flag[2:]}.out" for flag in writes]
+        argv += [f"{flag}={tmp / name}" for flag, name in zip(writes, outputs)]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = cli.main(argv)
         assert code in (0, 2, 3, 4)
         assert "Traceback" not in err.getvalue()
-        written = ["out.json"] if code == 0 and command in WRITES else []
-        assert sorted(p.name for p in tmp.iterdir()) == ["member.json", *written]
+        written = outputs if code == 0 else []
+        assert sorted(p.name for p in tmp.iterdir()) == sorted([*CONTRACT_INPUTS, *written])

@@ -1,4 +1,3 @@
-import csv
 import math
 
 import pytest
@@ -23,7 +22,7 @@ from periodlab.modsel import (
     run_trial,
     run_trials,
     singularity_rate,
-    write_trial_log,
+    trial_log_rows,
 )
 
 QUARTIC = PlaneCurveModel(4)
@@ -170,12 +169,9 @@ class TestTrials:
             assert stats.nonsingular_count == sum(r.matrix_nonsingular for r in records)
             assert run_selection(QUINTIC, p, n, seed)[1] == []
 
-    def test_trial_log_row_count(self, tmp_path):
+    def test_trial_log_row_count(self):
         records = run_trials(QUARTIC, 0.5, 25, 1)
-        path = tmp_path / "log.csv"
-        write_trial_log(records, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+        rows = list(trial_log_rows(records))
         assert rows[0] == ["trial_index", "seed", "nonsingular", "span_rank", "success"]
         assert len(rows) == 26
 
