@@ -67,7 +67,10 @@ def _commit(outputs) -> None:
     beside its target, then all are renamed into place.  A failure names
     the requested path and leaves no file behind.  One window remains: a
     rename that fails after earlier renames succeeded keeps those files.
+    Files get mode 0o666 less the umask, as ``open`` would give them.
     """
+    umask = os.umask(0)
+    os.umask(umask)
     fulls = [os.path.abspath(path) for path, _text in outputs]
     for (path, _text), full in zip(outputs, fulls):
         if fulls.count(full) > 1:
@@ -82,6 +85,7 @@ def _commit(outputs) -> None:
             fd, tmp = tempfile.mkstemp(".tmp", ".periodlab-", os.path.dirname(full))
             temps.append(tmp)
             with os.fdopen(fd, "wb") as fh:
+                os.chmod(tmp, 0o666 & ~umask)
                 fh.write(text.encode("utf-8"))
         for (target, _text), tmp in zip(outputs, temps):
             os.replace(tmp, target)

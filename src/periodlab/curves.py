@@ -70,6 +70,7 @@ class HyperellipticCurve:
     def point_at_infinity_is_branch(self) -> bool:
         return len(self.branch_points) % 2 == 1
 
+    @property
     def genus(self) -> int:
         return math.ceil(len(self.branch_points) / 2) - 1
 
@@ -79,22 +80,15 @@ class PlaneCurveModel:
     """Combinatorial model of a smooth plane curve of degree 4 or 5."""
 
     degree: int
-    diff_monomials: tuple[Monomial, ...] = field(default=())
-    quad_monomials: tuple[Monomial, ...] = field(default=())
+    diff_monomials: tuple[Monomial, ...] = field(init=False)
+    quad_monomials: tuple[Monomial, ...] = field(init=False)
 
     def __post_init__(self):
         d = self.degree
         if d not in (4, 5):
             raise ValidationError("plane model degree must be 4 or 5")
-        if not self.diff_monomials:
-            object.__setattr__(self, "diff_monomials", tuple(monomials_of_degree(d - 3)))
-        if not self.quad_monomials:
-            object.__setattr__(self, "quad_monomials", tuple(monomials_of_degree(2 * (d - 3))))
-        g = self.genus
-        if len(self.diff_monomials) != g:
-            raise ValidationError("diff_monomials must have length g")
-        if len(self.quad_monomials) != 3 * g - 3:
-            raise ValidationError("quad_monomials must have length 3g-3")
+        object.__setattr__(self, "diff_monomials", tuple(monomials_of_degree(d - 3)))
+        object.__setattr__(self, "quad_monomials", tuple(monomials_of_degree(2 * (d - 3))))
 
     @property
     def genus(self) -> int:
@@ -116,7 +110,8 @@ class FermatCurve:
         d = self.degree
         return tuple((r, s) for r in range(1, d - 1) for s in range(1, d - r))
 
-    def genus_value(self) -> int:
+    @property
+    def genus(self) -> int:
         return (self.degree - 1) * (self.degree - 2) // 2
 
 
@@ -125,12 +120,8 @@ CurveModel = Union[HyperellipticCurve, PlaneCurveModel, FermatCurve]
 
 def genus(curve: CurveModel) -> int:
     """Genus of any supported curve model."""
-    if isinstance(curve, HyperellipticCurve):
-        return curve.genus()
-    if isinstance(curve, PlaneCurveModel):
+    if isinstance(curve, (HyperellipticCurve, PlaneCurveModel, FermatCurve)):
         return curve.genus
-    if isinstance(curve, FermatCurve):
-        return curve.genus_value()
     raise ValidationError(f"unknown curve model: {type(curve).__name__}")
 
 

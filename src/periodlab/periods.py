@@ -12,6 +12,11 @@ x = mid + half*cos(theta), which absorbs the inverse-square-root endpoint
 singularities exactly.  The square-root branch is tracked continuously
 along each segment from an anchor at the left endpoint.
 
+Sorting makes the chain simple: non-adjacent segments never meet (see
+``_chain_segments``).  The only geometric refusal is therefore a branch
+point closer than 1e-9 times the longest segment to a segment it does
+not end, where the integrand would be nearly singular.
+
 Each per-segment branch choice flips the orientation of its loop, so the
 chain's intersection matrix E is tridiagonal with a sign s_j on each
 off-diagonal.  The signs come from orientation tracking at the chain
@@ -84,8 +89,6 @@ class RawPeriodTable:
     the node limit.
     """
 
-    rows: tuple[str, ...]
-    cols: tuple[str, ...]
     entries: np.ndarray
     quadrature_nodes: int
     est_error: float
@@ -105,7 +108,7 @@ class RawPeriodTable:
 
 @dataclass(frozen=True, eq=False)
 class HomologyBasis:
-    """Chain cycles with their intersection data.
+    """Intersection data of the chain cycles.
 
     ``symplectic_transform`` T satisfies T E T^T = [[0, I], [-I, 0]]
     exactly in integer arithmetic, where E is the intersection matrix.
@@ -113,7 +116,6 @@ class HomologyBasis:
     of E against the periods (NaN when E was not certified).
     """
 
-    cycles: tuple[dict, ...]
     intersection_matrix: tuple[tuple[int, ...], ...]
     symplectic_transform: tuple[tuple[int, ...], ...]
     bilinear_residual: float = math.nan
@@ -216,11 +218,10 @@ def chebyshev_segment_integral(
     a, b = complex(a), complex(b)
     if a not in roots or b not in roots:
         raise DomainError("segment endpoints must be branch points of f")
-    scale = max(abs(a - b), 1.0)
     for e in roots:
         if e in (a, b):
             continue
-        if _point_segment_distance(e, a, b) < 1e-12 * scale:
+        if _point_segment_distance(e, a, b) < 1e-12 * abs(b - a):
             raise SingularIntegrandError(f"branch point {e} lies on the integration segment")
     moments, _, _ = _segment_moments(roots, complex(leading), a, b, N, k)
     return complex(moments[k - 1])
@@ -230,38 +231,20 @@ def chebyshev_segment_integral(
 # Chain geometry
 
 
-def _segments_intersect(p1, p2, p3, p4, eps=1e-12) -> bool:
-    """Proper or touching intersection of segments p1p2 and p3p4."""
-
-    def cross(o, u, v):
-        return ((u - o) * np.conj(v - o)).imag
-
-    scale = max(abs(p2 - p1), abs(p4 - p3), 1.0)
-    d1 = cross(p3, p4, p1)
-    d2 = cross(p3, p4, p2)
-    d3 = cross(p1, p2, p3)
-    d4 = cross(p1, p2, p4)
-    if ((d1 > eps * scale and d2 < -eps * scale) or (d1 < -eps * scale and d2 > eps * scale)) and (
-        (d3 > eps * scale and d4 < -eps * scale) or (d3 < -eps * scale and d4 > eps * scale)
-    ):
-        return True
-
-    def on_segment(o, u, p):
-        if abs(cross(o, u, p)) > eps * scale:
-            return False
-        t = ((p - o) * np.conj(u - o)).real / max(abs(u - o) ** 2, eps)
-        return -eps <= t <= 1 + eps
-
-    return any(
-        on_segment(*args)
-        for args in ((p3, p4, p1), (p3, p4, p2), (p1, p2, p3), (p1, p2, p4))
-    )
-
-
 def _chain_segments(curve: HyperellipticCurve):
-    """Sorted branch points and the 2g consecutive segments of the chain."""
+    """Sorted branch points and the 2g consecutive segments of the chain.
+
+    The points are sorted by (Re, Im), so non-adjacent segments never
+    meet.  Segment j spans Re in [x_j, x_j+1] and any segment l >= j+2
+    starts at or right of x_j+1; the two can share only the vertical line
+    x_j+1 = ... = x_l, where segment j reaches at most Im y_j+1 and
+    segment l starts at Im y_l > y_j+1.  Two disjoint segments are closest
+    at an endpoint of one of them, so a near-touch is always a branch
+    point near a segment: that is the one configuration refused here,
+    relative to the longest segment so that it does not depend on scale.
+    """
     pts = sorted(curve.branch_points, key=lambda z: (z.real, z.imag))
-    g = curve.genus()
+    g = curve.genus
     segs = [(pts[j], pts[j + 1]) for j in range(2 * g)]
     scale = max(abs(p - q) for p, q in segs)
     for p, q in segs:
@@ -271,13 +254,6 @@ def _chain_segments(curve: HyperellipticCurve):
             if _point_segment_distance(e, p, q) < 1e-9 * scale:
                 raise UnsupportedConfigurationError(
                     "a branch point lies on a chain segment; this branch-point "
-                    "configuration is not supported"
-                )
-    for j in range(len(segs)):
-        for l in range(j + 2, len(segs)):
-            if _segments_intersect(*segs[j], *segs[l]):
-                raise UnsupportedConfigurationError(
-                    "non-adjacent chain segments intersect; this branch-point "
                     "configuration is not supported"
                 )
     return pts, segs
@@ -380,7 +356,7 @@ def symplectic_transform_from_intersection(E: Sequence[Sequence[int]]) -> list[l
 
 def _chain_period_table(curve: HyperellipticCurve, segs, N: int):
     """Chain periods with each segment's branch values at both endpoints."""
-    g = curve.genus()
+    g = curve.genus
     roots = list(curve.branch_points)
     P = np.empty((2 * g, g), dtype=complex)
     anchors = np.empty(2 * g, dtype=complex)
@@ -409,12 +385,12 @@ def hyperelliptic_raw_periods(
         raise DomainError("nodes must be >= 4")
     if nodes > node_limit:
         raise DomainError(f"nodes must be <= {node_limit}")
-    g = curve.genus()
+    g = curve.genus
     if g < 1:
         raise DomainError("genus must be >= 1")
     try:
-        with np.errstate(over="raise"):
-            pts, segs = _chain_segments(curve)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            _, segs = _chain_segments(curve)
             N = nodes
             P, _, _ = _chain_period_table(curve, segs, N)
             while True:
@@ -426,27 +402,18 @@ def hyperelliptic_raw_periods(
                     break
     except (FloatingPointError, OverflowError) as exc:
         raise DomainError(
-            "branch points or leading coefficient too large: the integrand overflows"
+            "branch points or leading coefficient too large or too small: "
+            "the integrand overflows or underflows"
         ) from exc
     E, residual, min_eig = _choose_intersection_matrix(P, segs, anchors, ends)
     T = symplectic_transform_from_intersection(E)
-    cycles = tuple(
-        {
-            "segment": [[a.real, a.imag], [b.real, b.imag]],
-            "sheet": 1,
-        }
-        for a, b in segs
-    )
     hom = HomologyBasis(
-        cycles=cycles,
         intersection_matrix=tuple(tuple(r) for r in E),
         symplectic_transform=tuple(tuple(r) for r in T),
         bilinear_residual=residual,
         positive_form_min_eig=min_eig,
     )
     raw = RawPeriodTable(
-        rows=tuple(f"loop_{j}" for j in range(2 * g)),
-        cols=tuple(f"x^{k}dx/y" for k in range(g)),
         entries=P,
         quadrature_nodes=N,
         est_error=err,
@@ -530,7 +497,7 @@ def fermat_raw_periods(d: int, rank_tol: float = 1e-9) -> FermatPeriodTable:
         raise DomainError("Fermat degree must satisfy 4 <= d <= 15")
     curve = FermatCurve(d)
     exps = curve.diff_exponents
-    g = curve.genus_value()
+    g = curve.genus
     entries = []
     cycles = []
     ortho: list[np.ndarray] = []

@@ -13,6 +13,9 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 
+# Largest argument-histogram bin count; each bin becomes a CSV row.
+MAX_BINS = 1 << 16
+
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -109,8 +112,8 @@ def arg_histogram(values, bins: int):
     Returns a list of (bin_center, count) pairs; the counts sum to the
     number of nonzero inputs.
     """
-    if bins < 2:
-        raise DomainError("bins must be >= 2")
+    if not 2 <= bins <= MAX_BINS:
+        raise DomainError(f"bins must satisfy 2 <= bins <= {MAX_BINS}")
     vals = np.asarray(values, dtype=complex).ravel()
     nz = vals[vals != 0]
     if nz.size == 0:

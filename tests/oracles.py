@@ -4,13 +4,15 @@ Everything here is deliberately implemented through a different route
 than the library code it checks: the arithmetic-geometric mean for
 complete elliptic integrals, Gauss-Jacobi quadrature for Fermat path
 integrals, cofactor expansion for exact determinants, an exhaustive
-search over every chain intersection sign pattern, and a general integer
-lattice reduction for the symplectic basis of an intersection form.
+search over every chain intersection sign pattern, a general integer
+lattice reduction for the symplectic basis of an intersection form, and
+exact rational orientation tests for segment intersection.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 from scipy.special import roots_jacobi
@@ -185,3 +187,27 @@ def reduced_symplectic_transform(E) -> list[list[int]]:
             if check[i][j] != expected:
                 raise AssertionError("symplectic reduction failed verification")
     return T
+
+
+def segments_meet(p1: complex, p2: complex, p3: complex, p4: complex) -> bool:
+    """Whether the closed segments p1p2 and p3p4 share a point.
+
+    Every float is a rational, so the coordinates become Fractions and the
+    orientation signs are exact at any scale: the segments meet when each
+    separates the other's endpoints, or when an endpoint of one lies on
+    the other.
+    """
+    a, b, c, d = ((Fraction(z.real), Fraction(z.imag)) for z in (p1, p2, p3, p4))
+
+    def orient(o, u, v):
+        cross = (u[0] - o[0]) * (v[1] - o[1]) - (u[1] - o[1]) * (v[0] - o[0])
+        return (cross > 0) - (cross < 0)
+
+    def on(o, u, v):
+        return orient(o, u, v) == 0 and all(
+            min(o[i], u[i]) <= v[i] <= max(o[i], u[i]) for i in (0, 1)
+        )
+
+    if orient(c, d, a) * orient(c, d, b) < 0 and orient(a, b, c) * orient(a, b, d) < 0:
+        return True
+    return on(c, d, a) or on(c, d, b) or on(a, b, c) or on(a, b, d)

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import pathlib
+import stat
 import tempfile
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from periodlab import cli, periods, siegel
+from periodlab import cli, periods, perstats, siegel
 from periodlab.errors import NumericError
 
 
@@ -144,6 +145,26 @@ class TestPeriodsCommand:
         assert run(["periods", "--curve", curve, "--out", out]) == 0
         assert abs(periods.load_period_json(out)[0][0, 0] - 1j) < 1e-12
 
+    @staticmethod
+    def _zigzag(scale):
+        return [[k * scale, 0.3 * (k % 2) * scale] for k in range(5)]
+
+    def test_small_scale_alone_is_harmless(self, tmp_path):
+        # the chain checks are relative, so x -> 1e-10 x keeps Omega
+        omegas = []
+        for scale in (1.0, 1e-10):
+            out = tmp_path / f"omega-{scale}.json"
+            curve = self._curve(tmp_path, self._zigzag(scale))
+            assert run(["periods", "--curve", curve, "--out", out]) == 0
+            omegas.append(periods.load_period_json(out)[0])
+        assert np.max(np.abs(omegas[1] - omegas[0])) < 1e-12
+
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_branch_points_refused(self, tmp_path, capsys):
+        # the integrand underflows to 0: one error line, no numpy warning
+        argv = ["periods", "--curve", self._curve(tmp_path, self._zigzag(1e-160))]
+        self._assert_refused(argv, 2, tmp_path, capsys)
+
 
 class TestValidateCommand:
     def test_member_exit_zero(self, tmp_path):
@@ -274,7 +295,11 @@ class TestStatsCommand:
         assert "band_limit_score=" in out
         assert "best_k_energy=" in out
 
-    @pytest.mark.parametrize("bad", [["--k", 0], ["--k", 37], ["--bins", 1]])
+    @pytest.mark.parametrize(
+        "bad",
+        [["--k", 0], ["--k", 37], ["--bins", 1], ["--bins", perstats.MAX_BINS + 1],
+         ["--bins", 10**11]],
+    )
     def test_out_of_range_exit_two(self, tmp_path, capsys, bad):
         src = tmp_path / "omega.json"
         periods.save_period_json(src, siegel.random_siegel(6, 3), "normalized", {})
@@ -371,6 +396,15 @@ class TestOutputTransaction:
         err = _refused(argv + ["--out", log, "--summary", summary], 2, tmp_path, capsys)
         assert err == f"error: cannot write {summary}: {os.strerror(errno.ENOSPC)}\n"
         assert len(made) == 1
+
+    def test_file_mode_follows_umask(self, tmp_path):
+        out = tmp_path / "s.json"
+        umask = os.umask(0o022)
+        try:
+            assert run(["siegel-sample", "--g", 2, "--seed", 1, "--out", out]) == 0
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o644
 
     @pytest.mark.parametrize("alias", ["a.json", "./a.json", "sub/../a.json"])
     def test_path_named_twice(self, tmp_path, monkeypatch, capsys, alias):

@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     elliptic_K,
@@ -13,6 +15,7 @@ from oracles import (
     fermat_translated_path_integral,
     reduced_symplectic_transform,
     searched_intersection_matrix,
+    segments_meet,
 )
 from periodlab import cli, periods
 from periodlab.curves import HyperellipticCurve, bundled_curve, save_curve
@@ -64,6 +67,15 @@ class TestSegmentIntegral:
         with pytest.raises(SingularIntegrandError):
             chebyshev_segment_integral([-1, 0, 1], 1, -1, 1, 32)
 
+    def test_on_segment_test_is_relative(self):
+        # a root 1e7 segment lengths away is off the segment at any scale;
+        # x -> 1e-20 x multiplies the integral by 1e10
+        tiny = chebyshev_segment_integral([0, 1e-20, 1e-13j], 1, 0, 1e-20, 64)
+        unit = chebyshev_segment_integral([0, 1, 1e7j], 1, 0, 1, 64)
+        assert abs(tiny - 1e10 * unit) < 1e-12 * abs(tiny)
+        with pytest.raises(SingularIntegrandError):
+            chebyshev_segment_integral([0, 1e-20, 0.5e-20 + 1e-33j], 1, 0, 1e-20, 64)
+
     def test_preconditions(self):
         with pytest.raises(DomainError):
             chebyshev_segment_integral([-1, 1], 1, -1, -1, 32)
@@ -77,7 +89,6 @@ class TestHyperellipticPeriods:
     def test_table_shape_g2(self):
         raw, hom = hyperelliptic_raw_periods(bundled_curve("g2_real_quintic"))
         assert raw.entries.shape == (4, 2)
-        assert len(hom.cycles) == 4
 
     def test_real_branch_points_give_axis_periods(self):
         raw, _ = hyperelliptic_raw_periods(bundled_curve("g2_real_quintic"))
@@ -150,6 +161,28 @@ def _chain_data(curve):
     return (segs, *periods._chain_period_table(curve, segs, 512))
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    grid=st.sets(st.tuples(st.integers(0, 3), st.integers(-3, 3)), min_size=3, max_size=14),
+    exponent=st.integers(-200, 200),
+)
+def test_sorted_chain_is_simple_at_any_scale(grid, exponent):
+    # a small integer grid ties real parts; scaling must not change the chain
+    scale = 10.0**exponent
+    curve = HyperellipticCurve([complex(x * scale, y * scale) for x, y in grid])
+    _, segs = periods._chain_segments(curve)
+    for j, l in itertools.combinations(range(len(segs)), 2):
+        assert segments_meet(*segs[j], *segs[l]) == (l == j + 1)
+
+
+def test_segment_oracle_hand_cases():
+    assert segments_meet(0, 2 + 2j, 2j, 2)  # proper crossing
+    assert segments_meet(0, 2, 1, 1 + 1j)  # T junction
+    assert segments_meet(0, 2, 1, 3)  # collinear overlap
+    assert not segments_meet(0, 1, 2, 3)  # collinear, apart
+    assert not segments_meet(0, 1j, 1e-300, 1e-300 + 1j)  # parallel, 1e-300 apart
+
+
 class TestOrientationTracking:
     def test_flipped_junction_fails_certificate(self):
         # a wrong junction sign is refused, never repaired by a search
@@ -211,7 +244,7 @@ def test_tracked_intersection_matches_exhaustive_search(g, geometry, leading):
             raw, hom = hyperelliptic_raw_periods(curve)
             break
         except UnsupportedConfigurationError:
-            continue  # crossing chain: draw another configuration
+            continue  # branch point near a segment: draw another configuration
     expected = searched_intersection_matrix(raw.entries)
     assert np.array_equal(np.array(hom.intersection_matrix), expected)
 
@@ -278,15 +311,12 @@ class TestNormalize:
         B = np.array([[1j, 0.3], [0.3, 2j]])
         entries = np.vstack([np.eye(g), B])
         raw = RawPeriodTable(
-            rows=("a", "b", "c", "d"),
-            cols=("u", "v"),
             entries=entries,
             quadrature_nodes=0,
             est_error=0.0,
         )
         T = np.eye(2 * g, dtype=int)
         hom = HomologyBasis(
-            cycles=tuple({} for _ in range(2 * g)),
             intersection_matrix=tuple(map(tuple, np.zeros((4, 4), dtype=int))),
             symplectic_transform=tuple(map(tuple, T)),
         )
@@ -296,14 +326,11 @@ class TestNormalize:
     def test_singular_a_block_refused(self):
         entries = np.vstack([np.zeros((2, 2)), np.eye(2)])
         raw = RawPeriodTable(
-            rows=("a", "b", "c", "d"),
-            cols=("u", "v"),
             entries=entries.astype(complex),
             quadrature_nodes=0,
             est_error=0.0,
         )
         hom = HomologyBasis(
-            cycles=tuple({} for _ in range(4)),
             intersection_matrix=tuple(map(tuple, np.zeros((4, 4), dtype=int))),
             symplectic_transform=tuple(map(tuple, np.eye(4, dtype=int))),
         )
