@@ -16,7 +16,6 @@ from .curves import (
     HyperellipticCurve,
     PlaneCurveModel,
     bundled_curve,
-    genus,
     load_curve,
     moduli_count,
     period_count,
@@ -59,7 +58,6 @@ __all__ = [
     "fermat_raw_periods",
     "first_three_rows_indices",
     "fit_power_law",
-    "genus",
     "hyperelliptic_raw_periods",
     "is_nonsingular_exact",
     "load_curve",

@@ -35,6 +35,9 @@ EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_NUMERIC = 4
 
+# The plane-curve models of --model, by name; also argparse's choices.
+MODELS = {"quartic": curves.PlaneCurveModel(4), "quintic": curves.PlaneCurveModel(5)}
+
 # Exceptions that end a command, and their exit codes; the first match wins.
 EXIT_CODES = {
     DomainError: EXIT_USAGE,
@@ -52,6 +55,12 @@ def _summary(command: str, **fields) -> str:
 
 def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _selection_summary(stats, model) -> str:
+    """The --summary text of select and exhaustive."""
+    bounds = dict(modsel.paper_bounds(model.genus))
+    return _json_text({**dataclasses.asdict(stats), "paper_bounds": bounds})
 
 
 def _csv_text(rows) -> str:
@@ -97,13 +106,6 @@ def _commit(outputs) -> None:
                 os.unlink(tmp)
 
 
-def _load_model(name: str) -> curves.PlaneCurveModel:
-    table = {"quartic": 4, "quintic": 5}
-    if name not in table:
-        raise ValidationError("model must be 'quartic' or 'quintic'")
-    return curves.PlaneCurveModel(table[name])
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers: each returns (exit code, summary line, outputs), where
 # outputs lists the (requested path, text) of every file the command writes.
@@ -123,7 +125,7 @@ def _cmd_periods(args):
             "nodes": 0,
             "est_error": 0.0,
             "row_labels": [list(c) for c in table.cycles],
-            "col_labels": [list(e) for e in table.diff_exponents],
+            "col_labels": [list(e) for e in curve.diff_exponents],
         }
         text = periods.period_json_text(table.entries, "raw", meta)
         outputs = [(args.out, text)]
@@ -185,12 +187,11 @@ def _cmd_validate(args):
 
 
 def _cmd_select(args):
-    model = _load_model(args.model)
+    model = MODELS[args.model]
     stats, records = modsel.run_selection(model, args.p, args.trials, args.seed, records=True)
     outputs = [(args.out, _csv_text(modsel.trial_log_rows(records)))]
     if args.summary:
-        payload = {**stats.as_dict(), "paper_bounds": dict(modsel.paper_bounds(model.genus))}
-        outputs.append((args.summary, _json_text(payload)))
+        outputs.append((args.summary, _selection_summary(stats, model)))
     line = _summary(
         "select",
         model=args.model,
@@ -205,12 +206,11 @@ def _cmd_select(args):
 
 
 def _cmd_exhaustive(args):
-    model = _load_model(args.model)
+    model = MODELS[args.model]
     stats = modsel.exhaustive(model)
     outputs = []
     if args.summary:
-        payload = {**stats.as_dict(), "paper_bounds": dict(modsel.paper_bounds(model.genus))}
-        outputs.append((args.summary, _json_text(payload)))
+        outputs.append((args.summary, _selection_summary(stats, model)))
     line = _summary(
         "exhaustive",
         model=args.model,
@@ -224,7 +224,7 @@ def _cmd_exhaustive(args):
 
 def _cmd_singularity(args):
     stats = modsel.singularity_rate(args.g, args.p, args.trials, args.seed)
-    outputs = [(args.summary, _json_text(stats.as_dict()))] if args.summary else []
+    outputs = [(args.summary, _json_text(dataclasses.asdict(stats)))] if args.summary else []
     line = _summary(
         "singularity",
         g=args.g,
@@ -308,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("select", help="Monte Carlo moduli-selection trials")
-    p.add_argument("--model", required=True, help="quartic or quintic")
+    p.add_argument("--model", required=True, choices=MODELS)
     p.add_argument("--p", type=float, default=0.5)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
@@ -317,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_select)
 
     p = sub.add_parser("exhaustive", help="enumerate every 0/1 matrix (small genus)")
-    p.add_argument("--model", required=True)
+    p.add_argument("--model", required=True, choices=MODELS)
     p.add_argument("--summary", help="stats summary JSON")
     p.set_defaults(func=_cmd_exhaustive)
 

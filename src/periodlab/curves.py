@@ -26,6 +26,7 @@ ordering is fixed so every downstream index is reproducible.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -33,7 +34,6 @@ from typing import Sequence, Union
 
 from .errors import DomainError, ValidationError
 
-Complex = complex
 Monomial = tuple[int, int, int]
 
 
@@ -48,10 +48,10 @@ def monomials_of_degree(n: int) -> list[Monomial]:
 class HyperellipticCurve:
     """y^2 = leading_coefficient * prod (x - e) over the branch points e."""
 
-    branch_points: tuple[Complex, ...]
-    leading_coefficient: Complex = 1.0
+    branch_points: tuple[complex, ...]
+    leading_coefficient: complex = 1.0
 
-    def __init__(self, branch_points: Sequence[Complex], leading_coefficient: Complex = 1.0):
+    def __init__(self, branch_points: Sequence[complex], leading_coefficient: complex = 1.0):
         pts = tuple(complex(b) for b in branch_points)
         if not all(cmath.isfinite(z) for z in pts + (complex(leading_coefficient),)):
             raise ValidationError("branch points and leading coefficient must be finite")
@@ -118,13 +118,6 @@ class FermatCurve:
 CurveModel = Union[HyperellipticCurve, PlaneCurveModel, FermatCurve]
 
 
-def genus(curve: CurveModel) -> int:
-    """Genus of any supported curve model."""
-    if isinstance(curve, (HyperellipticCurve, PlaneCurveModel, FermatCurve)):
-        return curve.genus
-    raise ValidationError(f"unknown curve model: {type(curve).__name__}")
-
-
 def moduli_count(g: int) -> int:
     """Dimension 3g-3 of the moduli space, defined for g >= 2."""
     if g < 2:
@@ -164,6 +157,20 @@ def json_int(value, name: str) -> int:
     return value
 
 
+def json_complex(value, name: str) -> complex:
+    """``complex(re, im)`` if ``value`` is a JSON pair [re, im] of numbers.
+
+    Anything else is a ValidationError naming ``name``: a list of another
+    length, a boolean (which Python counts as an int) or an integer beyond
+    the float range.
+    """
+    if isinstance(value, list) and len(value) == 2:
+        if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value):
+            with contextlib.suppress(OverflowError):
+                return complex(*value)
+    raise ValidationError(f"{name} must be an [re, im] pair")
+
+
 def curve_from_dict(data: dict) -> CurveModel:
     """Parse a curve description, rejecting invariant violations by name."""
     if not isinstance(data, dict) or "type" not in data:
@@ -172,16 +179,11 @@ def curve_from_dict(data: dict) -> CurveModel:
     if kind == "hyperelliptic":
         if "branch_points" not in data:
             raise ValidationError("hyperelliptic description requires 'branch_points'")
-        try:
-            pts = [complex(re, im) for re, im in data["branch_points"]]
-        except (TypeError, ValueError) as exc:
-            raise ValidationError("branch_points must be [re, im] pairs") from exc
-        lead = data.get("leading", [1.0, 0.0])
-        try:
-            leading = complex(lead[0], lead[1])
-        except (TypeError, IndexError, ValueError) as exc:
-            raise ValidationError("leading must be an [re, im] pair") from exc
-        return HyperellipticCurve(pts, leading)
+        points = data["branch_points"]
+        if not isinstance(points, list):
+            raise ValidationError("branch_points must be [re, im] pairs")
+        pts = [json_complex(p, "each branch point") for p in points]
+        return HyperellipticCurve(pts, json_complex(data.get("leading", [1.0, 0.0]), "leading"))
     if kind == "plane":
         if "degree" not in data:
             raise ValidationError("plane description requires 'degree'")
@@ -196,12 +198,6 @@ def curve_from_dict(data: dict) -> CurveModel:
 def load_curve(path) -> CurveModel:
     with open(path, "r", encoding="utf-8") as fh:
         return curve_from_dict(json.load(fh))
-
-
-def save_curve(curve: CurveModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(curve_to_dict(curve), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 BUNDLED_CURVES = {

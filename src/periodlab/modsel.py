@@ -17,6 +17,10 @@ falls back to Bareiss elimination over the integers.  No floating-point
 value decides any rank.  The single-matrix functions (``bernoulli_matrix``,
 ``is_nonsingular_exact``, ``product_span_rank``, ``run_trial``) are
 batches of one through the same kernels.
+
+``run_selection(..., records=True)`` also returns the per-trial records
+that ``trial_log_rows`` renders.  Results are plain dataclasses, written
+out with ``dataclasses.asdict``, and every 3g-3 is ``curves.moduli_count``.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import PlaneCurveModel
+from .curves import PlaneCurveModel, moduli_count
 from .errors import DomainError, ValidationError
 from .exact import batch_rank
 from .rng import MASK64, stream_draws, trial_seeds
@@ -109,7 +113,7 @@ def first_three_rows_indices(g: int) -> tuple[tuple[int, int], ...]:
     if g < 3:
         raise DomainError("first_three_rows_indices requires g >= 3")
     pairs = tuple((i, j) for i in range(3) for j in range(i, g))
-    assert len(pairs) == 3 * g - 3
+    assert len(pairs) == moduli_count(g)
     return pairs
 
 
@@ -188,15 +192,6 @@ class SuccessStats:
     estimate: float
     ci95_halfwidth: float
 
-    def as_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "successes": self.successes,
-            "nonsingular_count": self.nonsingular_count,
-            "estimate": self.estimate,
-            "ci95_halfwidth": self.ci95_halfwidth,
-        }
-
 
 def _stats(trials: int, successes: int, nonsingular: int, exact: bool = False) -> SuccessStats:
     est = successes / trials
@@ -222,7 +217,7 @@ def run_trial(model: PlaneCurveModel, p: float, seed: int, trial_index: int = 0)
     g = model.genus
     pairs = first_three_rows_indices(g)
     nonsingular, span = _select_ranks(_bits(_one_seed(seed), g, p), _scatter(model), pairs)
-    return _records(trial_index, [seed], nonsingular, span, 3 * g - 3)[0]
+    return _records(trial_index, [seed], nonsingular, span, moduli_count(g))[0]
 
 
 def _select_stats(model, n_trials, matrices, log=None, exact=False) -> SuccessStats:
@@ -233,7 +228,7 @@ def _select_stats(model, n_trials, matrices, log=None, exact=False) -> SuccessSt
     when it is a list.
     """
     g = model.genus
-    target = 3 * g - 3
+    target = moduli_count(g)
     pairs = first_three_rows_indices(g)
     scatter = _scatter(model)
     succ = nonsing = 0
@@ -266,10 +261,6 @@ def run_selection(
 
     log: list[TrialRecord] = []
     return _select_stats(model, n_trials, matrices, log if records else None), log
-
-
-def run_trials(model: PlaneCurveModel, p: float, n_trials: int, seed: int) -> list[TrialRecord]:
-    return run_selection(model, p, n_trials, seed, records=True)[1]
 
 
 def monte_carlo(model: PlaneCurveModel, p: float, n_trials: int, seed: int) -> SuccessStats:
@@ -336,7 +327,7 @@ def paper_bounds(g: int) -> list[tuple[str, float]]:
     """
     if g < 2:
         raise DomainError("paper_bounds requires g >= 2")
-    k = 3 * g - 3
+    k = moduli_count(g)
     displayed = k * 16.0**-k  # underflows to 0.0 for large g; 16.0**k would overflow
     return [
         ("tao_vu_conjectured_nonsingular", 1.0 - 0.5**g),

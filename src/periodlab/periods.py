@@ -58,7 +58,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .curves import FermatCurve, HyperellipticCurve, json_int
+from .curves import FermatCurve, HyperellipticCurve, json_complex, json_int
 from .errors import (
     DomainError,
     NormalizationError,
@@ -71,6 +71,7 @@ from .errors import (
 DEFAULT_NODES = 256
 MAX_NODES = 8192
 NODE_DOUBLING_TARGET = 1e-10
+FERMAT_RANK_TOL = 1e-9
 CONDITION_LIMIT = 1e10
 # Residual threshold accepted for the bilinear identity on the
 # column-equilibrated period table when certifying the intersection form.
@@ -373,13 +374,13 @@ def hyperelliptic_raw_periods(
     curve: HyperellipticCurve,
     nodes: int = DEFAULT_NODES,
     node_limit: int = MAX_NODES,
-    target: float = NODE_DOUBLING_TARGET,
 ) -> tuple[RawPeriodTable, HomologyBasis]:
     """Raw chain periods of y^2 = f(x), with node-doubling error control.
 
     The node count doubles until the maximum entry change is below
-    ``target`` or ``node_limit`` is reached; the final discrepancy is
-    recorded as ``est_error`` either way, and ``converged`` says which.
+    ``NODE_DOUBLING_TARGET`` or ``node_limit`` is reached; the final
+    discrepancy is recorded as ``est_error`` either way, and ``converged``
+    says which.
     """
     if nodes < 4:
         raise DomainError("nodes must be >= 4")
@@ -398,7 +399,7 @@ def hyperelliptic_raw_periods(
                 err = float(np.max(np.abs(P2 - P)))
                 N *= 2
                 P = P2
-                if err <= target or 2 * N > node_limit:
+                if err <= NODE_DOUBLING_TARGET or 2 * N > node_limit:
                     break
     except (FloatingPointError, OverflowError) as exc:
         raise DomainError(
@@ -417,7 +418,7 @@ def hyperelliptic_raw_periods(
         entries=P,
         quadrature_nodes=N,
         est_error=err,
-        converged=err <= target,
+        converged=err <= NODE_DOUBLING_TARGET,
     )
     return raw, hom
 
@@ -440,15 +441,7 @@ def normalize(raw: RawPeriodTable, hom: HomologyBasis) -> PeriodMatrix:
     if not math.isfinite(cond) or cond > CONDITION_LIMIT:
         raise NormalizationError(f"A-block condition number {cond:.3e} exceeds {CONDITION_LIMIT:.1e}")
     omega = np.linalg.solve(A.T, B.T).T
-    return PeriodMatrix(
-        g=g,
-        entries=omega,
-        provenance={
-            "nodes": raw.quadrature_nodes,
-            "est_error": raw.est_error,
-            "a_block_condition": cond,
-        },
-    )
+    return PeriodMatrix(g=g, entries=omega, provenance={"a_block_condition": cond})
 
 
 # ---------------------------------------------------------------------------
@@ -472,25 +465,24 @@ def fermat_period_closed_form(d: int, r: int, s: int, a: int, b: int) -> complex
 
 @dataclass(frozen=True, eq=False)
 class FermatPeriodTable:
-    """Closed-form periods over 2g independent path translates."""
+    """Closed-form periods: row i over the path translate ``cycles[i]``,
+    column j for the differential ``FermatCurve.diff_exponents[j]``."""
 
-    degree: int
-    diff_exponents: tuple[tuple[int, int], ...]
     cycles: tuple[tuple[int, int], ...]
     entries: np.ndarray
 
     @property
     def g(self) -> int:
-        return len(self.diff_exponents)
+        return self.entries.shape[1]
 
 
-def fermat_raw_periods(d: int, rank_tol: float = 1e-9) -> FermatPeriodTable:
+def fermat_raw_periods(d: int) -> FermatPeriodTable:
     """Period table of the degree-d Fermat curve over 2g selected cycles.
 
     Candidate rows are the d^2 automorphism translates of the fundamental
     path, in lexicographic (a, b) order; a translate is accepted when it
     increases the real rank (complex rows viewed as vectors in R^(2g))
-    by more than ``rank_tol`` relative to the row norm, until 2g rows
+    by more than ``FERMAT_RANK_TOL`` relative to the row norm, until 2g rows
     are collected.
     """
     if not 4 <= d <= 15:
@@ -510,7 +502,7 @@ def fermat_raw_periods(d: int, rank_tol: float = 1e-9) -> FermatPeriodTable:
         resid = vec.copy()
         for q in ortho:
             resid -= np.dot(q, resid) * q
-        if float(np.linalg.norm(resid)) > rank_tol * norm:
+        if float(np.linalg.norm(resid)) > FERMAT_RANK_TOL * norm:
             ortho.append(resid / np.linalg.norm(resid))
             entries.append(row)
             cycles.append((a, b))
@@ -518,12 +510,7 @@ def fermat_raw_periods(d: int, rank_tol: float = 1e-9) -> FermatPeriodTable:
                 break
     if len(entries) != 2 * g:
         raise NumericError("could not select 2g independent Fermat cycles")
-    return FermatPeriodTable(
-        degree=d,
-        diff_exponents=exps,
-        cycles=tuple(cycles),
-        entries=np.array(entries, dtype=complex),
-    )
+    return FermatPeriodTable(cycles=tuple(cycles), entries=np.array(entries, dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -553,12 +540,13 @@ def dict_to_table(data: dict) -> tuple[np.ndarray, str, dict]:
         if key not in data:
             raise ValidationError(f"period file missing field {key!r}")
     g = json_int(data["g"], "period file field 'g'")
-    try:
-        entries = np.array(
-            [[complex(re, im) for re, im in row] for row in data["entries"]], dtype=complex
-        )
-    except (TypeError, ValueError) as exc:
-        raise ValidationError("period file entries must be rows of [re, im] pairs") from exc
+    rows = data["entries"]
+    if not isinstance(rows, list) or any(
+        not isinstance(row, list) or len(row) != len(rows[0]) for row in rows
+    ):
+        raise ValidationError("period file entries must be rows of [re, im] pairs")
+    pair = "each period file entry"
+    entries = np.array([[json_complex(z, pair) for z in row] for row in rows], dtype=complex)
     if entries.ndim != 2 or entries.shape[1] != g:
         raise ValidationError("period file entries do not match the declared genus")
     return entries, _period_kind(data["kind"]), data.get("meta", {})
@@ -567,11 +555,6 @@ def dict_to_table(data: dict) -> tuple[np.ndarray, str, dict]:
 def period_json_text(entries: np.ndarray, kind: str, meta: dict) -> str:
     """The text of a period file: sorted keys, two-space indent, final newline."""
     return json.dumps(table_to_dict(entries, kind, meta), indent=2, sort_keys=True) + "\n"
-
-
-def save_period_json(path, entries: np.ndarray, kind: str, meta: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(period_json_text(entries, kind, meta))
 
 
 def load_period_json(path) -> tuple[np.ndarray, str, dict]:

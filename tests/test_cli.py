@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import errno
+import hashlib
 import io
 import json
 import os
@@ -175,13 +176,13 @@ class TestValidateCommand:
     def test_non_member_exit_three(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         m = np.array([[1j, 0.5], [0.0, 1j]])  # asymmetric
-        periods.save_period_json(path, m, "normalized", {})
+        path.write_text(periods.period_json_text(m, "normalized", {}))
         assert run(["validate", path]) == 3
         assert "member=0" in capsys.readouterr().out
 
     def test_rectangular_rejected(self, tmp_path):
         path = tmp_path / "raw.json"
-        periods.save_period_json(path, np.ones((4, 2), dtype=complex), "raw", {})
+        path.write_text(periods.period_json_text(np.ones((4, 2), dtype=complex), "raw", {}))
         assert run(["validate", path]) == 3
 
     def test_missing_file(self, tmp_path):
@@ -195,7 +196,7 @@ class TestValidateCommand:
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-8"])
     def test_bad_tol_exit_two(self, tmp_path, capsys, tol):
         path = tmp_path / "member.json"
-        periods.save_period_json(path, siegel.random_siegel(3, 1), "normalized", {})
+        path.write_text(periods.period_json_text(siegel.random_siegel(3, 1), "normalized", {}))
         assert run(["validate", path, f"--tol={tol}"]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
@@ -302,7 +303,7 @@ class TestStatsCommand:
     )
     def test_out_of_range_exit_two(self, tmp_path, capsys, bad):
         src = tmp_path / "omega.json"
-        periods.save_period_json(src, siegel.random_siegel(6, 3), "normalized", {})
+        src.write_text(periods.period_json_text(siegel.random_siegel(6, 3), "normalized", {}))
         assert run(["stats", "--in", src, "--hist", tmp_path / "h.csv", *bad]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert [p.name for p in tmp_path.iterdir()] == ["omega.json"]
@@ -310,7 +311,7 @@ class TestStatsCommand:
     def test_fit_failure_leaves_no_partial_output(self, tmp_path):
         # the spectrum and histogram succeed, then the fit fails
         src = tmp_path / "one.json"
-        periods.save_period_json(src, np.array([[1j]]), "normalized", {})
+        src.write_text(periods.period_json_text(np.array([[1j]]), "normalized", {}))
         argv = ["stats", "--in", src, "--fit", tmp_path / "fit.json"]
         argv += ["--spectrum", tmp_path / "s.csv", "--hist", tmp_path / "h.csv"]
         assert run(argv) == 2
@@ -414,6 +415,9 @@ class TestOutputTransaction:
         assert "more than one output" in _refused(argv, 2, tmp_path, capsys, before=["sub"])
 
 
+LINE_CURVE = {"type": "hyperelliptic", "branch_points": [[0, 0], [1, 0], [2, 0]]}
+
+
 class TestMalformedInput:
     """Malformed input files exit 2 or 3 with one error line."""
 
@@ -423,10 +427,17 @@ class TestMalformedInput:
         "g a float": {"g": 1.0, "kind": "raw", "entries": [[[1.0, 0.0]]]},
         "unknown kind": {"g": 1, "kind": "bogus", "entries": [[[0.0, 1.0]]]},
         "not an object": 5,
+        "entry a boolean pair": {"g": 1, "kind": "normalized", "entries": [[[False, True]]]},
+        "entry beyond the float range": {"g": 1, "kind": "raw", "entries": [[[10**400, 0]]] * 2},
     }
     CURVE_FILES = {
         "plane degree not an integer": {"type": "plane", "degree": "x"},
         "fermat degree a float": {"type": "fermat", "degree": 4.5},
+        "leading three numbers": {**LINE_CURVE, "leading": [1, 0, 5]},
+        "leading a boolean": {**LINE_CURVE, "leading": [True, 0]},
+        "leading an object": {**LINE_CURVE, "leading": {"re": 1, "im": 0}},
+        "branch point a boolean": {**LINE_CURVE, "branch_points": [[0, 0], [1, False], [2, 0]]},
+        "leading beyond the float range": {**LINE_CURVE, "leading": [10**400, 0]},
     }
 
     @pytest.mark.parametrize(
@@ -462,6 +473,16 @@ class TestExitCodes:
         assert run(["select", "--model", "quartic"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["select", "exhaustive"])
+    def test_unknown_model_exit_two(self, tmp_path, capsys, command):
+        argv = [command, "--model", "sextic", "--summary", tmp_path / "s.json"]
+        if command == "select":
+            argv += ["--trials", 5, "--seed", 1, "--out", tmp_path / "s.csv"]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'sextic'" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_numeric_error_maps_to_four(self, monkeypatch, capsys):
         def boom(args):
             raise NumericError("synthetic failure")
@@ -475,6 +496,56 @@ class TestExitCodes:
         monkeypatch.setattr(parser, "parse_args", lambda argv: args)
         assert cli.main(parser_args) == 4
         assert "synthetic failure" in capsys.readouterr().err
+
+
+# sha256 of the files each command writes, recorded before the JSON pair
+# decoder, the model table and the summary serializer were merged.  ROADMAP
+# item 2 (trial keys that cannot collide across seeds) changes the trial
+# bits, and will re-record the select and singularity pins.
+SAMPLE = ["siegel-sample", "--g", 4, "--seed", 5, "--out", "sample.json"]
+PINNED_OUTPUTS = {
+    "select": (
+        [["select", "--model", "quartic", "--trials", 50, "--seed", 5,
+          "--out", "log.csv", "--summary", "select.json"]],
+        {
+            "log.csv": "d88f86d7d0637f19480b63d3fad7a2375edd6e057f70dfa7bf32e1d033924f0c",
+            "select.json": "798cd02aa0e3aa7e09dc1728c580718d7d0a5e89307e3e086d9bb36e4fae378b",
+        },
+    ),
+    "exhaustive": (
+        [["exhaustive", "--model", "quartic", "--summary", "exhaustive.json"]],
+        {"exhaustive.json": "7a0e1615f81909f690320e823c2b4f6c8f26d9ea14f37b34a3eb45bf56bd0d5f"},
+    ),
+    "singularity": (
+        [["singularity", "--g", 7, "--trials", 300, "--seed", 99,
+          "--summary", "singularity.json"]],
+        {"singularity.json": "21f8430273062423ef1618c0037d09c90224b152fb6850e27b762f38147be8fe"},
+    ),
+    "siegel-sample": (
+        [SAMPLE],
+        {"sample.json": "9b4151f6aae45136958736cdfd2540f4de4a7205c18917a7f11b4a0a721603e1"},
+    ),
+    "stats": (
+        [SAMPLE, ["stats", "--in", "sample.json", "--spectrum", "spec.csv",
+                  "--hist", "hist.csv", "--fit", "fit.json"]],
+        {
+            "spec.csv": "ed56311589cc4f002722db3dd66911d7237ffd129bbd78fb7570e2d695061fef",
+            "hist.csv": "af1cda524668022f615fb74dab2319956fc409a7169735fbb76a543b70c3f393",
+            "fit.json": "b4c7135adfa2885b30c10e6f4abd0fba2de2ea6fd4178fb19f337b074482601b",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS))
+def test_output_bytes_pinned(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argvs, pinned = PINNED_OUTPUTS[name]
+    for argv in argvs:
+        assert run(argv) == 0
+    capsys.readouterr()
+    digests = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in pinned}
+    assert digests == pinned
 
 
 # Flag values for the exit-code contract: small and negative ints, and any

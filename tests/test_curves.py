@@ -10,21 +10,19 @@ from periodlab.curves import (
     bundled_curve,
     curve_from_dict,
     curve_to_dict,
-    genus,
     load_curve,
     moduli_count,
     monomials_of_degree,
     period_count,
-    save_curve,
 )
 from periodlab.errors import DomainError, ValidationError
 
 
 def test_genus_examples():
-    assert genus(HyperellipticCurve([0, 1, 2, 3, 4])) == 2
-    assert genus(FermatCurve(11)) == 45
-    assert genus(PlaneCurveModel(5)) == 6
-    assert genus(HyperellipticCurve([-1, 0, 1])) == 1
+    assert HyperellipticCurve([0, 1, 2, 3, 4]).genus == 2
+    assert FermatCurve(11).genus == 45
+    assert PlaneCurveModel(5).genus == 6
+    assert HyperellipticCurve([-1, 0, 1]).genus == 1
 
 
 def test_hyperelliptic_validation():
@@ -111,9 +109,9 @@ def test_fermat_diff_exponents():
 def test_roundtrip_preserves_ordering(tmp_path):
     for name, curve in BUNDLED_CURVES.items():
         path = tmp_path / f"{name}.json"
-        save_curve(curve, path)
+        path.write_text(json.dumps(curve_to_dict(curve)))
         loaded = load_curve(path)
-        assert genus(loaded) == genus(curve)
+        assert loaded.genus == curve.genus
         if isinstance(curve, HyperellipticCurve):
             assert loaded.branch_points == curve.branch_points
     model = PlaneCurveModel(5)
@@ -136,14 +134,14 @@ def test_parser_rejects_with_named_rule():
 
 
 def test_bundled_curve_lookup():
-    assert genus(bundled_curve("g3_real_septic")) == 3
+    assert bundled_curve("g3_real_septic").genus == 3
     with pytest.raises(ValidationError):
         bundled_curve("nope")
 
 
 def test_curve_json_is_valid_json(tmp_path):
     path = tmp_path / "c.json"
-    save_curve(bundled_curve("g2_x5_minus_1"), path)
+    path.write_text(json.dumps(curve_to_dict(bundled_curve("g2_x5_minus_1"))))
     data = json.loads(path.read_text())
     assert data["type"] == "hyperelliptic"
     assert len(data["branch_points"]) == 5

@@ -20,7 +20,6 @@ from periodlab.modsel import (
     product_span_rank,
     run_selection,
     run_trial,
-    run_trials,
     singularity_rate,
     trial_log_rows,
 )
@@ -142,7 +141,7 @@ class TestTrials:
         assert rec.success == (rec.span_rank == 6)
 
     def test_monte_carlo_order_independent(self):
-        records = run_trials(QUARTIC, 0.5, 64, 7)
+        records = run_selection(QUARTIC, 0.5, 64, 7, records=True)[1]
         # each trial is reproducible in isolation from its own seed
         for r in (records[0], records[17], records[63]):
             again = run_trial(QUARTIC, 0.5, r.seed, trial_index=r.trial_index)
@@ -170,7 +169,7 @@ class TestTrials:
             assert run_selection(QUINTIC, p, n, seed)[1] == []
 
     def test_trial_log_row_count(self):
-        records = run_trials(QUARTIC, 0.5, 25, 1)
+        records = run_selection(QUARTIC, 0.5, 25, 1, records=True)[1]
         rows = list(trial_log_rows(records))
         assert rows[0] == ["trial_index", "seed", "nonsingular", "span_rank", "success"]
         assert len(rows) == 26

@@ -1,6 +1,7 @@
 import cmath
 import hashlib
 import itertools
+import json
 import math
 import random
 
@@ -18,7 +19,7 @@ from oracles import (
     segments_meet,
 )
 from periodlab import cli, periods
-from periodlab.curves import HyperellipticCurve, bundled_curve, save_curve
+from periodlab.curves import HyperellipticCurve, bundled_curve, curve_to_dict
 from periodlab.errors import (
     DomainError,
     NormalizationError,
@@ -38,7 +39,7 @@ from periodlab.periods import (
     hyperelliptic_raw_periods,
     load_period_json,
     normalize,
-    save_period_json,
+    period_json_text,
     symplectic_transform_from_intersection,
     table_to_dict,
 )
@@ -417,7 +418,8 @@ PINNED_PERIOD_FILES = {
 def test_period_file_bytes_pinned(name, tmp_path, capsys):
     if name == "g7_linspace":
         curve = tmp_path / "curve.json"
-        save_curve(HyperellipticCurve([float(x) for x in np.linspace(-1.0, 1.0, 15)]), curve)
+        points = [float(x) for x in np.linspace(-1.0, 1.0, 15)]
+        curve.write_text(json.dumps(curve_to_dict(HyperellipticCurve(points))))
         source = ["--curve", str(curve)]
     else:
         source = ["--bundled", name]
@@ -433,7 +435,7 @@ class TestPeriodFiles:
     def test_roundtrip(self, tmp_path):
         raw, hom = hyperelliptic_raw_periods(bundled_curve("g2_real_quintic"))
         path = tmp_path / "p.json"
-        save_period_json(path, raw.entries, "raw", {"nodes": raw.quadrature_nodes})
+        path.write_text(period_json_text(raw.entries, "raw", {"nodes": raw.quadrature_nodes}))
         entries, kind, meta = load_period_json(path)
         assert kind == "raw"
         assert meta["nodes"] == raw.quadrature_nodes
