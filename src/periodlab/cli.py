@@ -7,13 +7,15 @@ Subcommands map one-to-one onto library operations: ``periods``,
 key=value summary line.
 
 Handlers only compute; ``main`` prints, maps exceptions to exit codes and
-writes all of a command's outputs or none, as one transaction.
+writes all of a command's outputs or none, as one transaction.  Every
+refusal, argparse's included, is an exception whose class alone gives the
+exit code (see ``errors``), and ``main`` prints it as one ``error:`` line.
 
 Exit codes: 0 success / membership, 2 bad arguments or a path that cannot
 be read or written, 3 validation failure (including malformed input and
 Siegel non-membership), 4 numeric failure (including a computed period
 matrix outside the Siegel upper half-space, which ``periods`` refuses to
-write).
+write).  ``--help`` exits 0 through argparse.
 """
 
 from __future__ import annotations
@@ -44,8 +46,6 @@ EXIT_CODES = {
     NumericError: EXIT_NUMERIC,
     PeriodLabError: EXIT_VALIDATION,
     OSError: EXIT_USAGE,
-    json.JSONDecodeError: EXIT_VALIDATION,
-    UnicodeDecodeError: EXIT_VALIDATION,
 }
 
 
@@ -285,8 +285,15 @@ def _cmd_bounds(args):
 # Parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose refusals raise DomainError instead of exiting."""
+
+    def error(self, message):
+        raise DomainError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="periodlab",
         description="Period matrices, Siegel validation, and moduli-selection experiments",
     )
@@ -353,18 +360,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         code, line, outputs = args.func(args)
         _commit(outputs)
     except tuple(EXIT_CODES) as exc:
-        # the only ValueErrors in the table are the two decoding errors
-        malformed = "malformed JSON input: " if isinstance(exc, ValueError) else ""
-        print(f"error: {malformed}{exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return next(c for kind, c in EXIT_CODES.items() if isinstance(exc, kind))
     print(line)
     return code

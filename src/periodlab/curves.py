@@ -36,6 +36,9 @@ from .errors import DomainError, ValidationError
 
 Monomial = tuple[int, int, int]
 
+# Largest genus the commands that allocate g x g arrays accept.
+MAX_GENUS = 1024
+
 
 def monomials_of_degree(n: int) -> list[Monomial]:
     """Exponent triples (i, j, k) with i+j+k = n, in grevlex order (x>y>z)."""
@@ -150,6 +153,16 @@ def curve_to_dict(curve: CurveModel) -> dict:
     raise ValidationError(f"unknown curve model: {type(curve).__name__}")
 
 
+def read_json(path):
+    """The JSON value in ``path``; ValidationError for non-UTF-8 bytes, bad
+    syntax, an integer beyond Python's digit limit or too deep nesting."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise ValidationError(f"malformed JSON input: {exc}") from exc
+
+
 def json_int(value, name: str) -> int:
     """``value`` if it is a JSON integer; else ValidationError naming ``name``."""
     if isinstance(value, bool) or not isinstance(value, int):
@@ -196,8 +209,7 @@ def curve_from_dict(data: dict) -> CurveModel:
 
 
 def load_curve(path) -> CurveModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return curve_from_dict(json.load(fh))
+    return curve_from_dict(read_json(path))
 
 
 BUNDLED_CURVES = {

@@ -1,4 +1,12 @@
-"""Exception hierarchy shared by all periodlab modules."""
+"""Exception hierarchy shared by all periodlab modules.
+
+The class of an error alone decides the CLI's exit code:
+
+* ``DomainError``: 2, a scalar argument or command-line flag out of range;
+* ``NumericError``: 4, a computation that failed;
+* ``ValidationError`` and any other ``PeriodLabError``: 3, an input that
+  violates a documented invariant.
+"""
 
 
 class PeriodLabError(Exception):
@@ -6,27 +14,15 @@ class PeriodLabError(Exception):
 
 
 class ValidationError(PeriodLabError):
-    """An input object violates a documented invariant.
+    """An input object violates a documented invariant (exit 3).
 
     The message names the violated rule.
     """
 
 
 class DomainError(ValidationError):
-    """A scalar argument is outside the documented domain."""
-
-
-class UnsupportedConfigurationError(PeriodLabError):
-    """The input is valid but outside what the current algorithms handle."""
+    """A scalar argument is outside the documented domain (exit 2)."""
 
 
 class NumericError(PeriodLabError):
-    """A numerical computation failed (ill-conditioning, non-convergence)."""
-
-
-class NormalizationError(NumericError):
-    """The A-block of a period table is too ill-conditioned to invert."""
-
-
-class SingularIntegrandError(NumericError):
-    """A branch point lies in the interior of an integration segment."""
+    """A numerical computation failed: ill-conditioning, non-convergence (exit 4)."""

@@ -69,14 +69,6 @@ def integer_rank(rows: Sequence[Sequence[int]]) -> int:
     return rank
 
 
-def is_nonsingular(rows: Sequence[Sequence[int]]) -> bool:
-    """True iff the square integer matrix has nonzero determinant."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix must be square")
-    return integer_rank(rows) == n
-
-
 def _reduce(x: np.ndarray, p: int) -> np.ndarray:
     """x mod p into [0, p), in place.
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import PlaneCurveModel, moduli_count
+from .curves import MAX_GENUS, PlaneCurveModel, moduli_count
 from .errors import DomainError, ValidationError
 from .exact import batch_rank
 from .rng import MASK64, stream_draws, trial_seeds
@@ -300,6 +300,8 @@ def singularity_rate(g: int, p: float, n_trials: int, seed: int) -> SuccessStats
     """
     if g < 1:
         raise DomainError("g must be >= 1")
+    if g > MAX_GENUS:
+        raise DomainError(f"g must be <= {MAX_GENUS}")
     if n_trials < 1:
         raise DomainError("n_trials must be >= 1")
     singular = 0

@@ -58,15 +58,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .curves import FermatCurve, HyperellipticCurve, json_complex, json_int
-from .errors import (
-    DomainError,
-    NormalizationError,
-    NumericError,
-    SingularIntegrandError,
-    UnsupportedConfigurationError,
-    ValidationError,
-)
+from .curves import FermatCurve, HyperellipticCurve, json_complex, json_int, read_json
+from .errors import DomainError, NumericError, ValidationError
 
 DEFAULT_NODES = 256
 MAX_NODES = 8192
@@ -84,16 +77,11 @@ BILINEAR_TOL = 1e-6
 
 @dataclass(frozen=True, eq=False)
 class RawPeriodTable:
-    """2g x g table of unnormalized cycle-by-differential integrals.
-
-    ``converged`` records whether node doubling reached its target before
-    the node limit.
-    """
+    """2g x g table of unnormalized cycle-by-differential integrals."""
 
     entries: np.ndarray
     quadrature_nodes: int
     est_error: float
-    converged: bool = True
 
     def __post_init__(self):
         n_cycles, n_diffs = self.entries.shape
@@ -105,6 +93,11 @@ class RawPeriodTable:
     @property
     def g(self) -> int:
         return self.entries.shape[1]
+
+    @property
+    def converged(self) -> bool:
+        """Whether node doubling reached its target before the node limit."""
+        return self.est_error <= NODE_DOUBLING_TARGET
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,7 +216,7 @@ def chebyshev_segment_integral(
         if e in (a, b):
             continue
         if _point_segment_distance(e, a, b) < 1e-12 * abs(b - a):
-            raise SingularIntegrandError(f"branch point {e} lies on the integration segment")
+            raise ValidationError(f"branch point {e} lies on the integration segment")
     moments, _, _ = _segment_moments(roots, complex(leading), a, b, N, k)
     return complex(moments[k - 1])
 
@@ -253,7 +246,7 @@ def _chain_segments(curve: HyperellipticCurve):
             if e in (p, q):
                 continue
             if _point_segment_distance(e, p, q) < 1e-9 * scale:
-                raise UnsupportedConfigurationError(
+                raise ValidationError(
                     "a branch point lies on a chain segment; this branch-point "
                     "configuration is not supported"
                 )
@@ -371,21 +364,19 @@ def _chain_period_table(curve: HyperellipticCurve, segs, N: int):
 
 
 def hyperelliptic_raw_periods(
-    curve: HyperellipticCurve,
-    nodes: int = DEFAULT_NODES,
-    node_limit: int = MAX_NODES,
+    curve: HyperellipticCurve, nodes: int = DEFAULT_NODES
 ) -> tuple[RawPeriodTable, HomologyBasis]:
     """Raw chain periods of y^2 = f(x), with node-doubling error control.
 
     The node count doubles until the maximum entry change is below
-    ``NODE_DOUBLING_TARGET`` or ``node_limit`` is reached; the final
+    ``NODE_DOUBLING_TARGET`` or ``MAX_NODES`` is reached; the final
     discrepancy is recorded as ``est_error`` either way, and ``converged``
     says which.
     """
     if nodes < 4:
         raise DomainError("nodes must be >= 4")
-    if nodes > node_limit:
-        raise DomainError(f"nodes must be <= {node_limit}")
+    if nodes > MAX_NODES:
+        raise DomainError(f"nodes must be <= {MAX_NODES}")
     g = curve.genus
     if g < 1:
         raise DomainError("genus must be >= 1")
@@ -399,7 +390,7 @@ def hyperelliptic_raw_periods(
                 err = float(np.max(np.abs(P2 - P)))
                 N *= 2
                 P = P2
-                if err <= NODE_DOUBLING_TARGET or 2 * N > node_limit:
+                if err <= NODE_DOUBLING_TARGET or 2 * N > MAX_NODES:
                     break
     except (FloatingPointError, OverflowError) as exc:
         raise DomainError(
@@ -414,13 +405,7 @@ def hyperelliptic_raw_periods(
         bilinear_residual=residual,
         positive_form_min_eig=min_eig,
     )
-    raw = RawPeriodTable(
-        entries=P,
-        quadrature_nodes=N,
-        est_error=err,
-        converged=err <= NODE_DOUBLING_TARGET,
-    )
-    return raw, hom
+    return RawPeriodTable(entries=P, quadrature_nodes=N, est_error=err), hom
 
 
 def normalize(raw: RawPeriodTable, hom: HomologyBasis) -> PeriodMatrix:
@@ -439,7 +424,7 @@ def normalize(raw: RawPeriodTable, hom: HomologyBasis) -> PeriodMatrix:
     B = TP[g:]
     cond = float(np.linalg.cond(A))
     if not math.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise NormalizationError(f"A-block condition number {cond:.3e} exceeds {CONDITION_LIMIT:.1e}")
+        raise NumericError(f"A-block condition number {cond:.3e} exceeds {CONDITION_LIMIT:.1e}")
     omega = np.linalg.solve(A.T, B.T).T
     return PeriodMatrix(g=g, entries=omega, provenance={"a_block_condition": cond})
 
@@ -558,5 +543,4 @@ def period_json_text(entries: np.ndarray, kind: str, meta: dict) -> str:
 
 
 def load_period_json(path) -> tuple[np.ndarray, str, dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return dict_to_table(json.load(fh))
+    return dict_to_table(read_json(path))

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .curves import MAX_GENUS
 from .errors import DomainError, ValidationError
 
 # Floor added to the imaginary part of random samples; keeps them safely
@@ -58,11 +59,13 @@ def random_siegel(g: int, seed: int, scale: float = 1.0) -> np.ndarray:
 
     S is symmetric with entries uniform in [-scale, scale]; L has standard
     normal entries.  The output passes validate_siegel at tol 1e-12.
-    The seed must be non-negative, and the width 2*scale of the uniform
-    range must be a positive finite float.
+    g must be at most ``curves.MAX_GENUS``, the seed non-negative, and
+    the width 2*scale of the uniform range a positive finite float.
     """
     if g < 1:
         raise DomainError("g must be >= 1")
+    if g > MAX_GENUS:
+        raise DomainError(f"g must be <= {MAX_GENUS}")
     if seed < 0:
         raise DomainError("seed must be >= 0")
     if not (scale > 0 and math.isfinite(2.0 * scale)):

@@ -7,6 +7,8 @@ import json
 import os
 import pathlib
 import stat
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from periodlab import cli, periods, perstats, siegel
+from periodlab import cli, curves, periods, perstats, siegel
 from periodlab.errors import NumericError
 
 
@@ -261,6 +263,11 @@ class TestSelectCommands:
         assert run(argv + ["--out", tmp_path / "log.csv"]) == 0
         assert " successes=169 " in capsys.readouterr().out
 
+    @pytest.mark.parametrize("g", [curves.MAX_GENUS + 1, 10**11])
+    def test_singularity_genus_above_limit_exit_two(self, tmp_path, capsys, g):
+        argv = ["singularity", f"--g={g}", "--trials", 1, "--seed", 1]
+        _refused(argv + ["--summary", tmp_path / "s.json"], 2, tmp_path, capsys)
+
     @pytest.mark.parametrize("bad", [["--p", "nan"], ["--p", 1.5], ["--trials", 0]])
     def test_bad_trial_arguments_exit_two(self, tmp_path, capsys, bad):
         assert run(["singularity", "--g", 3, "--trials", 10, "--seed", 1] + bad) == 2
@@ -332,7 +339,9 @@ class TestSiegelSampleCommand:
         assert a.read_bytes() == b.read_bytes()
 
     @pytest.mark.parametrize(
-        "bad", [["--seed=-1"], ["--seed=1", "--scale=nan"], ["--seed=1", "--scale=inf"]]
+        "bad",
+        [["--seed=-1"], ["--seed=1", "--scale=nan"], ["--seed=1", "--scale=inf"],
+         ["--seed=1", f"--g={curves.MAX_GENUS + 1}"], ["--seed=1", "--g=100000000000"]],
     )
     def test_bad_arguments_exit_two(self, tmp_path, capsys, bad):
         assert run(["siegel-sample", "--g", 3, *bad, "--out", tmp_path / "s.json"]) == 2
@@ -416,6 +425,8 @@ class TestOutputTransaction:
 
 
 LINE_CURVE = {"type": "hyperelliptic", "branch_points": [[0, 0], [1, 0], [2, 0]]}
+# an integer literal beyond Python's 4300-digit conversion limit
+HUGE = "1" + "0" * 5000
 
 
 class TestMalformedInput:
@@ -440,13 +451,20 @@ class TestMalformedInput:
         "leading beyond the float range": {**LINE_CURVE, "leading": [10**400, 0]},
     }
 
+    # texts that fail to decode, whatever file the command expects
+    TEXTS = {
+        "an integer of 5001 digits": f'{{"g": 1, "kind": "raw", "entries": [[[{HUGE}, 0]]]}}',
+        "nested 100000 deep": "[" * 100000,
+    }
+
     @pytest.mark.parametrize(
         "command, name, code",
         [("validate", name, 3) for name in PERIOD_FILES]
         + [("stats", name, 3) for name in PERIOD_FILES]
         + [("periods", name, 3) for name in CURVE_FILES]
         + [(command, "non-UTF-8 bytes", 3) for command in ("validate", "stats", "periods")]
-        + [(command, "a directory", 2) for command in ("validate", "stats", "periods")],
+        + [(command, "a directory", 2) for command in ("validate", "stats", "periods")]
+        + [(command, name, 3) for name in TEXTS for command in ("validate", "stats", "periods")],
     )
     def test_refused(self, tmp_path, capsys, command, name, code):
         path = tmp_path / "input.json"
@@ -454,6 +472,8 @@ class TestMalformedInput:
             path.mkdir()
         elif name == "non-UTF-8 bytes":
             path.write_bytes(b'{"type": "fermat", "degree": 4, "note": "\xff\xfe"}')
+        elif name in self.TEXTS:
+            path.write_text(self.TEXTS[name])
         else:
             path.write_text(json.dumps({**self.PERIOD_FILES, **self.CURVE_FILES}[name]))
         argv = {
@@ -465,23 +485,18 @@ class TestMalformedInput:
 
 
 class TestExitCodes:
-    def test_unknown_command(self, capsys):
-        assert run(["frobnicate"]) == 2
-        capsys.readouterr()
+    def test_unknown_command(self, tmp_path, capsys):
+        _refused(["frobnicate"], 2, tmp_path, capsys)
 
-    def test_missing_required_flag(self, capsys):
-        assert run(["select", "--model", "quartic"]) == 2
-        capsys.readouterr()
+    def test_missing_required_flag(self, tmp_path, capsys):
+        _refused(["select", "--model", "quartic"], 2, tmp_path, capsys)
 
     @pytest.mark.parametrize("command", ["select", "exhaustive"])
     def test_unknown_model_exit_two(self, tmp_path, capsys, command):
         argv = [command, "--model", "sextic", "--summary", tmp_path / "s.json"]
         if command == "select":
             argv += ["--trials", 5, "--seed", 1, "--out", tmp_path / "s.csv"]
-        assert run(argv) == 2
-        err = capsys.readouterr().err
-        assert "invalid choice: 'sextic'" in err and "Traceback" not in err
-        assert list(tmp_path.iterdir()) == []
+        assert "invalid choice: 'sextic'" in _refused(argv, 2, tmp_path, capsys)
 
     def test_numeric_error_maps_to_four(self, monkeypatch, capsys):
         def boom(args):
@@ -609,7 +624,11 @@ CONTRACT = {
 @settings(max_examples=400, deadline=None)
 @given(st.sampled_from(sorted(CONTRACT)), st.data())
 def test_exit_code_contract(command, data):
-    """Exit 0, 2, 3 or 4, never a traceback; every output on success, no file otherwise."""
+    """Exit 0, 2, 3 or 4, never a traceback; every output on success, no file otherwise.
+
+    A non-zero exit leaves one ``error:`` line.  No contract input is a
+    Siegel non-member, the one exit 3 that is an answer, not a refusal.
+    """
     sources, flags, writes = CONTRACT[command]
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
@@ -625,5 +644,33 @@ def test_exit_code_contract(command, data):
             code = cli.main(argv)
         assert code in (0, 2, 3, 4)
         assert "Traceback" not in err.getvalue()
+        if code:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
         written = outputs if code == 0 else []
         assert sorted(p.name for p in tmp.iterdir()) == sorted([*CONTRACT_INPUTS, *written])
+
+
+def test_process_exit_status_and_streams(tmp_path):
+    """``python -m periodlab.cli``: the status and streams a shell sees."""
+    broken = tmp_path / "broken.json"
+    broken.write_text("{not json")
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).parents[1] / "src")}
+    cases = [
+        (["--help"], 0, "usage: periodlab", ""),
+        (["select", "--model", "sextic", "--trials", "5", "--seed", "1",
+          "--out", str(tmp_path / "s.csv")], 2, "", "error: argument --model: invalid choice"),
+        (["validate", str(broken)], 3, "", "error: malformed JSON input: "),
+        (["bounds", "--g", "6"], 0, '{"bounds": ', ""),
+    ]
+    for argv, code, out, err in cases:
+        proc = subprocess.run(
+            [sys.executable, "-m", "periodlab.cli", *argv],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+        )
+        assert proc.returncode == code, argv
+        assert proc.stdout.startswith(out) and proc.stderr.startswith(err), argv
+        if code:
+            assert proc.stdout == "" and proc.stderr.count("\n") == 1, argv
+        elif argv != ["--help"]:
+            assert proc.stdout.count("\n") == 1 and proc.stderr == "", argv
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["broken.json"]

@@ -20,14 +20,7 @@ from oracles import (
 )
 from periodlab import cli, periods
 from periodlab.curves import HyperellipticCurve, bundled_curve, curve_to_dict
-from periodlab.errors import (
-    DomainError,
-    NormalizationError,
-    NumericError,
-    SingularIntegrandError,
-    UnsupportedConfigurationError,
-    ValidationError,
-)
+from periodlab.errors import DomainError, NumericError, ValidationError
 from periodlab.periods import (
     HomologyBasis,
     RawPeriodTable,
@@ -65,7 +58,7 @@ class TestSegmentIntegral:
         assert abs(v - (-1j * LEMNISCATIC_SEGMENT)) < 1e-10
 
     def test_interior_root_rejected(self):
-        with pytest.raises(SingularIntegrandError):
+        with pytest.raises(ValidationError, match="lies on the integration segment"):
             chebyshev_segment_integral([-1, 0, 1], 1, -1, 1, 32)
 
     def test_on_segment_test_is_relative(self):
@@ -74,7 +67,7 @@ class TestSegmentIntegral:
         tiny = chebyshev_segment_integral([0, 1e-20, 1e-13j], 1, 0, 1e-20, 64)
         unit = chebyshev_segment_integral([0, 1, 1e7j], 1, 0, 1, 64)
         assert abs(tiny - 1e10 * unit) < 1e-12 * abs(tiny)
-        with pytest.raises(SingularIntegrandError):
+        with pytest.raises(ValidationError, match="lies on the integration segment"):
             chebyshev_segment_integral([0, 1e-20, 0.5e-20 + 1e-33j], 1, 0, 1e-20, 64)
 
     def test_preconditions(self):
@@ -144,17 +137,25 @@ class TestHyperellipticPeriods:
         assert 0.0 <= hom.bilinear_residual <= periods.BILINEAR_TOL
         assert hom.positive_form_min_eig > 0.0
 
-    def test_node_limit_reached_is_not_converged(self):
+    def test_node_limit_reached_is_not_converged(self, monkeypatch):
         # the clustered pair needs far more than 16 nodes
+        monkeypatch.setattr(periods, "MAX_NODES", 16)
         curve = HyperellipticCurve([0.0, 1e-3, 1.0])
-        raw, _ = hyperelliptic_raw_periods(curve, nodes=4, node_limit=16)
+        raw, _ = hyperelliptic_raw_periods(curve, nodes=4)
         assert raw.quadrature_nodes == 16
         assert raw.est_error > periods.NODE_DOUBLING_TARGET
         assert not raw.converged
 
-    def test_nodes_above_limit_rejected(self):
+    def test_nodes_above_limit_rejected(self, monkeypatch):
+        monkeypatch.setattr(periods, "MAX_NODES", 32)
         with pytest.raises(DomainError):
-            hyperelliptic_raw_periods(bundled_curve("g1_lemniscatic"), nodes=64, node_limit=32)
+            hyperelliptic_raw_periods(bundled_curve("g1_lemniscatic"), nodes=64)
+
+    def test_converged_follows_est_error(self):
+        entries = np.zeros((2, 1), dtype=complex)
+        target = periods.NODE_DOUBLING_TARGET
+        assert RawPeriodTable(entries, 0, est_error=target).converged
+        assert not RawPeriodTable(entries, 0, est_error=1.0).converged
 
 
 def _chain_data(curve):
@@ -244,8 +245,10 @@ def test_tracked_intersection_matches_exhaustive_search(g, geometry, leading):
         try:
             raw, hom = hyperelliptic_raw_periods(curve)
             break
-        except UnsupportedConfigurationError:
-            continue  # branch point near a segment: draw another configuration
+        except ValidationError as exc:
+            if "a branch point lies on a chain segment" not in str(exc):
+                raise
+            # branch point near a segment: draw another configuration
     expected = searched_intersection_matrix(raw.entries)
     assert np.array_equal(np.array(hom.intersection_matrix), expected)
 
@@ -335,7 +338,7 @@ class TestNormalize:
             intersection_matrix=tuple(map(tuple, np.zeros((4, 4), dtype=int))),
             symplectic_transform=tuple(map(tuple, np.eye(4, dtype=int))),
         )
-        with pytest.raises(NormalizationError):
+        with pytest.raises(NumericError, match="A-block condition number"):
             normalize(raw, hom)
 
 
