@@ -10,6 +10,9 @@ Handlers only compute; ``main`` prints, maps exceptions to exit codes and
 writes all of a command's outputs or none, as one transaction.  Every
 refusal, argparse's included, is an exception whose class alone gives the
 exit code (see ``errors``), and ``main`` prints it as one ``error:`` line.
+The parser is built once per process and reused by every ``main`` call, so
+in-process callers pay only the parse; argparse keeps no state between
+calls, as each ``parse_args`` fills a fresh namespace.
 
 Exit codes: 0 success / membership, 2 bad arguments or a path that cannot
 be read or written, 3 validation failure (including malformed input and
@@ -23,6 +26,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import os
@@ -292,7 +296,9 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, shared by every caller: parse with it, never modify it."""
     parser = _Parser(
         prog="periodlab",
         description="Period matrices, Siegel validation, and moduli-selection experiments",
@@ -302,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("periods", help="compute a period table for a curve file")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--curve", help="curve description JSON file")
-    src.add_argument("--bundled", help="name of a bundled curve")
+    src.add_argument("--bundled", choices=curves.BUNDLED_CURVES, help="name of a bundled curve")
     p.add_argument("--nodes", type=int, default=periods.DEFAULT_NODES)
     p.add_argument("--kind", choices=["raw", "normalized"], default="normalized")
     p.add_argument("--raw-out", help="also write the raw 2g x g table here")

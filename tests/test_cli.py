@@ -498,19 +498,16 @@ class TestExitCodes:
             argv += ["--trials", 5, "--seed", 1, "--out", tmp_path / "s.csv"]
         assert "invalid choice: 'sextic'" in _refused(argv, 2, tmp_path, capsys)
 
-    def test_numeric_error_maps_to_four(self, monkeypatch, capsys):
-        def boom(args):
+    def test_unknown_bundled_curve_exit_two(self, tmp_path, capsys):
+        argv = ["periods", "--bundled", "nope", "--out", tmp_path / "o.json"]
+        assert "invalid choice: 'nope'" in _refused(argv, 2, tmp_path, capsys)
+
+    def test_numeric_error_maps_to_four(self, tmp_path, monkeypatch, capsys):
+        def boom(g):
             raise NumericError("synthetic failure")
 
-        monkeypatch.setattr(cli, "_cmd_bounds", boom)
-        parser_args = ["bounds", "--g", "6"]
-        parser = cli.build_parser()
-        args = parser.parse_args(parser_args)
-        args.func = boom
-        monkeypatch.setattr(cli, "build_parser", lambda: parser)
-        monkeypatch.setattr(parser, "parse_args", lambda argv: args)
-        assert cli.main(parser_args) == 4
-        assert "synthetic failure" in capsys.readouterr().err
+        monkeypatch.setattr(cli.modsel, "paper_bounds", boom)
+        assert _refused(["bounds", "--g", 6], 4, tmp_path, capsys) == "error: synthetic failure\n"
 
 
 # sha256 of the files each command writes, recorded before the JSON pair
@@ -609,7 +606,8 @@ CONTRACT = {
     ),
     "exhaustive": ([["--model", m] for m in ("quartic", "quintic")], (), ("--summary",)),
     "periods": (
-        [["--curve", name] for name in CURVE_INPUTS] + [["--bundled", "fermat_d4"]],
+        [["--curve", name] for name in CURVE_INPUTS]
+        + [["--bundled", name] for name in ("fermat_d4", "nope")],
         ("nodes",),
         ("--out", "--raw-out"),
     ),
@@ -659,6 +657,8 @@ def test_process_exit_status_and_streams(tmp_path):
         (["--help"], 0, "usage: periodlab", ""),
         (["select", "--model", "sextic", "--trials", "5", "--seed", "1",
           "--out", str(tmp_path / "s.csv")], 2, "", "error: argument --model: invalid choice"),
+        (["periods", "--bundled", "nope", "--out", str(tmp_path / "o.json")],
+         2, "", "error: argument --bundled: invalid choice"),
         (["validate", str(broken)], 3, "", "error: malformed JSON input: "),
         (["bounds", "--g", "6"], 0, '{"bounds": ', ""),
     ]
@@ -674,3 +674,62 @@ def test_process_exit_status_and_streams(tmp_path):
         elif argv != ["--help"]:
             assert proc.stdout.count("\n") == 1 and proc.stderr == "", argv
     assert sorted(p.name for p in tmp_path.iterdir()) == ["broken.json"]
+
+
+# One in-process run mixing every kind of call; each later call must not see
+# what an earlier one did to the shared parser.
+REUSE_RUN = [
+    ["periods", "--bundled", "g2_x5_minus_1", "--kind", "raw", "--out", "raw.json"],
+    ["periods", "--curve", "raw.json", "--bundled", "g1_lemniscatic", "--out", "x.json"],
+    ["periods", "--bundled", "g2_x5_minus_1", "--out", "omega.json"],
+    ["--help"],
+    ["validate", "omega.json"],
+    ["stats", "--in", "omega.json", "--spectrum", "spec.csv", "--fit", "fit.json"],
+    ["select", "--model", "quartic", "--trials", "20", "--seed", "3",
+     "--out", "log.csv", "--summary", "select.json"],
+    ["bounds", "--g", "6"],
+]
+
+
+def test_parser_built_once_per_process(tmp_path, monkeypatch, capsys):
+    """After one call, ``main`` reuses its parser, and no call leaks into the next."""
+    monkeypatch.setenv("COLUMNS", "80")
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).parents[1] / "src")}
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    fresh.mkdir()
+    reused.mkdir()
+    expected = []
+    for argv in REUSE_RUN:
+        proc = subprocess.run(
+            [sys.executable, "-m", "periodlab.cli", *argv],
+            capture_output=True, text=True, env=env, cwd=fresh, timeout=120,
+        )
+        expected.append((proc.returncode, proc.stdout, proc.stderr))
+
+    monkeypatch.chdir(reused)
+    assert run(["bounds", "--g", 6]) == 0
+    capsys.readouterr()
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    got = []
+    for argv in REUSE_RUN:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        got.append((code, *capsys.readouterr()))
+
+    assert built == []
+    assert [c for c, _out, _err in got] == [0, 2, 0, 0, 0, 0, 0, 0]
+    assert got == expected
+    assert json.loads((reused / "omega.json").read_text())["kind"] == "normalized"
+    names = sorted(p.name for p in fresh.iterdir())
+    assert names == sorted(p.name for p in reused.iterdir())
+    for name in names:
+        assert (reused / name).read_bytes() == (fresh / name).read_bytes(), name
