@@ -12,6 +12,13 @@ x = mid + half*cos(theta), which absorbs the inverse-square-root endpoint
 singularities exactly.  The square-root branch is tracked continuously
 along each segment from an anchor at the left endpoint.
 
+One kernel, ``_chain_moments``, evaluates all 2g segments at once as
+(2g x (N+2)) arrays, batched over segments with the same per-element
+operations, in the same order, as a single segment, so its values are
+bit-identical to integrating the segments one at a time; its scratch
+space is a few complex arrays of 2g x (N+2).  The node count starts at
+``nodes`` and doubles at least once, up to ``MAX_NODES``.
+
 Sorting makes the chain simple: non-adjacent segments never meet (see
 ``_chain_segments``).  The only geometric refusal is therefore a branch
 point closer than 1e-9 times the longest segment to a segment it does
@@ -50,6 +57,7 @@ translate (x, y) -> (zeta^a x, zeta^b y) multiplies it by zeta^(a*r+b*s).
 from __future__ import annotations
 
 import cmath
+import contextlib
 import itertools
 import json
 import math
@@ -127,54 +135,66 @@ class PeriodMatrix:
 # Segment quadrature
 
 
-def _tracked_sqrt(values: np.ndarray) -> np.ndarray:
-    """Square root with branch continued along the sample sequence.
+@contextlib.contextmanager
+def _refuse_overflow():
+    """Raise DomainError where float arithmetic overflows, divides by zero or turns invalid."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
+    except (FloatingPointError, OverflowError) as exc:
+        raise DomainError(
+            "branch points or leading coefficient too large or too small: "
+            "the integrand overflows or underflows"
+        ) from exc
 
-    The first sample uses the principal branch; each subsequent sample
-    keeps whichever sign is closer to its predecessor.  Samples must be
-    dense enough that consecutive principal roots differ by less than a
-    quarter turn, which Chebyshev nodes guarantee for the integrands
-    used here.
+
+def _chain_moments(roots, leading, segs, N: int, count: int):
+    """Moments int_a^b x^(k-1) / sqrt(f(x)) dx, k = 1..count, of every segment (a, b).
+
+    The one quadrature kernel, batched over segments: row j of each
+    (segments x (N+2)) array is segment j sampled at a, at the N nodes and
+    at b, and gets the per-element operations of a segment on its own, in
+    the same order, so batching changes no bit.  phi is sqrt(-leading R(x)),
+    R over the roots other than a and b in ``roots`` order, principal at a
+    and continued sample to sample, as Chebyshev nodes keep consecutive
+    roots within a quarter turn.  Returns the moments (pi/N) sum x^(k-1)/phi
+    over the nodes and phi at each a and b, which orient the chain
+    junctions.  Scratch space is a few complex arrays of segments x (N+2).
+    An integrand beyond the float range raises DomainError.
     """
-    s = np.sqrt(values.astype(complex))
-    if s.size <= 1:
-        return s
-    d = s[1:] * np.conj(s[:-1])
-    flips = np.where(d.real < 0.0, -1.0, 1.0)
-    signs = np.concatenate(([1.0], np.cumprod(flips)))
-    return s * signs
-
-
-def _segment_moments(roots, leading, a, b, N: int, count: int):
-    """Segment moments int_a^b x^(k-1) / sqrt(f(x)) dx for k = 1..count.
-
-    The one quadrature kernel.  With R the polynomial over the roots other
-    than a and b, phi is the continuously tracked branch of
-    sqrt(-leading * R(x)), anchored at x = a on the principal square root
-    and sampled at a, at the N nodes and at b.  Returns the moments
-    (pi/N) * sum x^(k-1) / phi over the nodes, and phi at a and at b,
-    which orient the chain junctions.
-    """
-    other = list(roots)
-    other.remove(a)
-    other.remove(b)
-    mid = (a + b) / 2.0
-    half = (b - a) / 2.0
+    others = [list(roots) for _ in segs]
+    for other, (a, b) in zip(others, segs):
+        other.remove(a)
+        other.remove(b)
     theta = (2.0 * np.arange(1, N + 1) - 1.0) * np.pi / (2.0 * N)
     u = np.cos(theta)[::-1]  # ascending from near -1 to near +1
-    x = mid + half * u
-    sample_x = np.concatenate(([complex(a)], x, [complex(b)]))
-    v = np.full(sample_x.shape, -complex(leading), dtype=complex)
-    for e in other:
-        v *= sample_x - e
-    # + 0j canonicalizes any -0.0 imaginary parts, which would otherwise
-    # flip the principal branch cut of the square root
-    phi = _tracked_sqrt(v + 0j)
-    inv_phi = 1.0 / phi[1:-1]
-    moments = np.array(
-        [(np.pi / N) * np.sum(x ** (k - 1) * inv_phi) for k in range(1, count + 1)]
-    )
-    return moments, phi[0], phi[-1]
+    with _refuse_overflow():
+        grid = np.empty((len(segs), N + 2), dtype=complex)
+        grid[:, 0], grid[:, -1] = zip(*segs)
+        x = grid[:, 1:-1]
+        np.multiply([[(b - a) / 2.0] for a, b in segs], u, out=x)
+        x += [[(a + b) / 2.0] for a, b in segs]
+        phi = np.full(grid.shape, -complex(leading))
+        scratch = np.empty_like(grid)
+        for e in np.array(others, dtype=complex).T:
+            phi *= np.subtract(grid, e[:, None], out=scratch)
+        # + 0j canonicalizes any -0.0 imaginary parts, which would otherwise
+        # flip the principal branch cut of the square root
+        phi += 0j
+        np.sqrt(phi, out=phi)
+        turn = np.conjugate(phi[:, :-1], out=scratch[:, 1:])
+        np.multiply(phi[:, 1:], turn, out=turn)
+        signs = np.ones(grid.shape)
+        np.cumprod(np.where(turn.real < 0.0, -1.0, 1.0), axis=1, out=signs[:, 1:])
+        phi *= signs
+        inv_phi = np.divide(1.0, phi[:, 1:-1], out=scratch[:, 1:-1])
+        moments = np.empty((len(segs), count), dtype=complex)
+        for k in range(1, count + 1):
+            terms = x ** (k - 1)
+            terms *= inv_phi
+            moments[:, k - 1] = np.sum(terms, axis=-1)
+        moments *= np.pi / N
+    return moments, phi[:, 0].copy(), phi[:, -1].copy()
 
 
 def _point_segment_distance(p, a, b) -> float:
@@ -212,13 +232,14 @@ def chebyshev_segment_integral(
     a, b = complex(a), complex(b)
     if a not in roots or b not in roots:
         raise DomainError("segment endpoints must be branch points of f")
-    for e in roots:
-        if e in (a, b):
-            continue
-        if _point_segment_distance(e, a, b) < 1e-12 * abs(b - a):
-            raise ValidationError(f"branch point {e} lies on the integration segment")
-    moments, _, _ = _segment_moments(roots, complex(leading), a, b, N, k)
-    return complex(moments[k - 1])
+    with _refuse_overflow():  # abs() overflows on a distance beyond the float range
+        for e in roots:
+            if e in (a, b):
+                continue
+            if _point_segment_distance(e, a, b) < 1e-12 * abs(b - a):
+                raise ValidationError(f"branch point {e} lies on the integration segment")
+    moments, _, _ = _chain_moments(roots, complex(leading), [(a, b)], N, k)
+    return complex(moments[0, k - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -350,17 +371,10 @@ def symplectic_transform_from_intersection(E: Sequence[Sequence[int]]) -> list[l
 
 def _chain_period_table(curve: HyperellipticCurve, segs, N: int):
     """Chain periods with each segment's branch values at both endpoints."""
-    g = curve.genus
-    roots = list(curve.branch_points)
-    P = np.empty((2 * g, g), dtype=complex)
-    anchors = np.empty(2 * g, dtype=complex)
-    ends = np.empty(2 * g, dtype=complex)
-    for j, (a, b) in enumerate(segs):
-        moments, anchors[j], ends[j] = _segment_moments(
-            roots, curve.leading_coefficient, a, b, N, g
-        )
-        P[j] = 2.0 * moments
-    return P, anchors, ends
+    moments, anchors, ends = _chain_moments(
+        curve.branch_points, curve.leading_coefficient, segs, N, curve.genus
+    )
+    return 2.0 * moments, anchors, ends
 
 
 def hyperelliptic_raw_periods(
@@ -368,35 +382,30 @@ def hyperelliptic_raw_periods(
 ) -> tuple[RawPeriodTable, HomologyBasis]:
     """Raw chain periods of y^2 = f(x), with node-doubling error control.
 
-    The node count doubles until the maximum entry change is below
-    ``NODE_DOUBLING_TARGET`` or ``MAX_NODES`` is reached; the final
-    discrepancy is recorded as ``est_error`` either way, and ``converged``
-    says which.
+    The node count starts at ``nodes`` and doubles until the maximum entry
+    change is below ``NODE_DOUBLING_TARGET`` or ``MAX_NODES`` is reached;
+    the final discrepancy is recorded as ``est_error`` either way, and
+    ``converged`` says which.  It doubles at least once, so ``nodes`` may
+    be at most ``MAX_NODES // 2``.
     """
     if nodes < 4:
         raise DomainError("nodes must be >= 4")
-    if nodes > MAX_NODES:
-        raise DomainError(f"nodes must be <= {MAX_NODES}")
+    if nodes > MAX_NODES // 2:
+        raise DomainError(f"nodes must be <= {MAX_NODES // 2}: node doubling stops at {MAX_NODES}")
     g = curve.genus
     if g < 1:
         raise DomainError("genus must be >= 1")
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            _, segs = _chain_segments(curve)
-            N = nodes
-            P, _, _ = _chain_period_table(curve, segs, N)
-            while True:
-                P2, anchors, ends = _chain_period_table(curve, segs, 2 * N)
-                err = float(np.max(np.abs(P2 - P)))
-                N *= 2
-                P = P2
-                if err <= NODE_DOUBLING_TARGET or 2 * N > MAX_NODES:
-                    break
-    except (FloatingPointError, OverflowError) as exc:
-        raise DomainError(
-            "branch points or leading coefficient too large or too small: "
-            "the integrand overflows or underflows"
-        ) from exc
+    with _refuse_overflow():  # abs() in the chain geometry, and the doubling arithmetic
+        _, segs = _chain_segments(curve)
+        N = nodes
+        P, _, _ = _chain_period_table(curve, segs, N)
+        while True:
+            P2, anchors, ends = _chain_period_table(curve, segs, 2 * N)
+            err = float(np.max(np.abs(P2 - P)))
+            N *= 2
+            P = P2
+            if err <= NODE_DOUBLING_TARGET or 2 * N > MAX_NODES:
+                break
     E, residual, min_eig = _choose_intersection_matrix(P, segs, anchors, ends)
     T = symplectic_transform_from_intersection(E)
     hom = HomologyBasis(

@@ -7,6 +7,10 @@ integrals, cofactor expansion for exact determinants, an exhaustive
 search over every chain intersection sign pattern, a general integer
 lattice reduction for the symplectic basis of an intersection form, and
 exact rational orientation tests for segment intersection.
+
+One reference takes the same route on purpose: the per-segment chain
+quadrature loop that the batched kernel replaced, kept verbatim so that
+the kernel can be required to reproduce it bit for bit.
 """
 
 from __future__ import annotations
@@ -211,3 +215,72 @@ def segments_meet(p1: complex, p2: complex, p3: complex, p4: complex) -> bool:
     if orient(c, d, a) * orient(c, d, b) < 0 and orient(a, b, c) * orient(a, b, d) < 0:
         return True
     return on(c, d, a) or on(c, d, b) or on(a, b, c) or on(a, b, d)
+
+
+def _tracked_sqrt(values: np.ndarray) -> np.ndarray:
+    """Square root with branch continued along the sample sequence.
+
+    The first sample uses the principal branch; each subsequent sample
+    keeps whichever sign is closer to its predecessor.  Samples must be
+    dense enough that consecutive principal roots differ by less than a
+    quarter turn, which Chebyshev nodes guarantee for the integrands
+    used here.
+    """
+    s = np.sqrt(values.astype(complex))
+    if s.size <= 1:
+        return s
+    d = s[1:] * np.conj(s[:-1])
+    flips = np.where(d.real < 0.0, -1.0, 1.0)
+    signs = np.concatenate(([1.0], np.cumprod(flips)))
+    return s * signs
+
+
+def _segment_moments(roots, leading, a, b, N: int, count: int):
+    """Segment moments int_a^b x^(k-1) / sqrt(f(x)) dx for k = 1..count.
+
+    The one quadrature kernel.  With R the polynomial over the roots other
+    than a and b, phi is the continuously tracked branch of
+    sqrt(-leading * R(x)), anchored at x = a on the principal square root
+    and sampled at a, at the N nodes and at b.  Returns the moments
+    (pi/N) * sum x^(k-1) / phi over the nodes, and phi at a and at b,
+    which orient the chain junctions.
+    """
+    other = list(roots)
+    other.remove(a)
+    other.remove(b)
+    mid = (a + b) / 2.0
+    half = (b - a) / 2.0
+    theta = (2.0 * np.arange(1, N + 1) - 1.0) * np.pi / (2.0 * N)
+    u = np.cos(theta)[::-1]  # ascending from near -1 to near +1
+    x = mid + half * u
+    sample_x = np.concatenate(([complex(a)], x, [complex(b)]))
+    v = np.full(sample_x.shape, -complex(leading), dtype=complex)
+    for e in other:
+        v *= sample_x - e
+    # + 0j canonicalizes any -0.0 imaginary parts, which would otherwise
+    # flip the principal branch cut of the square root
+    phi = _tracked_sqrt(v + 0j)
+    inv_phi = 1.0 / phi[1:-1]
+    moments = np.array(
+        [(np.pi / N) * np.sum(x ** (k - 1) * inv_phi) for k in range(1, count + 1)]
+    )
+    return moments, phi[0], phi[-1]
+
+
+def chain_period_table_loop(curve, segs, N: int):
+    """Chain periods, one segment at a time, with the branch values at both ends.
+
+    The per-segment loop the batched quadrature kernel replaced, kept as
+    it was so that the kernel can be compared with it bit for bit.
+    """
+    g = curve.genus
+    roots = list(curve.branch_points)
+    P = np.empty((2 * g, g), dtype=complex)
+    anchors = np.empty(2 * g, dtype=complex)
+    ends = np.empty(2 * g, dtype=complex)
+    for j, (a, b) in enumerate(segs):
+        moments, anchors[j], ends[j] = _segment_moments(
+            roots, curve.leading_coefficient, a, b, N, g
+        )
+        P[j] = 2.0 * moments
+    return P, anchors, ends

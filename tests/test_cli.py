@@ -100,7 +100,7 @@ class TestPeriodsCommand:
     def _assert_refused(self, argv, code, tmp_path, capsys):
         before = [p.name for p in tmp_path.iterdir()]
         argv = argv + ["--out", tmp_path / "omega.json", "--raw-out", tmp_path / "raw.json"]
-        _refused(argv, code, tmp_path, capsys, before)
+        return _refused(argv, code, tmp_path, capsys, before)
 
     def test_non_siegel_omega_refused(self, tmp_path, monkeypatch, capsys):
         def asymmetric(raw, hom):
@@ -113,6 +113,12 @@ class TestPeriodsCommand:
         # a value only twice the cap: even unguarded it would stay small
         argv = ["periods", "--bundled", "g1_lemniscatic", "--nodes", 2 * periods.MAX_NODES]
         self._assert_refused(argv, 2, tmp_path, capsys)
+
+    def test_nodes_that_would_double_past_the_cap_refused(self, tmp_path, capsys):
+        # doubling runs at least once, so --nodes 8192 would integrate at 16384
+        argv = ["periods", "--bundled", "g2_real_quintic", "--nodes", periods.MAX_NODES]
+        err = self._assert_refused(argv, 2, tmp_path, capsys)
+        assert f"nodes must be <= {periods.MAX_NODES // 2}" in err
 
     @pytest.mark.parametrize(
         "points, leading",

@@ -7,10 +7,11 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    chain_period_table_loop,
     elliptic_K,
     fermat_path_integral,
     fermat_translated_path_integral,
@@ -69,6 +70,21 @@ class TestSegmentIntegral:
         assert abs(tiny - 1e10 * unit) < 1e-12 * abs(tiny)
         with pytest.raises(ValidationError, match="lies on the integration segment"):
             chebyshev_segment_integral([0, 1e-20, 0.5e-20 + 1e-33j], 1, 0, 1e-20, 64)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_integrand_beyond_float_range_refused(self, scale):
+        # the product over the other roots underflows to 0 or overflows: both
+        # entry points refuse it, neither returns NaN
+        roots = [0, scale, 3j * scale, -2 * scale]
+        with pytest.raises(DomainError, match="overflows or underflows"):
+            chebyshev_segment_integral(roots, 1, 0, scale, 64)
+        with pytest.raises(DomainError, match="overflows or underflows"):
+            hyperelliptic_raw_periods(HyperellipticCurve(roots))
+
+    def test_distance_beyond_float_range_refused(self):
+        # abs() of this root overflows in the on-segment check
+        with pytest.raises(DomainError, match="overflows or underflows"):
+            chebyshev_segment_integral([1.7e308 + 1.7e308j, 0, 1], 1, 0, 1, 32)
 
     def test_preconditions(self):
         with pytest.raises(DomainError):
@@ -150,6 +166,15 @@ class TestHyperellipticPeriods:
         monkeypatch.setattr(periods, "MAX_NODES", 32)
         with pytest.raises(DomainError):
             hyperelliptic_raw_periods(bundled_curve("g1_lemniscatic"), nodes=64)
+
+    def test_node_cap_holds(self):
+        # nodes is the first level and doubling runs at least once
+        curve = bundled_curve("g2_real_quintic")
+        raw, _ = hyperelliptic_raw_periods(curve, nodes=periods.MAX_NODES // 2)
+        assert raw.quadrature_nodes == periods.MAX_NODES
+        for nodes in (5000, periods.MAX_NODES):
+            with pytest.raises(DomainError, match="nodes must be <="):
+                hyperelliptic_raw_periods(curve, nodes=nodes)
 
     def test_converged_follows_est_error(self):
         entries = np.zeros((2, 1), dtype=complex)
@@ -251,6 +276,29 @@ def test_tracked_intersection_matches_exhaustive_search(g, geometry, leading):
             # branch point near a segment: draw another configuration
     expected = searched_intersection_matrix(raw.entries)
     assert np.array_equal(np.array(hom.intersection_matrix), expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    geometry=st.sampled_from(["real", "circle", "complex", "clustered"]),
+    g=st.integers(1, 10),
+    N=st.sampled_from([4, 256, 512, 1024]),
+    leading=st.sampled_from(sorted(LEADING)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_kernel_matches_segment_loop_bit_for_bit(geometry, g, N, leading, seed):
+    rng = random.Random(seed)
+    n = 2 * g + 1 + rng.randrange(2)
+    curve = HyperellipticCurve(_branch_points(rng, geometry, n), LEADING[leading](rng))
+    try:
+        _, segs = periods._chain_segments(curve)
+    except ValidationError as exc:
+        assert "a branch point lies on a chain segment" in str(exc)
+        assume(False)
+    batched = periods._chain_period_table(curve, segs, N)
+    for got, want in zip(batched, chain_period_table_loop(curve, segs, N)):
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()  # the signs of zeros too
 
 
 @pytest.mark.parametrize(
@@ -398,9 +446,22 @@ class TestSymplecticReduction:
             assert symplectic_transform_from_intersection(E) == reduced_symplectic_transform(E)
 
 
-# sha256 of the normalized (--out) and raw (--raw-out) period files, recorded
-# with the general lattice reduction in place of the closed-form chain basis.
-# The complex-branch-point curve also pins the last bits of the quadrature.
+# Pinned curves given by their branch points; the other names are bundled.
+PINNED_CURVE_POINTS = {
+    # complex branch points near the unit circle, g = 6
+    "g6_perturbed_circle": [
+        (1.0 + 0.15 * math.sin(3.0 * k))
+        * cmath.exp(2j * math.pi * (k + 0.2 * math.cos(5.0 * k)) / 13)
+        for k in range(13)
+    ],
+    "g7_linspace": [float(x) for x in np.linspace(-1.0, 1.0, 15)],
+    "g8_wide_integer": [float(k) for k in range(17)],  # y^2 = x(x-1)...(x-16)
+}
+# sha256 of the normalized (--out) and raw (--raw-out) period files.  The g2
+# and g7 pins were recorded with the general lattice reduction in place of
+# the closed-form chain basis, the g6 and g8 pins with the per-segment
+# quadrature loop that the batched kernel replaced.  The complex-branch-point
+# curves also pin the last bits of the quadrature.
 PINNED_PERIOD_FILES = {
     "g2_x5_minus_1": (
         "130ff0c6538672c8526ed68e1ee94196e5768efc4586ed3460929e8fe63a9b1e",
@@ -410,18 +471,26 @@ PINNED_PERIOD_FILES = {
         "29ced71961ec9569e0f8f5ef37c7c3b9b21e3d59d8ff7a077dd9e50dd98e644d",
         "cca6978ac1289e60d2fa818094bece0ca09e59b896e7b42b29dd60393267993d",
     ),
+    "g6_perturbed_circle": (
+        "62ecc7a84bf69376679393b69e8d0fb813e254751cd9f5e862844a4f2a8f2d7c",
+        "9737673971b5c654ed740f56af7235394fb8e3043af8b3346af69ca742bde015",
+    ),
     "g7_linspace": (
         "420cd1a91eca42f61b53924393c0c1b116e6fb268e2472bb743878da6de48ed9",
         "963e033662efe45b96d122deed2cc21003665c93dadd14dfeb0a4372e012ff49",
+    ),
+    "g8_wide_integer": (
+        "e6086711eb346fc82f9aec75e8f838076cf4771acc4dfd9cf400b626aeabfe71",
+        "958cf4d2110646398848b1ddf187fb50acb5dff7320b3e3aaae1589a8f01fb24",
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_PERIOD_FILES))
 def test_period_file_bytes_pinned(name, tmp_path, capsys):
-    if name == "g7_linspace":
+    if name in PINNED_CURVE_POINTS:
         curve = tmp_path / "curve.json"
-        points = [float(x) for x in np.linspace(-1.0, 1.0, 15)]
+        points = PINNED_CURVE_POINTS[name]
         curve.write_text(json.dumps(curve_to_dict(HyperellipticCurve(points))))
         source = ["--curve", str(curve)]
     else:
