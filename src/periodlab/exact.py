@@ -16,6 +16,13 @@ Theory*, section 2.2):
   two distinct primes cannot both divide a nonzero minor below P1*P2;
 * a trial with H >= P1*P2 falls back to ``integer_rank``.
 
+``batch_rank`` makes its mod-P2 pass over the stack it is given.  A
+caller that ranks a stream of small stacks, such as the trial chunks of
+one ``modsel`` call, uses ``SecondPrimePool`` instead: the trials owed a
+mod-P2 pass wait there, at most ``capacity`` of them, and are re-ranked
+together when the pool would overflow and once at the end of the stream,
+so a call of a few chunks pays one mod-P2 pass rather than one per chunk.
+
 Every comparison that decides a rank is between integers; no floating
 point is involved anywhere.
 """
@@ -122,6 +129,31 @@ def _hadamard_squared(a: np.ndarray) -> np.ndarray:
     return np.prod(squares.astype(object), axis=1)
 
 
+def _ranks_mod_p1(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ranks of a (B, r, c) ``int64`` stack, and the trials still owed the mod-P2 pass.
+
+    Ranks mod P1 for every trial and ``integer_rank`` for rank-deficient
+    trials whose Hadamard bound H reaches P1*P2 are certified here.  The
+    returned indices are the rank-deficient trials with P1 <= H < P1*P2;
+    their entries hold the rank mod P1 until the mod-P2 pass raises them.
+    """
+    batch, nrows, ncols = a.shape
+    owed = np.empty(0, dtype=np.intp)
+    if min(nrows, ncols) == 0:
+        return np.zeros(batch, dtype=np.int64), owed
+    ranks = _rank_mod(a, P1)
+    deficient = np.flatnonzero(ranks < min(nrows, ncols))
+    if deficient.size == 0:
+        return ranks, owed
+    top = max(int(a.max()), -int(a.min()))
+    if (ncols * top * top) ** nrows < P1 * P1:
+        return ranks, owed  # H^2 <= (ncols * top^2)^nrows < P1^2 for every trial
+    h2 = _hadamard_squared(a[deficient])
+    for k in deficient[h2 >= (P1 * P2) ** 2]:
+        ranks[k] = integer_rank(a[k].tolist())
+    return ranks, deficient[(h2 >= P1 * P1) & (h2 < (P1 * P2) ** 2)]
+
+
 def batch_rank(a) -> np.ndarray:
     """Exact ranks over Q of a (B, r, c) stack of ``int64`` integer matrices.
 
@@ -129,21 +161,52 @@ def batch_rank(a) -> np.ndarray:
     Hadamard bound H reaches P1, and ``integer_rank`` for those whose H
     reaches P1*P2; see the module docstring for the certificate.
     """
-    a = np.asarray(a, dtype=np.int64)
-    _batch, nrows, ncols = a.shape
-    if min(nrows, ncols) == 0:
-        return np.zeros(len(a), dtype=np.int64)
-    ranks = _rank_mod(a, P1)
-    deficient = np.flatnonzero(ranks < min(nrows, ncols))
-    if deficient.size == 0:
-        return ranks
-    top = max(int(a.max()), -int(a.min()))
-    if (ncols * top * top) ** nrows < P1 * P1:
-        return ranks  # H^2 <= (ncols * top^2)^nrows < P1^2 for every trial
-    h2 = _hadamard_squared(a[deficient])
-    second = deficient[(h2 >= P1 * P1) & (h2 < (P1 * P2) ** 2)]
-    if second.size:
-        ranks[second] = np.maximum(ranks[second], _rank_mod(a[second], P2))
-    for k in deficient[h2 >= (P1 * P2) ** 2]:
-        ranks[k] = integer_rank(a[k].tolist())
+    pool = SecondPrimePool(len(a))
+    ranks, _ = pool.rank(a)
+    positions, certified = pool.finish()
+    ranks[positions] = certified
     return ranks
+
+
+_NONE_SETTLED = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int64))
+
+
+class SecondPrimePool:
+    """Exact ranks of a stream of stacks, with the mod-P2 passes pooled across stacks.
+
+    ``rank`` certifies each trial of a stack as the module docstring says,
+    except that the trials owed the mod-P2 pass keep their rank mod P1 and
+    wait in the pool.  They are re-ranked mod P2 in one pass when the next
+    stack's would overflow ``capacity`` trials, and at ``finish``; so the
+    pool never holds more than ``capacity`` matrices once every stack has
+    at most that many trials.  Each pass returns the trials it certified
+    as (positions, ranks), where positions count trials from 0 over every
+    stack given to ``rank``.
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self._ranked = 0
+        self._pending: list[tuple] = []  # (positions, matrices, ranks mod P1) per stack
+        self._size = 0
+
+    def rank(self, a) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        """Ranks of the stack ``a``, and the trials a mod-P2 pass certified meanwhile."""
+        a = np.asarray(a, dtype=np.int64)
+        ranks, owed = _ranks_mod_p1(a)
+        settled = _NONE_SETTLED
+        if self._size + owed.size > self.capacity:
+            settled = self.finish()
+        if owed.size:
+            self._pending.append((owed + self._ranked, a[owed], ranks[owed]))
+            self._size += owed.size
+        self._ranked += len(a)
+        return ranks, settled
+
+    def finish(self) -> tuple[np.ndarray, np.ndarray]:
+        """Empty the pool with one mod-P2 pass: (positions, certified ranks) of its trials."""
+        if not self._size:
+            return _NONE_SETTLED
+        positions, mats, ranks = map(np.concatenate, zip(*self._pending))
+        self._pending, self._size = [], 0
+        return positions, np.maximum(ranks, _rank_mod(mats, P2))

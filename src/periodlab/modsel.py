@@ -9,14 +9,20 @@ through splitmix64 streams so runs are bit-reproducible.
 
 Every experiment runs through one chunked pipeline: splitmix64 bits for a
 chunk of trials (``rng.stream_draws``), the g x g matrices and their
-product-span matrices, exact ranks of both, and streaming counts.  The
-ranks come from ``exact.batch_rank``: elimination mod P1 = 2^31 - 1,
-certified by Hadamard's bound; a rank-deficient trial whose bound reaches
-P1 is ranked again mod P2 = 2147483629, and one whose bound reaches P1*P2
-falls back to Bareiss elimination over the integers.  No floating-point
-value decides any rank.  The single-matrix functions (``bernoulli_matrix``,
-``is_nonsingular_exact``, ``product_span_rank``, ``run_trial``) are
-batches of one through the same kernels.
+product-span matrices, exact ranks of both, and streaming counts.  A
+chunk holds as many trials as fit ``CHUNK_ELEMENTS`` elements of the
+array that is ranked: the (3g-3) x (3g-3) span matrices for select and
+exhaustive, the g x g matrices for singularity.  The ranks are
+elimination mod P1 = 2^31 - 1, certified by Hadamard's bound; a
+rank-deficient trial whose bound reaches P1 is ranked again mod
+P2 = 2147483629, and one whose bound reaches P1*P2 falls back to Bareiss
+elimination over the integers (``exact``).  The mod-P2 re-ranks of a
+call are pooled across its chunks (``exact.SecondPrimePool``) and run
+once at the end of the call, or earlier whenever the pool would exceed a
+chunk of trials.  No floating-point value decides any rank.  The
+single-matrix functions (``bernoulli_matrix``, ``is_nonsingular_exact``,
+``product_span_rank``, ``run_trial``) are batches of one through
+``exact.batch_rank``.
 
 ``run_selection(..., records=True)`` also returns the per-trial records
 that ``trial_log_rows`` renders.  Results are plain dataclasses, written
@@ -26,26 +32,29 @@ out with ``dataclasses.asdict``, and every 3g-3 is ``curves.moduli_count``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .curves import MAX_GENUS, PlaneCurveModel, moduli_count
 from .errors import DomainError, ValidationError
-from .exact import batch_rank
+from .exact import SecondPrimePool, batch_rank
 from .rng import MASK64, stream_draws, trial_seeds
 
-# Trials are processed in chunks whose largest per-trial array (g*g draws,
-# or the 3g-3 outer products of g*g entries) fills about this many
-# elements, so memory stays bounded whatever the trial count.  Measured on
-# the benchmark's singularity and select workloads: 2^15 and 2^16 raise
-# peak RSS by 4-6%, and 2^13 is slower (more chunks, each paying numpy's
-# per-call overhead) with no less memory.
+# Trials are processed in chunks whose ranked arrays (g*g draws and
+# matrices for singularity, (3g-3)^2 span matrices for select) fill about
+# this many elements, so memory stays bounded whatever the trial count.
+# The transient outer products of a select chunk, 3g-3 of g*g entries per
+# trial, reach g^2/(3g-3) times this (2.4 times for the quintic).  Measured
+# on the benchmark's singularity and select workloads, when select chunks
+# were still sized by those outer products: 2^15 and 2^16 raise peak RSS
+# by 4-6%, and 2^13 is slower (more chunks, each paying numpy's per-call
+# overhead) with no less memory.
 CHUNK_ELEMENTS = 2**14
 
 
 def chunk_trials(per_trial: int) -> int:
-    """Trials per chunk when one trial's largest array has ``per_trial`` elements."""
+    """Trials per chunk when one trial's ranked array has ``per_trial`` elements."""
     return max(1, CHUNK_ELEMENTS // per_trial)
 
 
@@ -129,23 +138,17 @@ def _scatter(model: PlaneCurveModel) -> np.ndarray:
     return scatter
 
 
-def _span_ranks(mats: np.ndarray, scatter: np.ndarray, pairs) -> np.ndarray:
-    """Exact product-span ranks of a (B, g, g) stack of change-of-basis matrices.
+def _span_matrices(mats: np.ndarray, scatter: np.ndarray, pairs) -> np.ndarray:
+    """Product-span matrices, one |pairs| x (quad monomials) matrix per change of basis.
 
     Row (a, b) of a trial's span matrix is outer(M[a], M[b]) flattened,
     times the scatter matrix: the coefficients of omega_a * omega_b over
-    the quad monomials.
+    the quad monomials.  The outer products, g*g/(3g-3) times the size of
+    the result for the quartic and quintic, are freed on return.
     """
     first, second = np.array(pairs).T
     outer = mats[:, first, :, None] * mats[:, second, None, :]
-    rows = outer.reshape(len(mats), len(pairs), -1) @ scatter
-    del outer  # the largest array of the chunk; not needed while ranking
-    return batch_rank(rows)
-
-
-def _select_ranks(mats: np.ndarray, scatter: np.ndarray, pairs):
-    """(nonsingular, span_rank) arrays for a (B, g, g) stack of matrices."""
-    return batch_rank(mats) == mats.shape[1], _span_ranks(mats, scatter, pairs)
+    return outer.reshape(len(mats), len(pairs), -1) @ scatter
 
 
 def product_span_rank(model: PlaneCurveModel, m: BernoulliMatrix, pairs) -> int:
@@ -162,7 +165,7 @@ def product_span_rank(model: PlaneCurveModel, m: BernoulliMatrix, pairs) -> int:
     if not all(0 <= a <= b < g for a, b in pairs):
         raise ValidationError("index pairs must satisfy 0 <= i <= j < g")
     mats = np.array([m.entries], dtype=np.int64)
-    return int(_span_ranks(mats, _scatter(model), pairs)[0])
+    return int(batch_rank(_span_matrices(mats, _scatter(model), pairs))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -215,31 +218,50 @@ def _records(start, seeds, nonsingular, span, target) -> list[TrialRecord]:
 def run_trial(model: PlaneCurveModel, p: float, seed: int, trial_index: int = 0) -> TrialRecord:
     """One full experiment instance with an explicit per-trial seed."""
     g = model.genus
-    pairs = first_three_rows_indices(g)
-    nonsingular, span = _select_ranks(_bits(_one_seed(seed), g, p), _scatter(model), pairs)
-    return _records(trial_index, [seed], nonsingular, span, moduli_count(g))[0]
+    mats = _bits(_one_seed(seed), g, p)
+    span = batch_rank(_span_matrices(mats, _scatter(model), first_three_rows_indices(g)))
+    return _records(trial_index, [seed], batch_rank(mats) == g, span, moduli_count(g))[0]
 
 
-def _select_stats(model, n_trials, matrices, log=None, exact=False) -> SuccessStats:
+def _select_stats(
+    model, n_trials, matrices, records=False, exact=False
+) -> tuple[SuccessStats, list[TrialRecord]]:
     """Stream trials 0..n_trials-1 through the ranks; the one select pipeline.
 
     ``matrices(start, stop)`` returns a chunk's per-trial labels (seeds or
-    codes) and its (B, g, g) matrices.  Records are appended to ``log``
-    when it is a list.
+    codes) and its (B, g, g) matrices.  A chunk holds as many trials as
+    fit ``CHUNK_ELEMENTS`` elements of span matrices, and the span ranks
+    owed a mod-P2 pass wait in one pool of at most a chunk of trials.
+    Returns the stats, and the records too when ``records`` is set.
     """
     g = model.genus
     target = moduli_count(g)
     pairs = first_three_rows_indices(g)
     scatter = _scatter(model)
+    per_trial = len(pairs) * scatter.shape[1]  # elements of one span matrix
+    pool = SecondPrimePool(chunk_trials(per_trial))
+    log: list[TrialRecord] = []
     succ = nonsing = 0
-    for start, stop in _chunks(n_trials, len(pairs) * g * g):
+
+    def settle(positions, ranks):
+        # a pooled trial is rank-deficient mod P1, so not yet counted a success
+        nonlocal succ
+        succ += int(np.count_nonzero(ranks == target))
+        if records:
+            for k, r in zip(positions.tolist(), ranks.tolist()):
+                log[k] = replace(log[k], span_rank=r, success=r == target)
+
+    for start, stop in _chunks(n_trials, per_trial):
         labels, mats = matrices(start, stop)
-        nonsingular, span = _select_ranks(mats, scatter, pairs)
+        nonsingular = batch_rank(mats) == g
+        span, settled = pool.rank(_span_matrices(mats, scatter, pairs))
         succ += int(np.count_nonzero(span == target))
         nonsing += int(np.count_nonzero(nonsingular))
-        if log is not None:
+        if records:
             log.extend(_records(start, labels.tolist(), nonsingular, span, target))
-    return _stats(n_trials, succ, nonsing, exact)
+        settle(*settled)
+    settle(*pool.finish())
+    return _stats(n_trials, succ, nonsing, exact), log
 
 
 def run_selection(
@@ -259,8 +281,7 @@ def run_selection(
         seeds = trial_seeds(seed, start, stop)
         return seeds, _bits(seeds, model.genus, p)
 
-    log: list[TrialRecord] = []
-    return _select_stats(model, n_trials, matrices, log if records else None), log
+    return _select_stats(model, n_trials, matrices, records)
 
 
 def monte_carlo(model: PlaneCurveModel, p: float, n_trials: int, seed: int) -> SuccessStats:
@@ -290,7 +311,7 @@ def exhaustive(model: PlaneCurveModel) -> SuccessStats:
         codes = np.arange(start, stop, dtype=np.int64)
         return codes, ((codes[:, None] >> shifts) & 1).reshape(-1, g, g)
 
-    return _select_stats(model, 2 ** (g * g), matrices, exact=True)
+    return _select_stats(model, 2 ** (g * g), matrices, exact=True)[0]
 
 
 def singularity_rate(g: int, p: float, n_trials: int, seed: int) -> SuccessStats:
@@ -304,11 +325,13 @@ def singularity_rate(g: int, p: float, n_trials: int, seed: int) -> SuccessStats
         raise DomainError(f"g must be <= {MAX_GENUS}")
     if n_trials < 1:
         raise DomainError("n_trials must be >= 1")
-    singular = 0
+    pool = SecondPrimePool(chunk_trials(g * g))
+    nonsingular = 0  # a pooled trial is rank-deficient mod P1 until its pass settles it
     for start, stop in _chunks(n_trials, g * g):
-        mats = _bits(trial_seeds(seed, start, stop), g, p)
-        singular += int(np.count_nonzero(batch_rank(mats) < g))
-    return _stats(n_trials, singular, n_trials - singular)
+        ranks, (_, settled) = pool.rank(_bits(trial_seeds(seed, start, stop), g, p))
+        nonsingular += int(np.count_nonzero(ranks == g) + np.count_nonzero(settled == g))
+    nonsingular += int(np.count_nonzero(pool.finish()[1] == g))
+    return _stats(n_trials, n_trials - nonsingular, nonsingular)
 
 
 # ---------------------------------------------------------------------------

@@ -190,8 +190,14 @@ def _chain_moments(roots, leading, segs, N: int, count: int):
         inv_phi = np.divide(1.0, phi[:, 1:-1], out=scratch[:, 1:-1])
         moments = np.empty((len(segs), count), dtype=complex)
         for k in range(1, count + 1):
-            terms = x ** (k - 1)
-            terms *= inv_phi
+            # x ** 0 and x ** 1 are exactly ones and x, but cost a power each
+            if k == 1:
+                terms = inv_phi * (1 + 0j)
+            elif k == 2:
+                terms = x * inv_phi
+            else:
+                terms = x ** (k - 1)
+                terms *= inv_phi
             moments[:, k - 1] = np.sum(terms, axis=-1)
         moments *= np.pi / N
     return moments, phi[:, 0].copy(), phi[:, -1].copy()

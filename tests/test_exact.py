@@ -8,6 +8,7 @@ from oracles import cofactor_determinant
 from periodlab.exact import (
     P1,
     P2,
+    SecondPrimePool,
     batch_rank,
     integer_rank,
 )
@@ -102,3 +103,18 @@ def test_mixed_batch_takes_each_branch():
 def test_batch_rank_empty_shapes():
     assert batch_rank(np.zeros((0, 3, 3), dtype=np.int64)).tolist() == []
     assert batch_rank(np.zeros((2, 0, 3), dtype=np.int64)).tolist() == [0, 0]
+
+
+def test_second_prime_pool_defers_and_flushes():
+    # every stack holds one trial owed the mod-P2 pass; a pool of two re-ranks
+    # them when a third would overflow it, and the rest at finish
+    owed = np.diag([P1, 1, 1])
+    stack = np.array([np.eye(3, dtype=np.int64), owed])
+    pool = SecondPrimePool(2)
+    results = [pool.rank(stack) for _ in range(3)]
+    assert [ranks.tolist() for ranks, _ in results] == [[3, 2]] * 3
+    assert [positions.tolist() for _, (positions, _) in results] == [[], [], [1, 3]]
+    assert results[2][1][1].tolist() == [3, 3]
+    positions, ranks = pool.finish()
+    assert (positions.tolist(), ranks.tolist()) == ([5], [3])
+    assert pool.finish()[0].size == 0

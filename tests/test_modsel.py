@@ -1,12 +1,16 @@
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import cofactor_determinant
+from periodlab import cli, exact, modsel
 from periodlab.curves import PlaneCurveModel
-from periodlab.rng import SplitMix64, derive_seed
+from periodlab.exact import integer_rank
+from periodlab.rng import SplitMix64, derive_seed, trial_seeds
 from periodlab.errors import DomainError, ValidationError
 from periodlab.modsel import (
     BernoulliMatrix,
@@ -26,6 +30,33 @@ from periodlab.modsel import (
 
 QUARTIC = PlaneCurveModel(4)
 QUINTIC = PlaneCurveModel(5)
+# elements of one quintic span matrix: 15 pairs over 15 quad monomials
+QUINTIC_SPAN_ELEMENTS = len(first_three_rows_indices(6)) * len(QUINTIC.quad_monomials)
+
+
+def _count_rank_passes(monkeypatch):
+    """Record every ``exact._rank_mod`` pass as (prime, matrix shape, trials), and per
+    quintic span stack how many trials are owed the mod-P2 pass."""
+    owed, passes = [], []
+    ranks_mod_p1, rank_mod = exact._ranks_mod_p1, exact._rank_mod
+
+    def counting_ranks_mod_p1(a):
+        ranks, second = ranks_mod_p1(a)
+        if a.shape[1:] == (15, 15):
+            owed.append(second.size)
+        return ranks, second
+
+    def counting_rank_mod(a, p):
+        passes.append((p, a.shape[1:], len(a)))
+        return rank_mod(a, p)
+
+    monkeypatch.setattr(exact, "_ranks_mod_p1", counting_ranks_mod_p1)
+    monkeypatch.setattr(exact, "_rank_mod", counting_rank_mod)
+    return owed, passes
+
+
+def _p2_sizes(passes):
+    return [trials for p, _, trials in passes if p == exact.P2]
 
 
 def _matrix(g, rows):
@@ -152,21 +183,88 @@ class TestTrials:
         assert stats.trials == 200
         assert 0.0 <= stats.estimate <= 1.0
         assert stats.ci95_halfwidth > 0.0
-        assert stats.successes <= stats.nonsingular_count or True  # counts independent
+
+    @pytest.mark.parametrize("seed", [3, -7, 2**64 + 3])
+    @pytest.mark.parametrize("p", [0.2, 0.5, 0.9])
+    def test_quartic_success_iff_nonsingular(self, seed, p):
+        # g = 3: Sym^2 H^0(K) = H^0(2K), so the products span iff M is invertible
+        stats, records = run_selection(QUARTIC, p, 200, seed, records=True)
+        assert all(r.success == r.matrix_nonsingular for r in records)
+        assert stats.successes == stats.nonsingular_count
+
+    def _assert_records_match_single_trials(self, p, n, seed):
+        stats, records = run_selection(QUINTIC, p, n, seed, records=True)
+        assert [r.trial_index for r in records] == list(range(n))
+        for r in records:
+            assert r == run_trial(QUINTIC, p, derive_seed(seed, r.trial_index), r.trial_index)
+        assert stats.successes == sum(r.success for r in records)
+        assert stats.nonsingular_count == sum(r.matrix_nonsingular for r in records)
+        assert run_selection(QUINTIC, p, n, seed) == (stats, [])
 
     @pytest.mark.parametrize("seed", [-7, 2**64 + 3])
     @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
     def test_batched_records_match_single_trials_across_chunks(self, seed, p):
         # chunk boundaries must not change any record
-        chunk = chunk_trials(15 * 6 * 6)  # quintic: 15 pairs of 6 x 6 outer products
+        chunk = chunk_trials(QUINTIC_SPAN_ELEMENTS)
         for n in (1, chunk - 1, chunk, chunk + 1):
-            stats, records = run_selection(QUINTIC, p, n, seed, records=True)
-            assert [r.trial_index for r in records] == list(range(n))
-            for r in records:
-                assert r == run_trial(QUINTIC, p, derive_seed(seed, r.trial_index), r.trial_index)
-            assert stats.successes == sum(r.success for r in records)
-            assert stats.nonsingular_count == sum(r.matrix_nonsingular for r in records)
-            assert run_selection(QUINTIC, p, n, seed)[1] == []
+            self._assert_records_match_single_trials(p, n, seed)
+
+    def test_second_prime_pass_straddles_a_chunk_boundary(self, monkeypatch):
+        # trials owed the mod-P2 pass on both sides of a boundary share one pass
+        owed, passes = _count_rank_passes(monkeypatch)
+        chunk = chunk_trials(QUINTIC_SPAN_ELEMENTS)
+        run_selection(QUINTIC, 0.5, 2 * chunk, 11)
+        assert len(owed) == 2 and all(k > 0 for k in owed)
+        assert _p2_sizes(passes) == [sum(owed)]
+        self._assert_records_match_single_trials(0.5, 2 * chunk, 11)
+
+    def test_full_second_prime_pool_flushes_mid_call(self, monkeypatch):
+        # four trials per chunk: the pool fills and is re-ranked mod P2 before the end
+        monkeypatch.setattr(modsel, "CHUNK_ELEMENTS", 4 * QUINTIC_SPAN_ELEMENTS)
+        owed, passes = _count_rank_passes(monkeypatch)
+        n = 60
+        run_selection(QUINTIC, 0.5, n, 5)
+        assert len(owed) == n // 4
+        p2_sizes = _p2_sizes(passes)
+        assert len(p2_sizes) >= 2
+        assert max(p2_sizes) <= 4
+        assert sum(p2_sizes) == sum(owed)
+        self._assert_records_match_single_trials(0.5, n, 5)
+
+    @pytest.mark.parametrize("seed", [1, 77, 2**64 - 1])
+    def test_select_call_rank_passes(self, seed, monkeypatch, tmp_path):
+        # one select call of 100 quintic trials: two chunks, so two passes mod P1
+        # per stack shape and at most one mod-P2 pass, over at most a chunk of trials
+        owed, passes = _count_rank_passes(monkeypatch)
+        argv = ["select", "--model", "quintic", "--trials", "100", "--seed", str(seed)]
+        assert cli.main(argv + ["--out", str(tmp_path / "log.csv")]) == 0
+        p1_shapes = Counter(shape for p, shape, _ in passes if p == exact.P1)
+        assert p1_shapes == {(6, 6): 2, (15, 15): 2}
+        p2_sizes = _p2_sizes(passes)
+        assert len(p2_sizes) <= 1
+        assert sum(p2_sizes) == sum(owed) <= chunk_trials(QUINTIC_SPAN_ELEMENTS)
+
+    def test_second_prime_pass_corrects_pooled_records(self, monkeypatch):
+        # 0/1 trials almost never rank differently mod P1 and P2, so give each
+        # quartic trial the span matrix diag(P1 or 1, 1, 1, 1, 1, M[1][1]):
+        # when M[0][0] = 1 its rank mod P1 is one short, and only the pooled
+        # mod-P2 pass, across four-trial chunks, sees the missing rank
+        def span_matrices(mats, scatter, pairs):
+            diag = np.ones((len(mats), 6), dtype=np.int64)
+            diag[:, 0] = np.where(mats[:, 0, 0] == 1, exact.P1, 1)
+            diag[:, 5] = mats[:, 1, 1]
+            return diag[:, :, None] * np.eye(6, dtype=np.int64)
+
+        monkeypatch.setattr(modsel, "_span_matrices", span_matrices)
+        monkeypatch.setattr(modsel, "CHUNK_ELEMENTS", 4 * 36)
+        stats, records = run_selection(QUARTIC, 0.5, 40, 3, records=True)
+        for r in records:
+            assert r == run_trial(QUARTIC, 0.5, r.seed, r.trial_index)
+            m = bernoulli_matrix(3, 0.5, r.seed).entries
+            assert r.span_rank == 5 + m[1][1]
+        assert {r.span_rank for r in records} == {5, 6}
+        assert stats.successes == sum(r.success for r in records)
+        assert run_selection(QUARTIC, 0.5, 40, 3)[0] == stats
 
     def test_trial_log_row_count(self):
         records = run_selection(QUARTIC, 0.5, 25, 1, records=True)[1]
@@ -208,6 +306,27 @@ class TestSingularityRate:
                 for i in range(n)
             )
             assert singularity_rate(g, 0.5, n, -7).successes == singular
+
+    def test_second_prime_pass_settles_pooled_trials(self, monkeypatch):
+        # entry (0, 0) scaled by P1: such a trial ranks one short mod P1 when the
+        # entry is needed, and only the pooled mod-P2 pass, across three-trial
+        # chunks, finds it nonsingular
+        bits = modsel._bits
+
+        def scaled_bits(seeds, g, p):
+            mats = bits(seeds, g, p)
+            mats[:, 0, 0] *= exact.P1
+            return mats
+
+        monkeypatch.setattr(modsel, "_bits", scaled_bits)
+        monkeypatch.setattr(modsel, "CHUNK_ELEMENTS", 3 * 9)
+        mats = scaled_bits(trial_seeds(8, 0, 60), 3, 0.5)
+        singular = sum(integer_rank(m) < 3 for m in mats.tolist())
+        mod_p1_singular = sum(integer_rank((m % exact.P1).tolist()) < 3 for m in mats)
+        assert mod_p1_singular > singular
+        stats = singularity_rate(3, 0.5, 60, 8)
+        assert stats.successes == singular
+        assert stats.nonsingular_count == 60 - singular
 
     def test_deterministic(self):
         a = singularity_rate(4, 0.5, 100, 5)
