@@ -7,7 +7,10 @@ Subcommands map one-to-one onto library operations: ``periods``,
 key=value summary line.
 
 Handlers only compute; ``main`` prints, maps exceptions to exit codes and
-writes all of a command's outputs or none, as one transaction.  Every
+writes all of a command's outputs or none, as one transaction.  The
+output targets are checked right after parsing as well, before any work:
+a target named twice, in a missing directory or naming a directory is
+refused at once, with the same ``error:`` line the write would give.  Every
 refusal, argparse's included, is an exception whose class alone gives the
 exit code (see ``errors``), and ``main`` prints it as one ``error:`` line.
 The parser is built once per process and reused by every ``main`` call, so
@@ -30,6 +33,7 @@ import functools
 import io
 import json
 import os
+import stat
 import sys
 import tempfile
 
@@ -73,25 +77,42 @@ def _csv_text(rows) -> str:
     return buf.getvalue()
 
 
+def _check_targets(paths) -> list[str]:
+    """The absolute paths of the output ``paths``, refused unless each can be written.
+
+    A path is refused when another output names the same file, when its
+    directory does not exist, or when it is a directory.  A path that
+    exists costs one ``stat``: every command checks its targets twice.
+    """
+    fulls = [os.path.abspath(path) for path in paths]
+    for path, full in zip(paths, fulls):
+        if fulls.count(full) > 1:
+            raise DomainError(f"cannot write {path}: named as more than one output")
+        try:
+            is_dir = stat.S_ISDIR(os.stat(full).st_mode)
+        except OSError:  # nothing there yet, so its directory must exist
+            is_dir = False
+            if not os.path.isdir(os.path.dirname(full)):
+                raise DomainError(f"cannot write {path}: no such directory") from None
+        if is_dir:
+            raise DomainError(f"cannot write {path}: is a directory")
+    return fulls
+
+
 def _commit(outputs) -> None:
     """Write every ``(path, text)`` of ``outputs``, or none of them.
 
-    All targets are checked, then every text is written to a temp file
-    beside its target, then all are renamed into place.  A failure names
-    the requested path and leaves no file behind.  One window remains: a
-    rename that fails after earlier renames succeeded keeps those files.
-    Files get mode 0o666 less the umask, as ``open`` would give them.
+    All targets are checked again (``main`` checked them before the
+    command ran, but the file system may have changed since), then every
+    text is written to a temp file beside its target, then all are renamed
+    into place.  A failure names the requested path and leaves no file
+    behind.  One window remains: a rename that fails after earlier renames
+    succeeded keeps those files.  Files get mode 0o666 less the umask, as
+    ``open`` would give them.
     """
     umask = os.umask(0)
     os.umask(umask)
-    fulls = [os.path.abspath(path) for path, _text in outputs]
-    for (path, _text), full in zip(outputs, fulls):
-        if fulls.count(full) > 1:
-            raise DomainError(f"cannot write {path}: named as more than one output")
-        if not os.path.isdir(os.path.dirname(full)):
-            raise DomainError(f"cannot write {path}: no such directory")
-        if os.path.isdir(full):
-            raise DomainError(f"cannot write {path}: is a directory")
+    fulls = _check_targets([path for path, _text in outputs])
     temps = []
     try:
         for (target, text), full in zip(outputs, fulls):
@@ -298,7 +319,11 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The process's one parser, shared by every caller: parse with it, never modify it."""
+    """The process's one parser, shared by every caller: parse with it, never modify it.
+
+    Each subcommand sets ``func``, its handler, and ``outputs``, the names
+    of its output-path arguments in the order the handler writes them.
+    """
     parser = _Parser(
         prog="periodlab",
         description="Period matrices, Siegel validation, and moduli-selection experiments",
@@ -313,12 +338,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["raw", "normalized"], default="normalized")
     p.add_argument("--raw-out", help="also write the raw 2g x g table here")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_periods)
+    p.set_defaults(func=_cmd_periods, outputs=("out", "raw_out"))
 
     p = sub.add_parser("validate", help="check Siegel membership of a period file")
     p.add_argument("path")
     p.add_argument("--tol", type=float, default=siegel.DEFAULT_TOL)
-    p.set_defaults(func=_cmd_validate)
+    p.set_defaults(func=_cmd_validate, outputs=())
 
     p = sub.add_parser("select", help="Monte Carlo moduli-selection trials")
     p.add_argument("--model", required=True, choices=MODELS)
@@ -327,12 +352,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="trial log CSV")
     p.add_argument("--summary", help="stats summary JSON")
-    p.set_defaults(func=_cmd_select)
+    p.set_defaults(func=_cmd_select, outputs=("out", "summary"))
 
     p = sub.add_parser("exhaustive", help="enumerate every 0/1 matrix (small genus)")
     p.add_argument("--model", required=True, choices=MODELS)
     p.add_argument("--summary", help="stats summary JSON")
-    p.set_defaults(func=_cmd_exhaustive)
+    p.set_defaults(func=_cmd_exhaustive, outputs=("summary",))
 
     p = sub.add_parser("singularity", help="estimate Pr[M singular] exactly")
     p.add_argument("--g", type=int, required=True)
@@ -340,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--summary", help="stats summary JSON")
-    p.set_defaults(func=_cmd_singularity)
+    p.set_defaults(func=_cmd_singularity, outputs=("summary",))
 
     p = sub.add_parser("stats", help="spectrum / fit / histogram of a period file")
     p.add_argument("--in", dest="input", required=True)
@@ -349,18 +374,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=int, default=32)
     p.add_argument("--fit", help="power-law fit JSON output")
     p.add_argument("--k", type=int, help="report best-k energy for this k")
-    p.set_defaults(func=_cmd_stats)
+    p.set_defaults(func=_cmd_stats, outputs=("spectrum", "hist", "fit"))
 
     p = sub.add_parser("siegel-sample", help="random element of the Siegel upper half-space")
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_siegel_sample)
+    p.set_defaults(func=_cmd_siegel_sample, outputs=("out",))
 
     p = sub.add_parser("bounds", help="evaluate the labeled probability expressions")
     p.add_argument("--g", type=int, required=True)
-    p.set_defaults(func=_cmd_bounds)
+    p.set_defaults(func=_cmd_bounds, outputs=())
 
     return parser
 
@@ -368,6 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        targets = [getattr(args, name) for name in args.outputs]
+        _check_targets([path for path in targets if path])
         code, line, outputs = args.func(args)
         _commit(outputs)
     except tuple(EXIT_CODES) as exc:

@@ -23,6 +23,13 @@ mod-P2 pass wait there, at most ``capacity`` of them, and are re-ranked
 together when the pool would overflow and once at the end of the stream,
 so a call of a few chunks pays one mod-P2 pass rather than one per chunk.
 
+The elimination mod a prime (``_rank_mod``) runs on one (column, row,
+trial) work block and one scratch block of the same shape, preallocated
+per stack: every update and reduction writes into them with ``out=``, so
+a stack costs two blocks of its size and no per-column temporaries of
+that size.  Reductions are x - (x // p) * p rather than
+``np.remainder``, which numpy evaluates several times slower.
+
 Every comparison that decides a rank is between integers; no floating
 point is involved anywhere.
 """
@@ -76,16 +83,16 @@ def integer_rank(rows: Sequence[Sequence[int]]) -> int:
     return rank
 
 
-def _reduce(x: np.ndarray, p: int) -> np.ndarray:
-    """x mod p into [0, p), in place.
+def _reduce(x: np.ndarray, p: int, scratch: np.ndarray) -> None:
+    """x mod p into [0, p), in place, with ``scratch`` (x's shape) for the quotient.
 
-    numpy divides by a scalar several times faster than it takes a
-    remainder, so this is x - (x // p) * p.
+    This is x - (x // p) * p: numpy divides ``int64`` by a scalar through
+    a precomputed multiplier, about 7 times faster than ``np.remainder``
+    takes the remainder (numpy 2.4, 8000 elements, 1.2 against 8.6 ns each).
     """
-    quotient = np.floor_divide(x, p)
-    quotient *= p
-    x -= quotient
-    return x
+    np.floor_divide(x, p, out=scratch)
+    scratch *= p
+    x -= scratch
 
 
 def _rank_mod(a: np.ndarray, p: int) -> np.ndarray:
@@ -96,26 +103,41 @@ def _rank_mod(a: np.ndarray, p: int) -> np.ndarray:
     no modular inverse is needed.  That turns the pivot row itself into
     zeros, so a row used as a pivot is never chosen again.  Entries are
     kept in [0, p) with p < 2^31, so each product stays below 2^62 and the
-    arithmetic is exact in ``int64``.  The work array is laid out
-    (column, row, trial) so each update runs over one contiguous block.
+    arithmetic is exact in ``int64``.
+
+    The work block is laid out (column, row, trial), so each update runs
+    over one contiguous block, and one scratch block of the same shape
+    takes every intermediate: the outer product entry * pivot_row and the
+    quotients of each reduction write into it with ``out=``, so no column
+    allocates an array of the block's size.  (numpy's iterator still
+    takes its fixed buffers, at most 8192 elements an operand, for the two
+    broadcasting products.)  The pivot of each trial is its first nonzero
+    row in the column; its value is gathered once and is zero exactly when
+    the column has no pivot.
     """
-    a = _reduce(a.transpose(2, 1, 0).copy(), p)
-    ncols, _nrows, batch = a.shape
-    trials = np.arange(batch)
+    work = a.transpose(2, 1, 0).copy()
+    scratch = np.empty_like(work)
+    _reduce(work, p, scratch)
+    ncols, nrows, batch = work.shape
     rank = np.zeros(batch, dtype=np.int64)
+    if nrows == 0:
+        return rank
+    trials = np.arange(batch)
     for col in range(ncols):
-        column = a[col]
-        nonzero = column != 0
-        found = nonzero.any(axis=0)
+        column = work[col]
+        piv = (column != 0).argmax(axis=0)
+        pivot = column[piv, trials]
+        found = pivot != 0
         rank += found
         if col + 1 == ncols:
             break
-        piv = nonzero.argmax(axis=0)
-        rest = a[col + 1 :]
+        rest, product = work[col + 1 :], scratch[col + 1 :]
         pivot_row = rest[:, piv, trials]
-        rest *= np.where(found, column[piv, trials], 1)
-        rest -= column * pivot_row[:, None, :]
-        _reduce(rest, p)
+        pivot[~found] = 1  # no pivot: the column is zero, leave the rows as they are
+        rest *= pivot
+        np.multiply(column, pivot_row[:, None, :], out=product)
+        rest -= product
+        _reduce(rest, p, product)
     return rank
 
 

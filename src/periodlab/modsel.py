@@ -24,6 +24,16 @@ single-matrix functions (``bernoulli_matrix``, ``is_nonsingular_exact``,
 ``product_span_rank``, ``run_trial``) are batches of one through
 ``exact.batch_rank``.
 
+Span matrices are assembled in ``int64`` without a matrix product: each
+quad-monomial column is a sum of at most four products M[a, j] * M[b, l],
+one per member (j, l) with zeta_j * zeta_l the column's monomial.  The
+sums are built one member round at a time, each round adding into a
+prefix of the columns, so the columns are ordered by member count
+(``_span_table``).  That order is one fixed column permutation of the
+quad-monomial basis, and a column permutation changes no rank (mod P1,
+mod P2 or over Q) and no row norm, so every count, record and certificate
+branch is the one the basis order gives.
+
 ``run_selection(..., records=True)`` also returns the per-trial records
 that ``trial_log_rows`` renders.  Results are plain dataclasses, written
 out with ``dataclasses.asdict``, and every 3g-3 is ``curves.moduli_count``.
@@ -33,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,12 +55,14 @@ from .rng import MASK64, stream_draws, trial_seeds
 # Trials are processed in chunks whose ranked arrays (g*g draws and
 # matrices for singularity, (3g-3)^2 span matrices for select) fill about
 # this many elements, so memory stays bounded whatever the trial count.
-# The transient outer products of a select chunk, 3g-3 of g*g entries per
-# trial, reach g^2/(3g-3) times this (2.4 times for the quintic).  Measured
-# on the benchmark's singularity and select workloads, when select chunks
-# were still sized by those outer products: 2^15 and 2^16 raise peak RSS
-# by 4-6%, and 2^13 is slower (more chunks, each paying numpy's per-call
-# overhead) with no less memory.
+# No transient outgrows the ranked array: a select chunk's span assembly
+# holds at most two gathered member rounds beside the span matrices, each
+# no larger than they are, and a rank pass one scratch block of the
+# stack's size.  Measured on the benchmark's singularity and select
+# workloads, when select chunks were still sized by the outer products the
+# span assembly then built: 2^15 and 2^16 raise peak RSS by 4-6%, and 2^13
+# is slower (more chunks, each paying numpy's per-call overhead) with no
+# less memory.
 CHUNK_ELEMENTS = 2**14
 
 
@@ -126,29 +139,61 @@ def first_three_rows_indices(g: int) -> tuple[tuple[int, int], ...]:
     return pairs
 
 
-def _scatter(model: PlaneCurveModel) -> np.ndarray:
-    """(g*g, 3g-3) 0/1 matrix: row j*g + l holds zeta_j * zeta_l in the quad basis."""
+class _SpanTable(NamedTuple):
+    """How ``_span_matrices`` assembles a model's span matrices.
+
+    ``columns[c]`` is the index in ``model.quad_monomials`` of span column
+    c: the columns are ordered by their number of members, the ordered
+    pairs (j, l) with zeta_j * zeta_l equal to the column's monomial, most
+    first, and by monomial index among equals.  ``rounds[k]`` holds the
+    (j, l) index arrays of the k-th member of every column that has more
+    than k members; by that order those columns are a prefix.
+    """
+
+    columns: tuple[int, ...]
+    rounds: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+
+def _span_table(model: PlaneCurveModel) -> _SpanTable:
+    """The column order and member rounds of ``model``'s span matrices."""
     g = model.genus
     quad_index = {mon: c for c, mon in enumerate(model.quad_monomials)}
     diff = model.diff_monomials
-    scatter = np.zeros((g * g, len(model.quad_monomials)), dtype=np.int64)
+    members = [[] for _ in model.quad_monomials]
     for j in range(g):
         for l in range(g):
-            scatter[j * g + l, quad_index[tuple(a + b for a, b in zip(diff[j], diff[l]))]] = 1
-    return scatter
+            members[quad_index[tuple(a + b for a, b in zip(diff[j], diff[l]))]].append((j, l))
+    columns = sorted(range(len(members)), key=lambda c: -len(members[c]))
+    rounds = []
+    for k in range(len(members[columns[0]])):
+        j, l = zip(*(members[c][k] for c in columns if len(members[c]) > k))
+        rounds.append((np.array(j), np.array(l)))
+    return _SpanTable(tuple(columns), tuple(rounds))
 
 
-def _span_matrices(mats: np.ndarray, scatter: np.ndarray, pairs) -> np.ndarray:
+def _span_matrices(mats: np.ndarray, table: _SpanTable, pairs) -> np.ndarray:
     """Product-span matrices, one |pairs| x (quad monomials) matrix per change of basis.
 
-    Row (a, b) of a trial's span matrix is outer(M[a], M[b]) flattened,
-    times the scatter matrix: the coefficients of omega_a * omega_b over
-    the quad monomials.  The outer products, g*g/(3g-3) times the size of
-    the result for the quartic and quintic, are freed on return.
+    ``mats`` is a (B, g, g) ``int64`` stack of changes of basis M.  Row
+    (a, b) of a trial's span matrix holds the coefficients of
+    omega_a * omega_b over the quad monomials, in the column order of
+    ``table``: column c is the sum over its members (j, l) of
+    M[a, j] * M[b, l].  The sum is built one member round at a time, each
+    round gathering its factors from the rows of the stack and adding their
+    product into a prefix of the columns, all in ``int64``, so the only
+    temporaries are two gathered rounds.  The columns are the quad
+    monomials in a fixed order, so ranks and row norms are those of the
+    matrices in ``model.quad_monomials`` order.
     """
-    first, second = np.array(pairs).T
-    outer = mats[:, first, :, None] * mats[:, second, None, :]
-    return outer.reshape(len(mats), len(pairs), -1) @ scatter
+    first, second = np.array(pairs).T[:, :, None]  # (|pairs|, 1) row indices each
+    (j, l), *later = table.rounds  # round 0 covers every column
+    span = mats[:, first, j]
+    span *= mats[:, second, l]
+    for j, l in later:
+        term = mats[:, first, j]
+        term *= mats[:, second, l]
+        span[..., : len(j)] += term
+    return span
 
 
 def product_span_rank(model: PlaneCurveModel, m: BernoulliMatrix, pairs) -> int:
@@ -165,7 +210,7 @@ def product_span_rank(model: PlaneCurveModel, m: BernoulliMatrix, pairs) -> int:
     if not all(0 <= a <= b < g for a, b in pairs):
         raise ValidationError("index pairs must satisfy 0 <= i <= j < g")
     mats = np.array([m.entries], dtype=np.int64)
-    return int(batch_rank(_span_matrices(mats, _scatter(model), pairs))[0])
+    return int(batch_rank(_span_matrices(mats, _span_table(model), pairs))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +264,7 @@ def run_trial(model: PlaneCurveModel, p: float, seed: int, trial_index: int = 0)
     """One full experiment instance with an explicit per-trial seed."""
     g = model.genus
     mats = _bits(_one_seed(seed), g, p)
-    span = batch_rank(_span_matrices(mats, _scatter(model), first_three_rows_indices(g)))
+    span = batch_rank(_span_matrices(mats, _span_table(model), first_three_rows_indices(g)))
     return _records(trial_index, [seed], batch_rank(mats) == g, span, moduli_count(g))[0]
 
 
@@ -237,8 +282,8 @@ def _select_stats(
     g = model.genus
     target = moduli_count(g)
     pairs = first_three_rows_indices(g)
-    scatter = _scatter(model)
-    per_trial = len(pairs) * scatter.shape[1]  # elements of one span matrix
+    table = _span_table(model)
+    per_trial = len(pairs) * len(table.columns)  # elements of one span matrix
     pool = SecondPrimePool(chunk_trials(per_trial))
     log: list[TrialRecord] = []
     succ = nonsing = 0
@@ -254,7 +299,7 @@ def _select_stats(
     for start, stop in _chunks(n_trials, per_trial):
         labels, mats = matrices(start, stop)
         nonsingular = batch_rank(mats) == g
-        span, settled = pool.rank(_span_matrices(mats, scatter, pairs))
+        span, settled = pool.rank(_span_matrices(mats, table, pairs))
         succ += int(np.count_nonzero(span == target))
         nonsing += int(np.count_nonzero(nonsingular))
         if records:

@@ -8,9 +8,12 @@ search over every chain intersection sign pattern, a general integer
 lattice reduction for the symplectic basis of an intersection form, and
 exact rational orientation tests for segment intersection.
 
-One reference takes the same route on purpose: the per-segment chain
-quadrature loop that the batched kernel replaced, kept verbatim so that
-the kernel can be required to reproduce it bit for bit.
+Three references take the same route on purpose, kept verbatim so that
+the kernels that replaced them can be required to reproduce them: the
+per-segment chain quadrature loop (bit for bit), the elimination mod a
+prime that allocated block-sized temporaries at every column (rank for
+rank), and the span assembly through an integer matrix product with a
+0/1 scatter matrix (entry for entry, up to the new column order).
 """
 
 from __future__ import annotations
@@ -284,3 +287,71 @@ def chain_period_table_loop(curve, segs, N: int):
         )
         P[j] = 2.0 * moments
     return P, anchors, ends
+
+
+def _reduce(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p into [0, p), in place.
+
+    numpy divides by a scalar several times faster than it takes a
+    remainder, so this is x - (x // p) * p.
+    """
+    quotient = np.floor_divide(x, p)
+    quotient *= p
+    x -= quotient
+    return x
+
+
+def rank_mod_with_temporaries(a: np.ndarray, p: int) -> np.ndarray:
+    """Ranks mod the prime ``p`` of a (B, r, c) stack of ``int64`` matrices.
+
+    Fraction-free elimination over the trial axis: at each column every
+    row becomes pivot * row - entry * pivot_row in the later columns, so
+    no modular inverse is needed.  That turns the pivot row itself into
+    zeros, so a row used as a pivot is never chosen again.  Entries are
+    kept in [0, p) with p < 2^31, so each product stays below 2^62 and the
+    arithmetic is exact in ``int64``.  The work array is laid out
+    (column, row, trial) so each update runs over one contiguous block.
+    """
+    a = _reduce(a.transpose(2, 1, 0).copy(), p)
+    ncols, _nrows, batch = a.shape
+    trials = np.arange(batch)
+    rank = np.zeros(batch, dtype=np.int64)
+    for col in range(ncols):
+        column = a[col]
+        nonzero = column != 0
+        found = nonzero.any(axis=0)
+        rank += found
+        if col + 1 == ncols:
+            break
+        piv = nonzero.argmax(axis=0)
+        rest = a[col + 1 :]
+        pivot_row = rest[:, piv, trials]
+        rest *= np.where(found, column[piv, trials], 1)
+        rest -= column * pivot_row[:, None, :]
+        _reduce(rest, p)
+    return rank
+
+
+def scatter_matrix(model) -> np.ndarray:
+    """(g*g, 3g-3) 0/1 matrix: row j*g + l holds zeta_j * zeta_l in the quad basis."""
+    g = model.genus
+    quad_index = {mon: c for c, mon in enumerate(model.quad_monomials)}
+    diff = model.diff_monomials
+    scatter = np.zeros((g * g, len(model.quad_monomials)), dtype=np.int64)
+    for j in range(g):
+        for l in range(g):
+            scatter[j * g + l, quad_index[tuple(a + b for a, b in zip(diff[j], diff[l]))]] = 1
+    return scatter
+
+
+def span_matrices_by_product(mats: np.ndarray, scatter: np.ndarray, pairs) -> np.ndarray:
+    """Product-span matrices, one |pairs| x (quad monomials) matrix per change of basis.
+
+    Row (a, b) of a trial's span matrix is outer(M[a], M[b]) flattened,
+    times the scatter matrix: the coefficients of omega_a * omega_b over
+    the quad monomials.  The outer products, g*g/(3g-3) times the size of
+    the result for the quartic and quintic, are freed on return.
+    """
+    first, second = np.array(pairs).T
+    outer = mats[:, first, :, None] * mats[:, second, None, :]
+    return outer.reshape(len(mats), len(pairs), -1) @ scatter

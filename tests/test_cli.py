@@ -430,6 +430,47 @@ class TestOutputTransaction:
         assert "more than one output" in _refused(argv, 2, tmp_path, capsys, before=["sub"])
 
 
+class TestTargetsCheckedFirst:
+    """A bad output target is refused right after parsing, before any work."""
+
+    WORK = [
+        (cli.modsel, "run_selection"),
+        (cli.modsel, "singularity_rate"),
+        (cli.modsel, "exhaustive"),
+        (cli.curves, "load_curve"),
+        (cli.curves, "bundled_curve"),
+        (cli.periods, "load_period_json"),
+        (cli.siegel, "random_siegel"),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, bad, reason",
+        [
+            (["select", "--model", "quintic", "--trials", 20000, "--seed", 1,
+              "--out", "missing/x.csv"], "missing/x.csv", "no such directory"),
+            (["singularity", "--g", 20, "--trials", 20000, "--seed", 1,
+              "--summary", "d"], "d", "is a directory"),
+            (["periods", "--bundled", "g1_lemniscatic", "--out", "a.json",
+              "--raw-out", "./a.json"], "a.json", "named as more than one output"),
+            (["exhaustive", "--model", "quartic", "--summary", "d"], "d", "is a directory"),
+            (["stats", "--in", "p.json", "--spectrum", "s.csv", "--fit", "missing/f.json"],
+             "missing/f.json", "no such directory"),
+            (["siegel-sample", "--g", 2, "--seed", 1, "--out", "d"], "d", "is a directory"),
+        ],
+        ids=["select", "singularity", "periods", "exhaustive", "stats", "siegel-sample"],
+    )
+    def test_refused_before_any_work(self, tmp_path, monkeypatch, capsys, argv, bad, reason):
+        def work(*args, **kwargs):
+            raise AssertionError("the command ran before its targets were checked")
+
+        for module, name in self.WORK:
+            monkeypatch.setattr(module, name, work)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        err = _refused(argv, 2, tmp_path, capsys, before=["d"])
+        assert err == f"error: cannot write {bad}: {reason}\n"
+
+
 LINE_CURVE = {"type": "hyperelliptic", "branch_points": [[0, 0], [1, 0], [2, 0]]}
 # an integer literal beyond Python's 4300-digit conversion limit
 HUGE = "1" + "0" * 5000

@@ -4,11 +4,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import cofactor_determinant
+from oracles import cofactor_determinant, rank_mod_with_temporaries
 from periodlab.exact import (
     P1,
     P2,
     SecondPrimePool,
+    _rank_mod,
     batch_rank,
     integer_rank,
 )
@@ -118,3 +119,45 @@ def test_second_prime_pool_defers_and_flushes():
     positions, ranks = pool.finish()
     assert (positions.tolist(), ranks.tolist()) == ([5], [3])
     assert pool.finish()[0].size == 0
+
+
+INT64 = np.iinfo(np.int64)
+# entry sets for the rank kernels: bits, small signed, entries whose products
+# leave int64 unless reduced first, and the int64 extremes
+ENTRY_SETS = {
+    "bits": [0, 1],
+    "threes": [0, 3, -3],
+    "two to the 40": [0, 1, 2**40, -(2**40)],
+    "int64 extremes": [0, 1, -1, INT64.min, INT64.max, INT64.min + 1],
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 40),
+    st.integers(0, 20),
+    st.integers(0, 20),
+    st.sampled_from(sorted(ENTRY_SETS)),
+    st.sampled_from(["random", "repeated rows", "repeated columns", "zero"]),
+    st.integers(0, 2**32),
+)
+def test_rank_mod_matches_the_kernel_with_temporaries(batch, rows, cols, entries, shape, seed):
+    # the scratch-block kernel ranks every stack as the one it replaced, mod both primes
+    rng = np.random.default_rng(seed)
+    a = rng.choice(np.array(ENTRY_SETS[entries], dtype=np.int64), size=(batch, rows, cols))
+    some = rng.random(batch) < 0.5  # the trials made rank-deficient
+    if shape == "repeated rows" and rows > 1:
+        a[some, 1:] = a[some][:, rng.integers(0, 2, size=rows - 1)]  # rank <= 2
+    elif shape == "repeated columns" and cols > 1:
+        a[some, :, cols // 2 :] = a[some][:, :, : cols - cols // 2]  # rank <= (cols + 1) // 2
+    elif shape == "zero":
+        a[some] = 0
+    before = a.copy()
+    for p in (P1, P2):
+        got = _rank_mod(a, p)
+        # a stack without rows has rank 0; the old kernel fails on it from two
+        # columns on, and batch_rank never passes it either kernel
+        want = np.zeros(batch, dtype=np.int64) if rows == 0 else rank_mod_with_temporaries(a, p)
+        assert got.dtype == np.int64
+        assert got.tolist() == want.tolist()
+    assert np.array_equal(a, before)

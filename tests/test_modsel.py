@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -6,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import cofactor_determinant
+from oracles import (
+    cofactor_determinant,
+    rank_mod_with_temporaries,
+    scatter_matrix,
+    span_matrices_by_product,
+)
 from periodlab import cli, exact, modsel
 from periodlab.curves import PlaneCurveModel
 from periodlab.exact import integer_rank
@@ -159,6 +165,94 @@ class TestProductSpanRank:
         permuted = [[row[perm[j]] for j in range(3)] for row in rows]
         r2 = product_span_rank(QUARTIC, _matrix(3, permuted), idx)
         assert r1 == r2
+
+
+class TestSpanAssembly:
+    """The member-round assembly against the matrix product with a scatter matrix."""
+
+    @pytest.mark.parametrize("model", [QUARTIC, QUINTIC], ids=["quartic", "quintic"])
+    def test_columns_ordered_by_member_count(self, model):
+        table = modsel._span_table(model)
+        members = scatter_matrix(model).sum(axis=0)
+        assert sorted(table.columns) == list(range(len(model.quad_monomials)))
+        # most members first, and by monomial index among equals
+        assert list(table.columns) == sorted(table.columns, key=lambda c: (-members[c], c))
+        ordered = members[list(table.columns)]
+        assert [len(j) for j, _l in table.rounds] == [
+            int(np.count_nonzero(ordered > k)) for k in range(ordered.max())
+        ]
+        assert max(members) <= 4
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([QUARTIC, QUINTIC]),
+        st.integers(0, 80),
+        st.sampled_from([(0, 1), (-3, 3)]),
+        st.booleans(),
+        st.integers(0, 2**32),
+    )
+    def test_matches_the_product_up_to_column_order(self, model, batch, bounds, standard, seed):
+        g = model.genus
+        rng = np.random.default_rng(seed)
+        mats = rng.integers(bounds[0], bounds[1] + 1, size=(batch, g, g))
+        if standard:
+            pairs = first_three_rows_indices(g)
+        else:
+            every = [(a, b) for a in range(g) for b in range(a, g)]
+            pairs = [every[k] for k in rng.integers(0, len(every), size=rng.integers(1, 25))]
+        table = modsel._span_table(model)
+        got = modsel._span_matrices(mats, table, pairs)
+        assert got.dtype == np.int64
+        assert got.shape == (batch, len(pairs), len(table.columns))
+        if batch == 0:
+            return  # the product's reshape cannot infer a length from an empty stack
+        want = span_matrices_by_product(mats, scatter_matrix(model), pairs)
+        assert np.array_equal(got, want[..., list(table.columns)])
+        assert np.array_equal(exact.batch_rank(got), exact.batch_rank(want))
+
+
+def _traced_peak(fn, *args):
+    """Bytes ``fn(*args)`` allocates at its peak above what was held before."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+class TestChunkMemory:
+    """One select-quintic chunk through span assembly and rank, within fixed bounds.
+
+    The bounds are the traced peaks of the kernels these replaced (4.24 and
+    3.04 times the array's bytes), rounded up, so both kernels must meet them.
+    """
+
+    def _chunk(self):
+        pairs = first_three_rows_indices(6)
+        mats = modsel._bits(trial_seeds(1, 0, chunk_trials(QUINTIC_SPAN_ELEMENTS)), 6, 0.5)
+        return mats, pairs
+
+    @pytest.mark.parametrize("kernel", ["member rounds", "scatter product"])
+    def test_span_assembly(self, kernel):
+        mats, pairs = self._chunk()
+        assert len(mats) == 72
+        if kernel == "member rounds":
+            args = (modsel._span_matrices, mats, modsel._span_table(QUINTIC), pairs)
+        else:
+            args = (span_matrices_by_product, mats, scatter_matrix(QUINTIC), pairs)
+        span_bytes = 72 * QUINTIC_SPAN_ELEMENTS * 8
+        assert _traced_peak(*args) <= 4.3 * span_bytes
+
+    @pytest.mark.parametrize("kernel", ["scratch block", "with temporaries"])
+    @pytest.mark.parametrize("p", [exact.P1, exact.P2])
+    def test_rank(self, kernel, p):
+        mats, pairs = self._chunk()
+        span = modsel._span_matrices(mats, modsel._span_table(QUINTIC), pairs)
+        rank_mod = exact._rank_mod if kernel == "scratch block" else rank_mod_with_temporaries
+        assert _traced_peak(rank_mod, span, p) <= 3.1 * span.nbytes
 
 
 class TestTrials:
