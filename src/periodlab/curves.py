@@ -32,6 +32,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
+import numpy as np
+
 from .errors import DomainError, ValidationError
 
 Monomial = tuple[int, int, int]
@@ -170,17 +172,28 @@ def json_int(value, name: str) -> int:
     return value
 
 
-def json_complex(value, name: str) -> complex:
-    """``complex(re, im)`` if ``value`` is a JSON pair [re, im] of numbers.
+# The Python types of JSON numbers; bool, an int subclass, is not one.
+_JSON_NUMBERS = (int, float)
 
-    Anything else is a ValidationError naming ``name``: a list of another
-    length, a boolean (which Python counts as an int) or an integer beyond
-    the float range.
+
+def json_pairs(values: list, name: str) -> np.ndarray:
+    """The complex numbers of a list of JSON pairs [re, im], as one 1-D array.
+
+    Every pair must be a list of two JSON numbers, exactly ``int`` or
+    ``float``; anything else is a ValidationError naming ``name``: a list
+    of another length, a boolean (which Python counts as an int) or an
+    integer beyond the float range.  The numbers are converted in one
+    ``np.array`` call, with the rounding of ``complex(re, im)``.
     """
-    if isinstance(value, list) and len(value) == 2:
-        if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value):
-            with contextlib.suppress(OverflowError):
-                return complex(*value)
+    if all(
+        type(z) is list
+        and len(z) == 2
+        and type(z[0]) in _JSON_NUMBERS
+        and type(z[1]) in _JSON_NUMBERS
+        for z in values
+    ):
+        with contextlib.suppress(OverflowError):
+            return np.array(values, dtype=float).view(complex).ravel()
     raise ValidationError(f"{name} must be an [re, im] pair")
 
 
@@ -195,8 +208,9 @@ def curve_from_dict(data: dict) -> CurveModel:
         points = data["branch_points"]
         if not isinstance(points, list):
             raise ValidationError("branch_points must be [re, im] pairs")
-        pts = [json_complex(p, "each branch point") for p in points]
-        return HyperellipticCurve(pts, json_complex(data.get("leading", [1.0, 0.0]), "leading"))
+        pts = json_pairs(points, "each branch point")
+        leading = json_pairs([data.get("leading", [1.0, 0.0])], "leading")[0]
+        return HyperellipticCurve(pts, leading)
     if kind == "plane":
         if "degree" not in data:
             raise ValidationError("plane description requires 'degree'")

@@ -41,6 +41,7 @@ out with ``dataclasses.asdict``, and every 3g-3 is ``curves.moduli_count``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -154,8 +155,13 @@ class _SpanTable(NamedTuple):
     rounds: tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
+@functools.cache
 def _span_table(model: PlaneCurveModel) -> _SpanTable:
-    """The column order and member rounds of ``model``'s span matrices."""
+    """The column order and member rounds of ``model``'s span matrices.
+
+    The table is a constant of the (frozen, hashable) model, so it is built
+    once per model and shared: its index arrays are read-only.
+    """
     g = model.genus
     quad_index = {mon: c for c, mon in enumerate(model.quad_monomials)}
     diff = model.diff_monomials
@@ -167,7 +173,9 @@ def _span_table(model: PlaneCurveModel) -> _SpanTable:
     rounds = []
     for k in range(len(members[columns[0]])):
         j, l = zip(*(members[c][k] for c in columns if len(members[c]) > k))
-        rounds.append((np.array(j), np.array(l)))
+        j, l = np.array(j), np.array(l)
+        j.flags.writeable = l.flags.writeable = False
+        rounds.append((j, l))
     return _SpanTable(tuple(columns), tuple(rounds))
 
 

@@ -8,21 +8,27 @@ search over every chain intersection sign pattern, a general integer
 lattice reduction for the symplectic basis of an intersection form, and
 exact rational orientation tests for segment intersection.
 
-Three references take the same route on purpose, kept verbatim so that
-the kernels that replaced them can be required to reproduce them: the
+Four references take the same route on purpose, kept verbatim so that
+the code that replaced them can be required to reproduce them: the
 per-segment chain quadrature loop (bit for bit), the elimination mod a
 prime that allocated block-sized temporaries at every column (rank for
-rank), and the span assembly through an integer matrix product with a
-0/1 scatter matrix (entry for entry, up to the new column order).
+rank), the span assembly through an integer matrix product with a
+0/1 scatter matrix (entry for entry, up to the new column order), and
+the period-file encoder through ``json.dumps`` and per-pair decoder
+(byte for byte, bit for bit and refusal for refusal).
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
 from scipy.special import roots_jacobi
+
+from periodlab.errors import ValidationError
 
 
 def agm(a: float, b: float) -> float:
@@ -355,3 +361,64 @@ def span_matrices_by_product(mats: np.ndarray, scatter: np.ndarray, pairs) -> np
     first, second = np.array(pairs).T
     outer = mats[:, first, :, None] * mats[:, second, None, :]
     return outer.reshape(len(mats), len(pairs), -1) @ scatter
+
+
+def json_int(value, name: str) -> int:
+    """``value`` if it is a JSON integer; else ValidationError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{name} must be an integer")
+    return value
+
+
+def json_complex(value, name: str) -> complex:
+    """``complex(re, im)`` if ``value`` is a JSON pair [re, im] of numbers.
+
+    Anything else is a ValidationError naming ``name``: a list of another
+    length, a boolean (which Python counts as an int) or an integer beyond
+    the float range.
+    """
+    if isinstance(value, list) and len(value) == 2:
+        if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value):
+            with contextlib.suppress(OverflowError):
+                return complex(*value)
+    raise ValidationError(f"{name} must be an [re, im] pair")
+
+
+def _period_kind(kind) -> str:
+    if kind not in ("raw", "normalized"):
+        raise ValidationError("kind must be 'raw' or 'normalized'")
+    return kind
+
+
+def table_to_dict(entries: np.ndarray, kind: str, meta: dict) -> dict:
+    entries = np.asarray(entries, dtype=complex)
+    return {
+        "g": int(entries.shape[1]),
+        "kind": _period_kind(kind),
+        "entries": [[[float(z.real), float(z.imag)] for z in row] for row in entries],
+        "meta": meta,
+    }
+
+
+def dict_to_table(data: dict) -> tuple[np.ndarray, str, dict]:
+    if not isinstance(data, dict):
+        raise ValidationError("a period file must hold a JSON object")
+    for key in ("g", "kind", "entries"):
+        if key not in data:
+            raise ValidationError(f"period file missing field {key!r}")
+    g = json_int(data["g"], "period file field 'g'")
+    rows = data["entries"]
+    if not isinstance(rows, list) or any(
+        not isinstance(row, list) or len(row) != len(rows[0]) for row in rows
+    ):
+        raise ValidationError("period file entries must be rows of [re, im] pairs")
+    pair = "each period file entry"
+    entries = np.array([[json_complex(z, pair) for z in row] for row in rows], dtype=complex)
+    if entries.ndim != 2 or entries.shape[1] != g:
+        raise ValidationError("period file entries do not match the declared genus")
+    return entries, _period_kind(data["kind"]), data.get("meta", {})
+
+
+def period_json_text(entries: np.ndarray, kind: str, meta: dict) -> str:
+    """The text of a period file: sorted keys, two-space indent, final newline."""
+    return json.dumps(table_to_dict(entries, kind, meta), indent=2, sort_keys=True) + "\n"

@@ -622,7 +622,7 @@ def _curve_text(points):
 
 
 def _period_text(entries, kind):
-    return json.dumps(periods.table_to_dict(entries, kind, {}))
+    return periods.period_json_text(entries, kind, {})
 
 
 # Input files every draw starts from, by name.

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import (
     chain_period_table_loop,
     elliptic_K,
@@ -35,7 +36,6 @@ from periodlab.periods import (
     normalize,
     period_json_text,
     symplectic_transform_from_intersection,
-    table_to_dict,
 )
 from periodlab.siegel import validate_siegel
 
@@ -515,8 +515,140 @@ class TestPeriodFiles:
 
     def test_bad_kind_rejected(self):
         with pytest.raises(ValidationError):
-            table_to_dict(np.eye(2, dtype=complex), "other", {})
+            period_json_text(np.eye(2, dtype=complex), "other", {})
 
     def test_missing_fields_rejected(self):
         with pytest.raises(ValidationError):
             dict_to_table({"g": 1, "entries": [[[0.0, 1.0]]]})
+
+
+# Floats at the edges of the double range and of JSON: signed zeros, the
+# smallest subnormal, the largest finite values and the non-finite ones.
+EDGE_FLOATS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+     math.nan, math.inf, -math.inf]
+)
+FILE_FLOATS = st.one_of(st.floats(), EDGE_FLOATS)
+# Strings and keys that read like the file's own fields or JSON literals,
+# or like a format placeholder, beside arbitrary (non-ASCII) text.
+META_TEXT = st.one_of(st.text(), st.sampled_from(["null", "entries", "g", "kind", "NaN", "%s"]))
+META = st.dictionaries(
+    META_TEXT,
+    st.recursive(
+        st.one_of(st.none(), st.booleans(), st.integers(), FILE_FLOATS, META_TEXT),
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=3), st.dictionaries(META_TEXT, inner, max_size=3)
+        ),
+        max_leaves=8,
+    ),
+    max_size=4,
+)
+
+
+def _draw_values(draw, values, n):
+    """n values picked at random from a few drawn from ``values``.
+
+    Drawing every one of up to 288 values would make each example slow;
+    a small pool keeps the edge cases and the random picks spread them.
+    """
+    pool = draw(st.lists(values, min_size=1, max_size=8))
+    return random.Random(draw(st.integers(0, 2**32 - 1))).choices(pool, k=n)
+
+
+@st.composite
+def entry_arrays(draw):
+    """A rows x cols complex array, C-ordered, F-ordered, strided or real."""
+    rows, cols = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    values = _draw_values(draw, FILE_FLOATS, 2 * rows * cols)
+    z = np.array(values, dtype=float).view(complex).reshape(rows, cols)
+    layout = draw(st.sampled_from(["C", "F", "strided", "real"]))
+    if layout == "F":  # as normalize returns Omega: a transposed solve
+        return np.ascontiguousarray(z.T).T
+    if layout == "strided":
+        wide = np.zeros((rows, 2 * cols), dtype=complex)
+        wide[:, ::2] = z
+        return wide[:, ::2]
+    return z.real if layout == "real" else z
+
+
+@settings(max_examples=200, deadline=None)
+@given(entry_arrays(), st.sampled_from(["raw", "normalized"]), META)
+def test_period_json_text_matches_json_dumps(entries, kind, meta):
+    assert period_json_text(entries, kind, meta) == oracles.period_json_text(entries, kind, meta)
+
+
+# Numbers of a decoded period file: ints (2**53 + 1 rounds to even, ints
+# beyond int64) beside the floats of the writer's draws.
+FILE_NUMBERS = st.one_of(
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.sampled_from([0, 2**53 + 1, -(2**53 + 1), 2**63, 2**64 + 1]),
+    FILE_FLOATS,
+)
+
+
+@st.composite
+def period_documents(draw, rows=st.integers(1, 12)):
+    n_rows, cols = draw(rows), draw(st.integers(0, 12))
+    numbers = iter(_draw_values(draw, FILE_NUMBERS, 2 * n_rows * cols))
+    return {
+        "g": cols,
+        "kind": draw(st.sampled_from(["raw", "normalized"])),
+        "entries": [[[next(numbers), next(numbers)] for _ in range(cols)] for _ in range(n_rows)],
+        "meta": {"nodes": 512},
+    }
+
+
+def _decoded(decode, data):
+    """What ``decode`` makes of ``data``: the bits of its table, or its refusal."""
+    try:
+        entries, kind, meta = decode(data)
+    except Exception as exc:  # the class and message are the result compared
+        return type(exc), str(exc)
+    return entries.shape, entries.view(np.uint64).tolist(), kind, meta
+
+
+@settings(max_examples=200, deadline=None)
+@given(period_documents())
+def test_dict_to_table_matches_pair_decoder(data):
+    decoded = _decoded(dict_to_table, data)
+    assert decoded == _decoded(oracles.dict_to_table, data)
+    assert decoded[0] == (len(data["entries"]), data["g"])
+
+
+# One defect each: a pair element, a pair, a row or the whole entries field
+# replaced, or the declared genus off by one.
+PAIR_ELEMENT_DEFECTS = [True, False, "1.0", [1.0, 0.0], 10**400, -(10**400), None]
+PAIR_DEFECTS = [[1.0], [1.0, 2.0, 3.0], [], "1.0", 1.0, [[1.0, 0.0], [0.0, 1.0]], {"re": 1}]
+ROW_DEFECTS = ["row", 1.0, None, {"0": [1.0, 0.0]}]
+ENTRIES_DEFECTS = [[], [[]], "entries", None, {"0": []}]
+
+
+@st.composite
+def malformed_period_documents(draw):
+    data = draw(period_documents(rows=st.integers(2, 6)))
+    rows = data["entries"]
+    where = draw(st.sampled_from(["element", "pair", "row", "ragged", "entries", "genus"]))
+    if where in ("element", "pair") and rows[0]:
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows[0]) - 1))
+        if where == "element":
+            rows[i][j][draw(st.integers(0, 1))] = draw(st.sampled_from(PAIR_ELEMENT_DEFECTS))
+        else:
+            rows[i][j] = draw(st.sampled_from(PAIR_DEFECTS))
+    elif where == "row":
+        rows[draw(st.integers(0, len(rows) - 1))] = draw(st.sampled_from(ROW_DEFECTS))
+    elif where == "ragged":
+        rows[draw(st.integers(0, len(rows) - 1))].append([0.0, 0.0])
+    elif where == "entries":
+        data["entries"] = draw(st.sampled_from(ENTRIES_DEFECTS))
+        data["g"] += 1  # so that [[]] is a mismatch too
+    else:  # also an element or pair defect drawn for a table with no pairs
+        data["g"] += draw(st.sampled_from([-1, 1]))
+    return data
+
+
+@settings(max_examples=200, deadline=None)
+@given(malformed_period_documents())
+def test_dict_to_table_refuses_as_pair_decoder(data):
+    expected = _decoded(oracles.dict_to_table, data)
+    assert expected[0] is ValidationError
+    assert _decoded(dict_to_table, data) == expected
