@@ -137,61 +137,46 @@ def _commit(outputs) -> None:
 
 
 def _cmd_periods(args):
-    if args.curve:
-        curve = curves.load_curve(args.curve)
-        curve_label = args.curve
-    else:
-        curve = curves.bundled_curve(args.bundled)
-        curve_label = args.bundled
+    label = args.curve or args.bundled
+    curve = curves.load_curve(label) if args.curve else curves.bundled_curve(label)
+    meta = {"curve": curves.curve_to_dict(curve)}
+    fields, provenance, kind = {}, {}, "raw"
     if isinstance(curve, curves.FermatCurve):
         table = periods.fermat_raw_periods(curve.degree)
-        meta = {
-            "curve": curves.curve_to_dict(curve),
-            "nodes": 0,
-            "est_error": 0.0,
-            "row_labels": [list(c) for c in table.cycles],
-            "col_labels": [list(e) for e in curve.diff_exponents],
-        }
-        text = periods.period_json_text(table.entries, "raw", meta)
-        outputs = [(args.out, text)]
-        if args.raw_out:
-            outputs.append((args.raw_out, text))
-        line = _summary("periods", curve=curve_label, g=table.g, kind="raw", out=args.out)
-        return EXIT_OK, line, outputs
-    if not isinstance(curve, curves.HyperellipticCurve):
-        raise ValidationError("plane-curve models carry no period integrals")
-    raw, hom = periods.hyperelliptic_raw_periods(curve, nodes=args.nodes)
-    meta = {
-        "curve": curves.curve_to_dict(curve),
-        "nodes": raw.quadrature_nodes,
-        "est_error": raw.est_error,
-        "converged": raw.converged,
-        "bilinear_residual": hom.bilinear_residual,
-        "positive_form_min_eig": hom.positive_form_min_eig,
-    }
-    entries, kind, out_meta = raw.entries, "raw", meta
-    if args.kind == "normalized":
-        pm = periods.normalize(raw, hom)
-        check = siegel.validate_siegel(pm.entries)
-        if not check.is_member:
-            raise NumericError(
-                "normalized period matrix is not in the Siegel upper half-space "
-                f"(symmetry residual {check.symmetry_residual:.3e}, "
-                f"min Im eigenvalue {check.min_im_eigenvalue:.3e})"
-            )
-        entries, kind, out_meta = pm.entries, "normalized", {**meta, **pm.provenance}
-    outputs = [(args.out, periods.period_json_text(entries, kind, out_meta))]
+        raw = entries = table.entries
+        meta.update(
+            nodes=0,
+            est_error=0.0,
+            row_labels=[list(c) for c in table.cycles],
+            col_labels=[list(e) for e in curve.diff_exponents],
+        )
+    else:
+        table, hom = periods.hyperelliptic_raw_periods(curve, nodes=args.nodes)
+        raw = entries = table.entries
+        meta.update(
+            nodes=table.quadrature_nodes,
+            est_error=table.est_error,
+            converged=table.converged,
+            bilinear_residual=hom.bilinear_residual,
+            positive_form_min_eig=hom.positive_form_min_eig,
+        )
+        fields = {"nodes": table.quadrature_nodes, "est_error": f"{table.est_error:.3e}"}
+        if args.kind == "normalized":
+            pm = periods.normalize(table, hom)
+            check = siegel.validate_siegel(pm.entries)
+            if not check.is_member:
+                raise NumericError(
+                    "normalized period matrix is not in the Siegel upper half-space "
+                    f"(symmetry residual {check.symmetry_residual:.3e}, "
+                    f"min Im eigenvalue {check.min_im_eigenvalue:.3e})"
+                )
+            entries, kind, provenance = pm.entries, "normalized", pm.provenance
+    text = periods.period_json_text(entries, kind, {**meta, **provenance})
+    outputs = [(args.out, text)]
     if args.raw_out:
-        outputs.append((args.raw_out, periods.period_json_text(raw.entries, "raw", meta)))
-    line = _summary(
-        "periods",
-        curve=curve_label,
-        g=raw.g,
-        kind=kind,
-        nodes=raw.quadrature_nodes,
-        est_error=f"{raw.est_error:.3e}",
-        out=args.out,
-    )
+        raw_text = text if kind == "raw" else periods.period_json_text(raw, "raw", meta)
+        outputs.append((args.raw_out, raw_text))
+    line = _summary("periods", curve=label, g=entries.shape[1], kind=kind, **fields, out=args.out)
     return EXIT_OK, line, outputs
 
 

@@ -12,7 +12,8 @@ Three concrete models are supported:
   quadratic-differential space with the monomials of degree 2(d-3).
   For d in {4, 5} the latter space has dimension exactly 3g-3, with no
   quotient by the defining equation, so the model carries no
-  coefficients at all.
+  coefficients at all, and no curve file describes one: curve files
+  hold the curves with period tables (``curve_from_dict``).
 
 * ``FermatCurve``: x^d + y^d = 1 (degree-d Fermat, affine model).  The
   differential basis is indexed by pairs (r, s) with r, s >= 1 and
@@ -62,10 +63,8 @@ class HyperellipticCurve:
             raise ValidationError("branch points and leading coefficient must be finite")
         if len(pts) < 3:
             raise ValidationError("hyperelliptic curve needs deg f >= 3 (genus >= 1)")
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if pts[i] == pts[j]:
-                    raise ValidationError("branch points must be pairwise distinct (f squarefree)")
+        if len(set(pts)) < len(pts):  # equal complex values hash equal: 0j and -0j collide
+            raise ValidationError("branch points must be pairwise distinct (f squarefree)")
         if complex(leading_coefficient) == 0:
             raise ValidationError("leading coefficient must be nonzero")
         object.__setattr__(self, "branch_points", pts)
@@ -120,7 +119,7 @@ class FermatCurve:
         return (self.degree - 1) * (self.degree - 2) // 2
 
 
-CurveModel = Union[HyperellipticCurve, PlaneCurveModel, FermatCurve]
+CurveModel = Union[HyperellipticCurve, FermatCurve]
 
 
 def moduli_count(g: int) -> int:
@@ -148,8 +147,6 @@ def curve_to_dict(curve: CurveModel) -> dict:
             "branch_points": [[b.real, b.imag] for b in curve.branch_points],
             "leading": [curve.leading_coefficient.real, curve.leading_coefficient.imag],
         }
-    if isinstance(curve, PlaneCurveModel):
-        return {"type": "plane", "degree": curve.degree}
     if isinstance(curve, FermatCurve):
         return {"type": "fermat", "degree": curve.degree}
     raise ValidationError(f"unknown curve model: {type(curve).__name__}")
@@ -198,7 +195,7 @@ def json_pairs(values: list, name: str) -> np.ndarray:
 
 
 def curve_from_dict(data: dict) -> CurveModel:
-    """Parse a curve description, rejecting invariant violations by name."""
+    """Parse a ``hyperelliptic`` or ``fermat`` description, refusing violations by name."""
     if not isinstance(data, dict) or "type" not in data:
         raise ValidationError("curve description must be an object with a 'type' field")
     kind = data["type"]
@@ -211,10 +208,6 @@ def curve_from_dict(data: dict) -> CurveModel:
         pts = json_pairs(points, "each branch point")
         leading = json_pairs([data.get("leading", [1.0, 0.0])], "leading")[0]
         return HyperellipticCurve(pts, leading)
-    if kind == "plane":
-        if "degree" not in data:
-            raise ValidationError("plane description requires 'degree'")
-        return PlaneCurveModel(json_int(data["degree"], "degree"))
     if kind == "fermat":
         if "degree" not in data:
             raise ValidationError("fermat description requires 'degree'")

@@ -59,11 +59,12 @@ from .rng import MASK64, stream_draws, trial_seeds
 # No transient outgrows the ranked array: a select chunk's span assembly
 # holds at most two gathered member rounds beside the span matrices, each
 # no larger than they are, and a rank pass one scratch block of the
-# stack's size.  Measured on the benchmark's singularity and select
-# workloads, when select chunks were still sized by the outer products the
-# span assembly then built: 2^15 and 2^16 raise peak RSS by 4-6%, and 2^13
-# is slower (more chunks, each paying numpy's per-call overhead) with no
-# less memory.
+# stack's size.  perfbench, 4 alternating 15 s runs per size on a shared
+# 2-vCPU machine, medians at 2^13 / 2^14 / 2^15: select-quintic 24.0k /
+# 26.7k / 30.0k trials/s (a 100-trial call fits one 2^15 chunk), peak RSS
+# 33.9 / 34.1 / 34.4 MB; singularity-sweep 164k / 217k / 206k trials/s,
+# 33.8 / 34.0 / 35.0 MB.  2^13 is slower on both (more chunks, each paying
+# numpy's per-call cost); 2^15 would trade the sweep for the quintic.
 CHUNK_ELEMENTS = 2**14
 
 

@@ -12,17 +12,16 @@ x = mid + half*cos(theta), which absorbs the inverse-square-root endpoint
 singularities exactly.  The square-root branch is tracked continuously
 along each segment from an anchor at the left endpoint.
 
-One kernel, ``_chain_moments``, evaluates all 2g segments at once as
-(2g x (N+2)) arrays, batched over segments with the same per-element
-operations, in the same order, as a single segment, so its values are
-bit-identical to integrating the segments one at a time; its scratch
-space is a few complex arrays of 2g x (N+2).  The node count starts at
-``nodes`` and doubles at least once, up to ``MAX_NODES``.
+One kernel, ``_chain_moments``, evaluates all 2g segments at once,
+bit-identically to integrating them one at a time.  The node count starts
+at ``nodes`` and doubles at least once, up to ``MAX_NODES``.
 
 Sorting makes the chain simple: non-adjacent segments never meet (see
 ``_chain_segments``).  The only geometric refusal is therefore a branch
 point closer than 1e-9 times the longest segment to a segment it does
-not end, where the integrand would be nearly singular.
+not end, where the integrand would be nearly singular; the one rule,
+``_refuse_on_segment``, also guards ``chebyshev_segment_integral``, with
+|b - a| as the scale.
 
 Each per-segment branch choice flips the orientation of its loop, so the
 chain's intersection matrix E is tridiagonal with a sign s_j on each
@@ -55,15 +54,10 @@ translate (x, y) -> (zeta^a x, zeta^b y) multiplies it by zeta^(a*r+b*s).
 
 A period file is one JSON object: ``entries``, the table as rows of
 [re, im] pairs, ``g``, ``kind`` ("raw" or "normalized") and ``meta``.
-Its bytes are fixed: sorted keys, a two-space indent, every float in its
-shortest repr (``NaN``, ``Infinity`` and ``-Infinity`` for the
-non-finite ones) and a final newline, i.e. the text of
-``json.dumps(..., indent=2, sort_keys=True)``.  With an indent that call
-runs the pure-Python encoder, so ``period_json_text`` writes the entries
-from a template of the table's shape, filled with one repr of all its
-floats, and passes only the head (``g``, ``kind``, ``meta``) to
-``json.dumps``.  The reader checks the types of all pairs in one pass
-and converts them in one ``np.array`` call (``curves.json_pairs``).
+Its bytes are fixed: the text of ``json.dumps(..., indent=2,
+sort_keys=True)`` and a final newline, written without the pure-Python
+encoder (``period_json_text``) and read back in one ``np.array`` call
+(``curves.json_pairs``).
 """
 
 from __future__ import annotations
@@ -73,6 +67,7 @@ import contextlib
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -124,14 +119,14 @@ class RawPeriodTable:
 class HomologyBasis:
     """Intersection data of the chain cycles.
 
-    ``symplectic_transform`` T satisfies T E T^T = [[0, I], [-I, 0]]
-    exactly in integer arithmetic, where E is the intersection matrix.
+    ``symplectic_transform`` T, rows of integers, satisfies T E T^T =
+    [[0, I], [-I, 0]] exactly for the int64 intersection matrix E.
     ``bilinear_residual`` and ``positive_form_min_eig`` are the certificate
     of E against the periods (NaN when E was not certified).
     """
 
-    intersection_matrix: tuple[tuple[int, ...], ...]
-    symplectic_transform: tuple[tuple[int, ...], ...]
+    intersection_matrix: np.ndarray
+    symplectic_transform: Sequence[Sequence[int]]
     bilinear_residual: float = math.nan
     positive_form_min_eig: float = math.nan
 
@@ -215,30 +210,29 @@ def _chain_moments(roots, leading, segs, N: int, count: int):
     return moments, phi[:, 0].copy(), phi[:, -1].copy()
 
 
-def _point_segment_distance(p, a, b) -> float:
+def _refuse_on_segment(points, a, b, scale: float) -> None:
+    """Refuse a point of ``points`` within 1e-9 * scale of [a, b] that does not end it."""
     ab = b - a
-    if ab == 0:
-        return abs(p - a)
-    # Re((p - a) / ab) is the projection parameter; complex division does
-    # not square |ab|, so it cannot overflow where |ab|^2 would
-    t = min(1.0, max(0.0, ((p - a) / ab).real))
-    return abs(p - (a + t * ab))
+    for e in points:
+        if e != a and e != b:
+            # complex division gives the projection without squaring |ab|, which could overflow
+            t = min(1.0, max(0.0, ((e - a) / ab).real))
+            if abs(e - (a + t * ab)) < 1e-9 * scale:
+                raise ValidationError(
+                    "a branch point lies on a chain segment; this branch-point "
+                    "configuration is not supported"
+                )
 
 
 def chebyshev_segment_integral(
-    poly_roots: Sequence[complex],
-    k: int,
-    a: complex,
-    b: complex,
-    N: int,
-    leading: complex = 1.0,
+    poly_roots: Sequence[complex], k: int, a: complex, b: complex, N: int, leading: complex = 1.0
 ) -> complex:
     """int_a^b x^(k-1) / sqrt(f(x)) dx for f with the given roots.
 
-    a and b must themselves be roots with no other root in the interior
-    of the segment; the endpoint singularities are absorbed by the
-    cosine substitution and the square root uses the principal branch
-    continued from x = a.
+    a and b must themselves be roots with no other root within
+    1e-9 |b - a| of the segment; the endpoint singularities are absorbed
+    by the cosine substitution and the square root uses the principal
+    branch continued from x = a.
     """
     if a == b:
         raise DomainError("segment endpoints must differ")
@@ -251,11 +245,7 @@ def chebyshev_segment_integral(
     if a not in roots or b not in roots:
         raise DomainError("segment endpoints must be branch points of f")
     with _refuse_overflow():  # abs() overflows on a distance beyond the float range
-        for e in roots:
-            if e in (a, b):
-                continue
-            if _point_segment_distance(e, a, b) < 1e-12 * abs(b - a):
-                raise ValidationError(f"branch point {e} lies on the integration segment")
+        _refuse_on_segment(roots, a, b, abs(b - a))
     moments, _, _ = _chain_moments(roots, complex(leading), [(a, b)], N, k)
     return complex(moments[0, k - 1])
 
@@ -277,18 +267,10 @@ def _chain_segments(curve: HyperellipticCurve):
     relative to the longest segment so that it does not depend on scale.
     """
     pts = sorted(curve.branch_points, key=lambda z: (z.real, z.imag))
-    g = curve.genus
-    segs = [(pts[j], pts[j + 1]) for j in range(2 * g)]
+    segs = [(pts[j], pts[j + 1]) for j in range(2 * curve.genus)]
     scale = max(abs(p - q) for p, q in segs)
     for p, q in segs:
-        for e in pts:
-            if e in (p, q):
-                continue
-            if _point_segment_distance(e, p, q) < 1e-9 * scale:
-                raise ValidationError(
-                    "a branch point lies on a chain segment; this branch-point "
-                    "configuration is not supported"
-                )
+        _refuse_on_segment(pts, p, q, scale)
     return pts, segs
 
 
@@ -296,13 +278,12 @@ def _chain_segments(curve: HyperellipticCurve):
 # Intersection sign recovery and symplectic basis
 
 
-def _tridiagonal_intersection(signs: Sequence[int]) -> list[list[int]]:
+def _tridiagonal_intersection(signs: Sequence[int]) -> np.ndarray:
+    """The int64 chain matrix: s_j at (j, j+1) and -s_j at (j+1, j)."""
     n = len(signs) + 1
-    E = [[0] * n for _ in range(n)]
-    for j, s in enumerate(signs):
-        E[j][j + 1] = s
-        E[j + 1][j] = -s
-    return E
+    E = np.zeros((n, n), dtype=np.int64)
+    E.flat[1 :: n + 1] = signs
+    return E - E.T
 
 
 def _junction_signs(segs, anchors: np.ndarray, ends: np.ndarray) -> list[int]:
@@ -329,12 +310,12 @@ def _choose_intersection_matrix(P: np.ndarray, segs, anchors, ends):
     For the true intersection matrix E the column-equilibrated period
     table P satisfies P^T E^(-1) P = 0 up to quadrature error, and the
     Hermitian form -(i/2) P^T E^(-1) conj(P) is positive definite.
-    Returns E with the bilinear residual and the form's minimum
-    eigenvalue.
+    Returns E, an int64 array, with the bilinear residual and the form's
+    minimum eigenvalue.
     """
     E = _tridiagonal_intersection(_junction_signs(segs, anchors, ends))
     Pn = P / np.max(np.abs(P), axis=0)
-    PtEinv = Pn.T @ np.linalg.inv(np.array(E, dtype=float))
+    PtEinv = Pn.T @ np.linalg.inv(E.astype(float))
     residual = float(np.max(np.abs(PtEinv @ Pn)))
     H = -0.5j * (PtEinv @ np.conj(Pn))
     min_eig = float(np.linalg.eigvalsh((H + np.conj(H).T) / 2.0)[0])
@@ -355,32 +336,39 @@ def symplectic_transform_from_intersection(E: Sequence[Sequence[int]]) -> list[l
 
     E must be skew with signs s_j = E[j][j+1] in {1, -1} and zeros off the
     first diagonals.  Rows of T are alpha_0 .. alpha_g-1, beta_0 .. beta_g-1
-    in the closed form of the module docstring; the identity is verified
-    once in exact integer arithmetic.
+    in the closed form of the module docstring, built from the signs: with
+    eps = cumprod(1, s_0 s_1, s_2 s_3, ...), the alpha block on the even
+    columns is tril(outer(eps, eps)), and beta_i is s_2i at column 2i + 1.
+    For +-1 signs T is unimodular, so the one exact check T E T^T = J
+    holds exactly when E is the chain of those signs.
     """
+    try:
+        E = np.asarray(E, dtype=np.int64)
+    except ValueError:  # ragged rows
+        E = np.empty(0)
     n = len(E)
-    if n == 0 or n % 2 != 0 or any(len(row) != n for row in E):
+    if E.ndim != 2 or n == 0 or n % 2 != 0 or E.shape[1] != n:
         raise ValidationError("intersection matrix must be square of positive even size")
-    E = [[int(x) for x in row] for row in E]
-    signs = [E[j][j + 1] for j in range(n - 1)]
-    if any(s not in (1, -1) for s in signs) or E != _tridiagonal_intersection(signs):
-        raise ValidationError(
-            "intersection matrix must be a skew chain with +-1 on the first off-diagonals"
-        )
+    signs = E.diagonal(1).tolist()
+    not_chain = "intersection matrix must be a skew chain with +-1 on the first off-diagonals"
+    if not set(signs) <= {1, -1}:
+        raise ValidationError(not_chain)
     g = n // 2
-    alphas, betas, alpha = [], [], [0] * n
-    for i in range(g):
-        if i:
-            alpha = [signs[2 * i - 2] * signs[2 * i - 1] * x for x in alpha]
-        alpha[2 * i] = 1
-        alphas.append(alpha)
-        betas.append([signs[2 * i] if j == 2 * i + 1 else 0 for j in range(n)])
-    T = alphas + betas
-    Tn = np.array(T, dtype=np.int64)
-    J = np.eye(n, k=g, dtype=np.int64) - np.eye(n, k=-g, dtype=np.int64)
-    if not np.array_equal(Tn @ np.array(E, dtype=np.int64) @ Tn.T, J):
+    pairs = map(operator.mul, signs[:-1:2], signs[1::2])  # s_0 s_1, s_2 s_3, ...
+    eps = np.array([*itertools.accumulate(pairs, operator.mul, initial=1)])
+    r = np.arange(g)
+    T = np.zeros((n, n), dtype=np.int64)
+    np.multiply.outer(eps, eps, out=T[:g, ::2], where=r[:, None] >= r)
+    T.flat[g * n + 1 :: n + 2] = signs[::2]  # row g + i, column 2i + 1
+    J = np.zeros((n, n), dtype=np.int64)
+    J.flat[g : g * n : n + 1] = 1
+    J.flat[g * n :: n + 1] = -1
+    # bytes compare two C-ordered int64 arrays exactly, without a reduction's call cost
+    if (T @ E @ T.T).tobytes() != J.tobytes():
+        if (E != _tridiagonal_intersection(signs)).any():
+            raise ValidationError(not_chain)
         raise NumericError("symplectic basis failed verification")
-    return T
+    return T.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -410,9 +398,6 @@ def hyperelliptic_raw_periods(
         raise DomainError("nodes must be >= 4")
     if nodes > MAX_NODES // 2:
         raise DomainError(f"nodes must be <= {MAX_NODES // 2}: node doubling stops at {MAX_NODES}")
-    g = curve.genus
-    if g < 1:
-        raise DomainError("genus must be >= 1")
     with _refuse_overflow():  # abs() in the chain geometry, and the doubling arithmetic
         _, segs = _chain_segments(curve)
         N = nodes
@@ -425,13 +410,7 @@ def hyperelliptic_raw_periods(
             if err <= NODE_DOUBLING_TARGET or 2 * N > MAX_NODES:
                 break
     E, residual, min_eig = _choose_intersection_matrix(P, segs, anchors, ends)
-    T = symplectic_transform_from_intersection(E)
-    hom = HomologyBasis(
-        intersection_matrix=tuple(tuple(r) for r in E),
-        symplectic_transform=tuple(tuple(r) for r in T),
-        bilinear_residual=residual,
-        positive_form_min_eig=min_eig,
-    )
+    hom = HomologyBasis(E, symplectic_transform_from_intersection(E), residual, min_eig)
     return RawPeriodTable(entries=P, quadrature_nodes=N, est_error=err), hom
 
 

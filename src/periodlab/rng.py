@@ -1,8 +1,10 @@
 """Deterministic 64-bit random streams based on the splitmix64 recurrence.
 
-All Monte Carlo machinery in periodlab draws from this generator so that
-every seeded computation is bit-reproducible across platforms.  The
-constants are the published splitmix64 constants (Steele, Lea, Flood,
+The trial machinery (``modsel``) draws from this generator, so every
+seeded trial is bit-reproducible across platforms and numpy releases.
+``siegel.random_siegel`` is the exception: it draws from numpy's PCG64
+``Generator``, whose streams numpy may change between releases (NEP 19).
+The constants are the published splitmix64 constants (Steele, Lea, Flood,
 "Fast splittable pseudorandom number generators", OOPSLA 2014).
 
 The stream is counter-based: output k (from 0) of the stream seeded with

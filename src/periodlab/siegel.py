@@ -4,6 +4,8 @@ A g x g complex matrix belongs to the Siegel upper half-space H_g when it
 is symmetric and its imaginary part is positive definite.  ``validate_siegel``
 measures both conditions; ``random_siegel`` draws matrices that satisfy them
 by construction, for use as the non-period baseline in statistics runs.
+It draws from numpy's PCG64 ``default_rng``, not splitmix64, and numpy may
+change that stream between releases (NEP 19), seeds and code unchanged.
 """
 
 from __future__ import annotations

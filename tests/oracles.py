@@ -152,9 +152,11 @@ def reduced_symplectic_transform(E) -> list[list[int]]:
     if n % 2 != 0:
         raise ValueError("intersection matrix must have even size")
     E = [[int(x) for x in row] for row in E]
+    # the nonzero entries of E, so that a pairing costs O(nonzeros), not O(n^2)
+    nonzero = [(i, j, e) for i, row in enumerate(E) for j, e in enumerate(row) if e]
 
     def pair(u, v):
-        return sum(u[i] * E[i][j] * v[j] for i in range(n) for j in range(n) if E[i][j])
+        return sum(u[i] * e * v[j] for i, j, e in nonzero)
 
     remaining = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     alphas, betas = [], []

@@ -545,6 +545,16 @@ class TestExitCodes:
             argv += ["--trials", 5, "--seed", 1, "--out", tmp_path / "s.csv"]
         assert "invalid choice: 'sextic'" in _refused(argv, 2, tmp_path, capsys)
 
+    @pytest.mark.parametrize("flags", [[], ["--kind", "raw"], ["--raw-out", "r.json"]])
+    def test_plane_curve_file_exit_three(self, tmp_path, capsys, flags):
+        # curve files describe curves with period tables; a plane model has none
+        path = tmp_path / "plane.json"
+        path.write_text(json.dumps({"type": "plane", "degree": 4}))
+        argv = ["periods", "--curve", path, "--out", tmp_path / "o.json"]
+        argv += [tmp_path / f if f.endswith(".json") else f for f in flags]
+        err = _refused(argv, 3, tmp_path, capsys, before=["plane.json"])
+        assert err == "error: unknown curve type 'plane'\n"
+
     def test_unknown_bundled_curve_exit_two(self, tmp_path, capsys):
         argv = ["periods", "--bundled", "nope", "--out", tmp_path / "o.json"]
         assert "invalid choice: 'nope'" in _refused(argv, 2, tmp_path, capsys)
@@ -580,6 +590,9 @@ PINNED_OUTPUTS = {
           "--summary", "singularity.json"]],
         {"singularity.json": "21f8430273062423ef1618c0037d09c90224b152fb6850e27b762f38147be8fe"},
     ),
+    # siegel-sample and the stats pins read numpy's PCG64 default_rng, whose
+    # streams numpy may change between releases (NEP 19): a numpy upgrade
+    # alone can move these two pins, with no change to periodlab.
     "siegel-sample": (
         [SAMPLE],
         {"sample.json": "9b4151f6aae45136958736cdfd2540f4de4a7205c18917a7f11b4a0a721603e1"},
@@ -635,9 +648,10 @@ CONTRACT_INPUTS = {
     "nan.json": _curve_text([[float("nan"), 0.0], [0.0, 0.0], [1.0, 0.0]]),
     "duplicate.json": _curve_text([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]),
     "huge.json": _curve_text([[k * 1e300, 0.0] for k in range(5)]),
+    "plane.json": json.dumps({"type": "plane", "degree": 4}),
 }
 PERIOD_INPUTS = ("member.json", "rectangular.json", "one.json", "broken.json")
-CURVE_INPUTS = ("real.json", "nan.json", "duplicate.json", "huge.json", "broken.json")
+CURVE_INPUTS = ("real.json", "nan.json", "duplicate.json", "huge.json", "plane.json", "broken.json")
 
 # Per command: the argument lists a draw picks its source from, the flags
 # drawn from FLAG_VALUES, and the output flags, each given its own file.

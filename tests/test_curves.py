@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from periodlab.curves import (
     BUNDLED_CURVES,
@@ -32,6 +34,28 @@ def test_hyperelliptic_validation():
         HyperellipticCurve([0, 1])  # too few roots
     with pytest.raises(ValidationError):
         HyperellipticCurve([0, 1, 2], leading_coefficient=0)
+
+
+# signed zeros, which compare equal, and finite complex numbers of any size
+POINTS = st.one_of(
+    st.sampled_from([0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 1 + 0j]),
+    st.complex_numbers(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(POINTS, min_size=3, max_size=60), st.data())
+def test_distinctness_matches_pairwise_oracle(points, data):
+    if data.draw(st.booleans(), label="duplicate"):
+        # copy one point over another, at any two positions
+        i, j = (data.draw(st.integers(0, len(points) - 1)) for _ in range(2))
+        points[j] = points[i]
+    distinct = all(p != q for k, p in enumerate(points) for q in points[k + 1 :])
+    if distinct:
+        assert HyperellipticCurve(points).branch_points == tuple(points)
+    else:
+        with pytest.raises(ValidationError, match="pairwise distinct"):
+            HyperellipticCurve(points)
 
 
 @pytest.mark.parametrize(
@@ -114,10 +138,6 @@ def test_roundtrip_preserves_ordering(tmp_path):
         assert loaded.genus == curve.genus
         if isinstance(curve, HyperellipticCurve):
             assert loaded.branch_points == curve.branch_points
-    model = PlaneCurveModel(5)
-    again = curve_from_dict(curve_to_dict(model))
-    assert again.diff_monomials == model.diff_monomials
-    assert again.quad_monomials == model.quad_monomials
 
 
 def test_parser_rejects_with_named_rule():
