@@ -467,7 +467,9 @@ PINNED_CURVE_POINTS = {
 # and g7 pins were recorded with the general lattice reduction in place of
 # the closed-form chain basis, the g6 and g8 pins with the per-segment
 # quadrature loop that the batched kernel replaced.  The complex-branch-point
-# curves also pin the last bits of the quadrature.
+# curves also pin the last bits of the quadrature.  The Fermat pins were
+# recorded with the float-rank search over all d^2 translates in place of
+# the closed cycle set; a Fermat curve writes its raw table to both files.
 PINNED_PERIOD_FILES = {
     "g2_x5_minus_1": (
         "130ff0c6538672c8526ed68e1ee94196e5768efc4586ed3460929e8fe63a9b1e",
@@ -488,6 +490,18 @@ PINNED_PERIOD_FILES = {
     "g8_wide_integer": (
         "e6086711eb346fc82f9aec75e8f838076cf4771acc4dfd9cf400b626aeabfe71",
         "958cf4d2110646398848b1ddf187fb50acb5dff7320b3e3aaae1589a8f01fb24",
+    ),
+    "fermat_d4": (
+        "e0cd4f6bcd39325f9b1338a6037e58903bef18da3ea8402a0504925b85290f7f",
+        "e0cd4f6bcd39325f9b1338a6037e58903bef18da3ea8402a0504925b85290f7f",
+    ),
+    "fermat_d5": (
+        "3ca49ec04ab289bf0ccb2f4b689f5c1ce3cea48a47c3a0f634da1f1ef9fd5500",
+        "3ca49ec04ab289bf0ccb2f4b689f5c1ce3cea48a47c3a0f634da1f1ef9fd5500",
+    ),
+    "fermat_d11": (
+        "61e52440525f7f4c0dcb53c61387c5f3ea0a1bec9eeb58bc8ec67d84e264996f",
+        "61e52440525f7f4c0dcb53c61387c5f3ea0a1bec9eeb58bc8ec67d84e264996f",
     ),
 }
 
