@@ -320,7 +320,13 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--curve", help="curve description JSON file")
     src.add_argument("--bundled", choices=curves.BUNDLED_CURVES, help="name of a bundled curve")
     p.add_argument("--nodes", type=int, default=periods.DEFAULT_NODES)
-    p.add_argument("--kind", choices=["raw", "normalized"], default="normalized")
+    p.add_argument(
+        "--kind",
+        choices=["raw", "normalized"],
+        default="normalized",
+        help="table to write to --out; a Fermat curve always writes its raw table "
+        "(kind=raw): its path translates are not a symplectic basis",
+    )
     p.add_argument("--raw-out", help="also write the raw 2g x g table here")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_periods, outputs=("out", "raw_out"))

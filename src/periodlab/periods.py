@@ -51,6 +51,11 @@ Fermat periods use the classical closed form: on x^d + y^d = 1 the
 integral of x^(r-1) y^(s-d) dx along the path x = t, y = (1-t^d)^(1/d)
 from (0,1) to (1,0) equals B(r/d, s/d) / d, and the automorphism
 translate (x, y) -> (zeta^a x, zeta^b y) multiplies it by zeta^(a*r+b*s).
+The table's rows are the closed set of translates 0 <= a <= d-3,
+0 <= b <= d-2 (``fermat_raw_periods``), a Z-basis of the translates'
+lattice.  They are not a symplectic basis, so the Fermat table is only
+ever raw: ``periods --kind normalized`` on a Fermat curve writes it, and
+the file and the summary say ``kind=raw``.
 
 A period file is one JSON object: ``entries``, the table as rows of
 [re, im] pairs, ``g``, ``kind`` ("raw" or "normalized") and ``meta``.
@@ -79,7 +84,6 @@ from .errors import DomainError, NumericError, ValidationError
 DEFAULT_NODES = 256
 MAX_NODES = 8192
 NODE_DOUBLING_TARGET = 1e-10
-FERMAT_RANK_TOL = 1e-9
 CONDITION_LIMIT = 1e10
 # Residual threshold accepted for the bilinear identity on the
 # column-equilibrated period table when certifying the intersection form.
@@ -468,40 +472,28 @@ class FermatPeriodTable:
 
 
 def fermat_raw_periods(d: int) -> FermatPeriodTable:
-    """Period table of the degree-d Fermat curve over 2g selected cycles.
+    """Period table of the degree-d Fermat curve over its closed cycle set.
 
-    Candidate rows are the d^2 automorphism translates of the fundamental
-    path, in lexicographic (a, b) order; a translate is accepted when it
-    increases the real rank (complex rows viewed as vectors in R^(2g))
-    by more than ``FERMAT_RANK_TOL`` relative to the row norm, until 2g rows
-    are collected.
+    The rows are the path translates (a, b) with 0 <= a <= d-3 and
+    0 <= b <= d-2, in lexicographic order: (d-1)(d-2) = 2g cycles.  The
+    translates of one cycle generate H_1 of the Fermat curve (Rohrlich,
+    appendix to Gross, Invent. Math. 44, 1978), and closing the path into
+    that cycle only scales column (r, s) by (1 - zeta^r)(1 - zeta^s).  Row
+    (a, b) is zeta^(a*r+b*s) times row (0, 0), and r, s and r+s are nonzero
+    mod d, so the sums of the translates over a, over b and over a = b
+    shifts vanish.  These relations write every one of the d^2 translates
+    as a combination of this set with coefficients in {-1, 0, 1}; the set
+    has full real rank 2g, so it is a Z-basis of the translates' lattice.
     """
     if not 4 <= d <= 15:
         raise DomainError("Fermat degree must satisfy 4 <= d <= 15")
-    curve = FermatCurve(d)
-    exps = curve.diff_exponents
-    g = curve.genus
-    entries = []
-    cycles = []
-    ortho: list[np.ndarray] = []
-    for a, b in itertools.product(range(d), repeat=2):
-        row = np.array(
-            [fermat_period_closed_form(d, r, s, a, b) for r, s in exps], dtype=complex
-        )
-        vec = np.concatenate([row.real, row.imag])
-        norm = float(np.linalg.norm(vec))
-        resid = vec.copy()
-        for q in ortho:
-            resid -= np.dot(q, resid) * q
-        if float(np.linalg.norm(resid)) > FERMAT_RANK_TOL * norm:
-            ortho.append(resid / np.linalg.norm(resid))
-            entries.append(row)
-            cycles.append((a, b))
-            if len(entries) == 2 * g:
-                break
-    if len(entries) != 2 * g:
-        raise NumericError("could not select 2g independent Fermat cycles")
-    return FermatPeriodTable(cycles=tuple(cycles), entries=np.array(entries, dtype=complex))
+    exps = FermatCurve(d).diff_exponents
+    cycles = tuple(itertools.product(range(d - 2), range(d - 1)))
+    entries = np.array(
+        [[fermat_period_closed_form(d, r, s, a, b) for r, s in exps] for a, b in cycles],
+        dtype=complex,
+    )
+    return FermatPeriodTable(cycles=cycles, entries=entries)
 
 
 # ---------------------------------------------------------------------------

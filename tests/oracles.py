@@ -23,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -91,6 +92,46 @@ def fermat_translated_path_integral(d: int, r: int, s: int, a: int, b: int, n: i
     # strip the (1 - t)^alpha factor absorbed by the quadrature weight
     smooth = x ** (r - 1) * (y_vals ** (s - d)) * (1.0 - t) ** (-alpha) * zeta**a
     return complex(0.5 ** (alpha + 1.0) * np.sum(w * smooth))
+
+
+def _real_rows(m: np.ndarray) -> np.ndarray:
+    """Complex rows of length g as real 2g-vectors (real parts, then imaginary)."""
+    return np.hstack([m.real, m.imag])
+
+
+def lattice_coordinates(basis: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, float]:
+    """Coordinates X with ``rows = X @ basis`` over the reals, and their
+    largest distance from an integer.
+
+    ``basis`` holds 2g complex rows of length g that are independent as
+    real 2g-vectors; ``rows`` holds any number of complex rows of length g.
+    The rows lie in the lattice that ``basis`` spans exactly when X is
+    integral.
+    """
+    coords = np.linalg.solve(_real_rows(basis).T, _real_rows(rows).T).T
+    return coords, float(np.max(np.abs(coords - np.round(coords))))
+
+
+def xn_lattice_basis(n: int, a: complex = 1.0, leading: complex = 1.0) -> np.ndarray:
+    """Closed-form period lattice basis of y^2 = leading * (x^n - a^n).
+
+    On y^2 = x^n - 1 the ray from 0 to zeta^j, zeta = exp(2 pi i / n),
+    meets no other branch point, and x = zeta^j t turns the ray integral
+    of x^(k-1) dx / y into zeta^(jk) (1/i) c_k with c_k = B(k/n, 1/2) / n.
+    A loop around 1 and zeta^j is twice the difference of two rays, which
+    gives the rows L_j = 2i c_k (zeta^(jk) - 1); this returns L_1 .. L_2g.
+    x = a u scales column k by a^(k - n/2) and the leading coefficient
+    scales every entry by leading^(-1/2).  Either square root serves, as
+    -1 is a lattice symmetry.  The Beta function comes from math.lgamma.
+    """
+    g = (n - 1) // 2
+    k = np.arange(1, g + 1)
+    c = np.array(
+        [math.exp(math.lgamma(m / n) + math.lgamma(0.5) - math.lgamma(m / n + 0.5)) / n for m in k]
+    )
+    j = np.arange(1, 2 * g + 1)[:, None]
+    lattice = 2j * c * (np.exp(2j * np.pi * ((j * k) % n) / n) - 1.0)
+    return lattice * complex(a) ** (k - n / 2) * complex(leading) ** -0.5
 
 
 def cofactor_determinant(m) -> int:

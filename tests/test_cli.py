@@ -489,13 +489,19 @@ class TestMalformedInput:
         "entry beyond the float range": {"g": 1, "kind": "raw", "entries": [[[10**400, 0]]] * 2},
     }
     CURVE_FILES = {
-        "plane degree not an integer": {"type": "plane", "degree": "x"},
+        "plane type unknown": {"type": "plane", "degree": "x"},
         "fermat degree a float": {"type": "fermat", "degree": 4.5},
+        "fermat degree a string": {"type": "fermat", "degree": "x"},
         "leading three numbers": {**LINE_CURVE, "leading": [1, 0, 5]},
         "leading a boolean": {**LINE_CURVE, "leading": [True, 0]},
         "leading an object": {**LINE_CURVE, "leading": {"re": 1, "im": 0}},
         "branch point a boolean": {**LINE_CURVE, "branch_points": [[0, 0], [1, False], [2, 0]]},
         "leading beyond the float range": {**LINE_CURVE, "leading": [10**400, 0]},
+    }
+    # the refusal a case exists for, where another check could refuse it first
+    MESSAGES = {
+        "plane type unknown": "error: unknown curve type 'plane'\n",
+        "fermat degree a string": "error: degree must be an integer\n",
     }
 
     # texts that fail to decode, whatever file the command expects
@@ -528,7 +534,8 @@ class TestMalformedInput:
             "stats": ["stats", "--in", path, "--spectrum", tmp_path / "s.csv"],
             "periods": ["periods", "--curve", path, "--out", tmp_path / "o.json"],
         }[command]
-        _refused(argv, code, tmp_path, capsys, before=["input.json"])
+        err = _refused(argv, code, tmp_path, capsys, before=["input.json"])
+        assert err == self.MESSAGES.get(name, err)
 
 
 class TestExitCodes:

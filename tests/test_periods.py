@@ -16,12 +16,14 @@ from oracles import (
     elliptic_K,
     fermat_path_integral,
     fermat_translated_path_integral,
+    lattice_coordinates,
     reduced_symplectic_transform,
     searched_intersection_matrix,
     segments_meet,
+    xn_lattice_basis,
 )
 from periodlab import cli, periods
-from periodlab.curves import HyperellipticCurve, bundled_curve, curve_to_dict
+from periodlab.curves import FermatCurve, HyperellipticCurve, bundled_curve, curve_to_dict
 from periodlab.errors import DomainError, NumericError, ValidationError
 from periodlab.periods import (
     HomologyBasis,
@@ -324,6 +326,47 @@ def test_high_genus_real_curves_give_siegel_omega(points):
     assert check.min_im_eigenvalue > 0.0
 
 
+# y^2 = leading * (x^n - a^n), branch points a * zeta^j: the unit circle up
+# to g = 30, seeded rotations at four scales and one non-unit leading
+# coefficient.
+XN_DRAWS = (
+    [(n, 1.0, 1.0) for n in [*range(3, 26), 31, 41, 51, 61]]
+    + [
+        (n, scale * cmath.exp(2j * math.pi * random.Random(f"xn/{n}/{scale}").random()), 1.0)
+        for n in (5, 9, 21, 41)
+        for scale in (1e-6, 1e-3, 1e3, 1e6)
+    ]
+    + [(7, 1.0, 2.5 - 1.5j)]
+)
+
+
+@pytest.mark.parametrize(
+    "n, a, leading",
+    XN_DRAWS,
+    ids=[f"n{n}-a{abs(a):g}-lead{leading}" for n, a, leading in XN_DRAWS],
+)
+def test_chain_table_is_a_basis_of_the_beta_lattice(n, a, leading, tmp_path, capsys):
+    curve = HyperellipticCurve([a * cmath.exp(2j * math.pi * j / n) for j in range(n)], leading)
+    raw, _ = hyperelliptic_raw_periods(curve)
+    lattice = xn_lattice_basis(n, a, leading)
+    # column-equilibrated forms, so that no differential hides behind another
+    scale = 1.0 / np.abs(lattice).max(axis=0)
+    coords, off_integer = lattice_coordinates(lattice * scale, raw.entries * scale)
+    assert off_integer <= 1e-12
+    assert abs(np.linalg.det(np.round(coords))) == pytest.approx(1.0, abs=1e-6)
+
+    # normalized: a Siegel member, or refused with exit 4 and no file
+    path, out = tmp_path / "curve.json", tmp_path / "omega.json"
+    path.write_text(json.dumps(curve_to_dict(curve)))
+    code = cli.main(["periods", "--curve", str(path), "--kind", "normalized", "--out", str(out)])
+    capsys.readouterr()
+    if code == 0:
+        assert validate_siegel(load_period_json(out)[0]).is_member
+    else:
+        assert code == 4
+        assert list(tmp_path.iterdir()) == [path]
+
+
 class TestFermatPeriods:
     def test_beta_symmetry_and_value(self):
         assert abs(beta_function(0.5, 0.5) - np.pi) < 1e-12
@@ -347,14 +390,27 @@ class TestFermatPeriods:
             oracle = fermat_translated_path_integral(d, 1, 1, a, b)
             assert abs(closed - oracle) < 1e-8
 
-    def test_table_selection(self):
-        table = fermat_raw_periods(11)
-        assert table.g == 45
-        assert table.entries.shape == (90, 45)
-        assert len(table.cycles) == 90
+    @pytest.mark.parametrize("d", range(4, 16))
+    def test_table_selection(self, d):
+        table, curve = fermat_raw_periods(d), FermatCurve(d)
+        g = curve.genus
+        assert table.g == g
+        assert table.entries.shape == (2 * g, g)
+        assert table.cycles == tuple(itertools.product(range(d - 2), range(d - 1)))
         # selected rows are independent over the reals
         flat = np.hstack([table.entries.real, table.entries.imag])
-        assert np.linalg.matrix_rank(flat) == 90
+        assert np.linalg.matrix_rank(flat) == 2 * g
+        # and a Z-basis: every one of the d^2 translates is a {-1, 0, 1}
+        # combination of them
+        translates = np.array(
+            [
+                [fermat_period_closed_form(d, r, s, a, b) for r, s in curve.diff_exponents]
+                for a, b in itertools.product(range(d), repeat=2)
+            ]
+        )
+        coords, off_integer = lattice_coordinates(table.entries, translates)
+        assert off_integer <= 1e-12
+        assert set(np.round(coords).ravel()) <= {-1.0, 0.0, 1.0}
 
     def test_degree_domain(self):
         with pytest.raises(DomainError):
