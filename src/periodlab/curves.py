@@ -41,6 +41,7 @@ Monomial = tuple[int, int, int]
 
 # Largest genus the commands that allocate g x g arrays accept.
 MAX_GENUS = 1024
+MAX_FERMAT_DEGREE = 15  # the largest Fermat degree with a period table
 
 
 def monomials_of_degree(n: int) -> list[Monomial]:
@@ -101,13 +102,13 @@ class PlaneCurveModel:
 
 @dataclass(frozen=True)
 class FermatCurve:
-    """Degree-d Fermat curve, d >= 4."""
+    """Degree-d Fermat curve, 4 <= d <= ``MAX_FERMAT_DEGREE``."""
 
     degree: int
 
     def __post_init__(self):
-        if self.degree < 4:
-            raise ValidationError("Fermat degree must be >= 4")
+        if not 4 <= self.degree <= MAX_FERMAT_DEGREE:
+            raise ValidationError(f"Fermat degree must satisfy 4 <= d <= {MAX_FERMAT_DEGREE}")
 
     @property
     def diff_exponents(self) -> tuple[tuple[int, int], ...]:

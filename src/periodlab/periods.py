@@ -44,8 +44,8 @@ failed certificate raises NumericError.  Because E is a chain, the
 symplectic basis has a closed form (the chain construction of Molin and
 Neurohr, arXiv:1707.07249): on the loops c_0 .. c_2g-1,
 alpha_i = sum_{k<=i} eps_ik c_2k with eps_ii = 1 and eps_ik the product
-of s_2m s_2m+1 over k <= m < i, and beta_i = s_2i c_2i+1.  That change of
-basis normalizes the table to a candidate period matrix Omega = B A^(-1).
+of s_2m s_2m+1 over k <= m < i, and beta_i = s_2i c_2i+1.  ``normalize``
+builds it from E and refuses an Omega = B A^(-1) outside H_g (NumericError).
 
 Fermat periods use the classical closed form: on x^d + y^d = 1 the
 integral of x^(r-1) y^(s-d) dx along the path x = t, y = (1-t^d)^(1/d)
@@ -78,6 +78,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import curves, siegel
 from .curves import FermatCurve, HyperellipticCurve, json_int, json_pairs, read_json
 from .errors import DomainError, NumericError, ValidationError
 
@@ -123,23 +124,25 @@ class RawPeriodTable:
 class HomologyBasis:
     """Intersection data of the chain cycles.
 
-    ``symplectic_transform`` T, rows of integers, satisfies T E T^T =
-    [[0, I], [-I, 0]] exactly for the int64 intersection matrix E.
-    ``bilinear_residual`` and ``positive_form_min_eig`` are the certificate
-    of E against the periods (NaN when E was not certified).
+    ``intersection_matrix`` E is the int64 chain matrix; ``normalize``
+    derives the symplectic basis from it and refuses an Omega outside
+    H_g.  ``bilinear_residual`` and ``positive_form_min_eig`` are the
+    certificate of E against the periods (NaN when E was not certified).
     """
 
     intersection_matrix: np.ndarray
-    symplectic_transform: Sequence[Sequence[int]]
     bilinear_residual: float = math.nan
     positive_form_min_eig: float = math.nan
 
 
 @dataclass(frozen=True, eq=False)
 class PeriodMatrix:
-    g: int
     entries: np.ndarray
     provenance: dict = field(default_factory=dict)
+
+    @property
+    def g(self) -> int:
+        return self.entries.shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -413,30 +416,32 @@ def hyperelliptic_raw_periods(
             P = P2
             if err <= NODE_DOUBLING_TARGET or 2 * N > MAX_NODES:
                 break
-    E, residual, min_eig = _choose_intersection_matrix(P, segs, anchors, ends)
-    hom = HomologyBasis(E, symplectic_transform_from_intersection(E), residual, min_eig)
+    hom = HomologyBasis(*_choose_intersection_matrix(P, segs, anchors, ends))
     return RawPeriodTable(entries=P, quadrature_nodes=N, est_error=err), hom
 
 
 def normalize(raw: RawPeriodTable, hom: HomologyBasis) -> PeriodMatrix:
-    """Normalized period matrix Omega = B A^(-1) in the symplectic basis.
+    """Period matrix Omega = B A^(-1), refused with NumericError unless in H_g.
 
-    A and B are the alpha- and beta-blocks of the symplectically
-    transformed table; Omega is the matrix of beta-periods of the
-    differential basis dual to the alpha-cycles.
+    A and B are the alpha- and beta-blocks of the table in the symplectic
+    basis built from the 2g x 2g chain matrix E of ``hom``; Omega is the
+    matrix of beta-periods of the differential basis dual to the alpha-cycles.
     """
-    g = raw.g
-    T = np.array(hom.symplectic_transform, dtype=float)
-    if T.shape != (2 * g, 2 * g):
-        raise ValidationError("symplectic transform size does not match the table")
-    TP = T @ raw.entries
-    A = TP[:g]
-    B = TP[g:]
+    if len(hom.intersection_matrix) != 2 * raw.g:
+        raise ValidationError("intersection matrix size does not match the table")
+    T = np.array(symplectic_transform_from_intersection(hom.intersection_matrix), dtype=float)
+    A, B = np.split(T @ raw.entries, 2)
     cond = float(np.linalg.cond(A))
     if not math.isfinite(cond) or cond > CONDITION_LIMIT:
         raise NumericError(f"A-block condition number {cond:.3e} exceeds {CONDITION_LIMIT:.1e}")
     omega = np.linalg.solve(A.T, B.T).T
-    return PeriodMatrix(g=g, entries=omega, provenance={"a_block_condition": cond})
+    check = siegel.validate_siegel(omega)
+    if not check.is_member:
+        raise NumericError(
+            "normalized period matrix is not in the Siegel upper half-space (symmetry residual "
+            f"{check.symmetry_residual:.3e}, min Im eigenvalue {check.min_im_eigenvalue:.3e})"
+        )
+    return PeriodMatrix(entries=omega, provenance={"a_block_condition": cond})
 
 
 # ---------------------------------------------------------------------------
@@ -485,8 +490,8 @@ def fermat_raw_periods(d: int) -> FermatPeriodTable:
     as a combination of this set with coefficients in {-1, 0, 1}; the set
     has full real rank 2g, so it is a Z-basis of the translates' lattice.
     """
-    if not 4 <= d <= 15:
-        raise DomainError("Fermat degree must satisfy 4 <= d <= 15")
+    if not 4 <= d <= curves.MAX_FERMAT_DEGREE:
+        raise DomainError(f"Fermat degree must satisfy 4 <= d <= {curves.MAX_FERMAT_DEGREE}")
     exps = FermatCurve(d).diff_exponents
     cycles = tuple(itertools.product(range(d - 2), range(d - 1)))
     entries = np.array(

@@ -103,11 +103,20 @@ class TestPeriodsCommand:
         return _refused(argv, code, tmp_path, capsys, before)
 
     def test_non_siegel_omega_refused(self, tmp_path, monkeypatch, capsys):
-        def asymmetric(raw, hom):
-            return periods.PeriodMatrix(g=2, entries=np.array([[1j, 0.5], [0.0, 1j]]))
+        # negating the beta rows of the basis turns Omega into -Omega, outside H_g
+        chain_basis = periods.symplectic_transform_from_intersection
 
-        monkeypatch.setattr(periods, "normalize", asymmetric)
-        self._assert_refused(["periods", "--bundled", "g2_real_quintic"], 4, tmp_path, capsys)
+        def negated_beta(E):
+            T = chain_basis(E)
+            g = len(T) // 2
+            return T[:g] + [[-t for t in row] for row in T[g:]]
+
+        monkeypatch.setattr(periods, "symplectic_transform_from_intersection", negated_beta)
+        argv = ["periods", "--bundled", "g2_real_quintic"]
+        err = self._assert_refused(argv, 4, tmp_path, capsys)
+        assert err.startswith(
+            "error: normalized period matrix is not in the Siegel upper half-space"
+        )
 
     def test_nodes_above_limit_refused(self, tmp_path, capsys):
         # a value only twice the cap: even unguarded it would stay small
@@ -492,6 +501,7 @@ class TestMalformedInput:
         "plane type unknown": {"type": "plane", "degree": "x"},
         "fermat degree a float": {"type": "fermat", "degree": 4.5},
         "fermat degree a string": {"type": "fermat", "degree": "x"},
+        "fermat degree above the table limit": {"type": "fermat", "degree": 16},
         "leading three numbers": {**LINE_CURVE, "leading": [1, 0, 5]},
         "leading a boolean": {**LINE_CURVE, "leading": [True, 0]},
         "leading an object": {**LINE_CURVE, "leading": {"re": 1, "im": 0}},
@@ -502,6 +512,7 @@ class TestMalformedInput:
     MESSAGES = {
         "plane type unknown": "error: unknown curve type 'plane'\n",
         "fermat degree a string": "error: degree must be an integer\n",
+        "fermat degree above the table limit": "error: Fermat degree must satisfy 4 <= d <= 15\n",
     }
 
     # texts that fail to decode, whatever file the command expects

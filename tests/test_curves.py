@@ -128,6 +128,8 @@ def test_fermat_diff_exponents():
     assert all(r >= 1 and s >= 1 and r + s <= 10 for r, s in exps)
     with pytest.raises(ValidationError):
         FermatCurve(3)
+    with pytest.raises(ValidationError):
+        FermatCurve(16)
 
 
 def test_roundtrip_preserves_ordering(tmp_path):

@@ -138,7 +138,7 @@ class TestHyperellipticPeriods:
     def test_homology_invariants(self):
         raw, hom = hyperelliptic_raw_periods(bundled_curve("g3_real_septic"))
         E = np.array(hom.intersection_matrix)
-        T = np.array(hom.symplectic_transform)
+        T = np.array(symplectic_transform_from_intersection(hom.intersection_matrix))
         g = raw.g
         assert np.array_equal(E, -E.T)
         assert round(abs(np.linalg.det(E))) == 1
@@ -420,36 +420,44 @@ class TestFermatPeriods:
 
 
 class TestNormalize:
+    # the g = 2 chain with signs (1, 1, 1), the standard g = 1 block and a member of H_2
+    E2 = periods._tridiagonal_intersection((1, 1, 1))
+    E1 = [[0, 1], [-1, 0]]
+    B = np.array([[1j, 0.3], [0.3, 2j]])
+
+    @staticmethod
+    def _table(entries):
+        entries = np.asarray(entries, dtype=complex)
+        return RawPeriodTable(entries=entries, quadrature_nodes=0, est_error=0.0)
+
+    def _chain_table(self, blocks):
+        """The g = 2 table whose symplectic transform under E2 is ``blocks``."""
+        T = np.array(symplectic_transform_from_intersection(self.E2), dtype=float)
+        return self._table(np.linalg.solve(T, np.vstack(blocks)))
+
     def test_identity_a_block(self):
-        g = 2
-        B = np.array([[1j, 0.3], [0.3, 2j]])
-        entries = np.vstack([np.eye(g), B])
-        raw = RawPeriodTable(
-            entries=entries,
-            quadrature_nodes=0,
-            est_error=0.0,
-        )
-        T = np.eye(2 * g, dtype=int)
-        hom = HomologyBasis(
-            intersection_matrix=tuple(map(tuple, np.zeros((4, 4), dtype=int))),
-            symplectic_transform=tuple(map(tuple, T)),
-        )
-        pm = normalize(raw, hom)
-        assert np.allclose(pm.entries, B)
+        pm = normalize(self._chain_table([np.eye(2), self.B]), HomologyBasis(self.E2))
+        assert np.allclose(pm.entries, self.B)
+        assert pm.g == 2
 
     def test_singular_a_block_refused(self):
-        entries = np.vstack([np.zeros((2, 2)), np.eye(2)])
-        raw = RawPeriodTable(
-            entries=entries.astype(complex),
-            quadrature_nodes=0,
-            est_error=0.0,
-        )
-        hom = HomologyBasis(
-            intersection_matrix=tuple(map(tuple, np.zeros((4, 4), dtype=int))),
-            symplectic_transform=tuple(map(tuple, np.eye(4, dtype=int))),
-        )
+        raw = self._chain_table([np.zeros((2, 2)), np.eye(2)])
         with pytest.raises(NumericError, match="A-block condition number"):
-            normalize(raw, hom)
+            normalize(raw, HomologyBasis(self.E2))
+
+    def test_intersection_size_mismatch_refused(self):
+        raw = self._chain_table([np.eye(2), self.B])
+        with pytest.raises(ValidationError, match="intersection matrix size does not match"):
+            normalize(raw, HomologyBasis(self.E1))
+
+    def test_non_member_refused(self):
+        # E1 gives T = I, so A = 1, B = -i and Omega = -i, outside H_1
+        with pytest.raises(NumericError) as exc:
+            normalize(self._table([[1], [-1j]]), HomologyBasis(self.E1))
+        assert str(exc.value) == (
+            "normalized period matrix is not in the Siegel upper half-space "
+            "(symmetry residual 0.000e+00, min Im eigenvalue -1.000e+00)"
+        )
 
 
 class TestSymplecticReduction:
@@ -608,13 +616,18 @@ FILE_FLOATS = st.one_of(st.floats(), EDGE_FLOATS)
 # Strings and keys that read like the file's own fields or JSON literals,
 # or like a format placeholder, beside arbitrary (non-ASCII) text.
 META_TEXT = st.one_of(st.text(), st.sampled_from(["null", "entries", "g", "kind", "NaN", "%s"]))
+
+
+def extend(inner):
+    """Lists and objects of ``inner``: one level of META's nesting."""
+    return st.one_of(st.lists(inner, max_size=3), st.dictionaries(META_TEXT, inner, max_size=3))
+
+
 META = st.dictionaries(
     META_TEXT,
     st.recursive(
         st.one_of(st.none(), st.booleans(), st.integers(), FILE_FLOATS, META_TEXT),
-        lambda inner: st.one_of(
-            st.lists(inner, max_size=3), st.dictionaries(META_TEXT, inner, max_size=3)
-        ),
+        extend,
         max_leaves=8,
     ),
     max_size=4,
