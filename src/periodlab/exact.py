@@ -16,12 +16,12 @@ Theory*, section 2.2):
   two distinct primes cannot both divide a nonzero minor below P1*P2;
 * a trial with H >= P1*P2 falls back to ``integer_rank``.
 
-``batch_rank`` makes its mod-P2 pass over the stack it is given.  A
-caller that ranks a stream of small stacks, such as the trial chunks of
-one ``modsel`` call, uses ``SecondPrimePool`` instead: the trials owed a
-mod-P2 pass wait there, at most ``capacity`` of them, and are re-ranked
-together when the pool would overflow and once at the end of the stream,
-so a call of a few chunks pays one mod-P2 pass rather than one per chunk.
+``certified_ranks`` ranks a stream of labelled stacks, such as the trial
+chunks of one ``modsel`` call, and yields each stack's ranks final, in
+order.  Trials owed a mod-P2 pass wait and are re-ranked together, so a
+call of a few chunks pays one pass rather than one per chunk; what waits
+is bounded by the largest stack, so memory stays bounded by a few chunks
+however long the call.  ``batch_rank`` is its one-stack case.
 
 The elimination mod a prime (``_rank_mod``) runs on one (column, row,
 trial) work block and one scratch block of the same shape, preallocated
@@ -36,7 +36,6 @@ point is involved anywhere.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
@@ -183,52 +182,45 @@ def batch_rank(a) -> np.ndarray:
     Hadamard bound H reaches P1, and ``integer_rank`` for those whose H
     reaches P1*P2; see the module docstring for the certificate.
     """
-    pool = SecondPrimePool(len(a))
-    ranks, _ = pool.rank(a)
-    positions, certified = pool.finish()
-    ranks[positions] = certified
+    [(_, ranks)] = certified_ranks([(None, a)])
     return ranks
 
 
-_NONE_SETTLED = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int64))
+def certified_ranks(stacks):
+    """Yield ``(label, ranks)`` for each ``(label, stack)`` of ``stacks``, in order.
 
-
-class SecondPrimePool:
-    """Exact ranks of a stream of stacks, with the mod-P2 passes pooled across stacks.
-
-    ``rank`` certifies each trial of a stack as the module docstring says,
-    except that the trials owed the mod-P2 pass keep their rank mod P1 and
-    wait in the pool.  They are re-ranked mod P2 in one pass when the next
-    stack's would overflow ``capacity`` trials, and at ``finish``; so the
-    pool never holds more than ``capacity`` matrices once every stack has
-    at most that many trials.  Each pass returns the trials it certified
-    as (positions, ranks), where positions count trials from 0 over every
-    stack given to ``rank``.
+    Every yielded rank is final (module docstring).  A stack with trials owed
+    the mod-P2 pass waits, with its label and ranks mod P1, and so does every
+    later stack.  They get one pass when the next stack would make the owed
+    trials outnumber the largest stack's trials, or the waiting ranks its
+    entries; and at the end.  Only owed matrices are kept, and a stack that
+    owes nothing, behind no waiting stack, is yielded at once.
     """
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self._ranked = 0
-        self._pending: list[tuple] = []  # (positions, matrices, ranks mod P1) per stack
-        self._size = 0
-
-    def rank(self, a) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-        """Ranks of the stack ``a``, and the trials a mod-P2 pass certified meanwhile."""
+    held: list[tuple] = []  # (label, ranks mod P1, owed positions, owed matrices)
+    size = waiting = largest = entries = 0
+    for label, a in stacks:
         a = np.asarray(a, dtype=np.int64)
         ranks, owed = _ranks_mod_p1(a)
-        settled = _NONE_SETTLED
-        if self._size + owed.size > self.capacity:
-            settled = self.finish()
-        if owed.size:
-            self._pending.append((owed + self._ranked, a[owed], ranks[owed]))
-            self._size += owed.size
-        self._ranked += len(a)
-        return ranks, settled
+        largest, entries = max(largest, len(a)), max(entries, a.size)
+        mats = a[owed]
+        del a  # the stack is not held across a yield
+        if size + owed.size > largest or waiting + len(ranks) > entries:
+            yield from _second_prime_pass(held)
+            held, size, waiting = [], 0, 0
+        if held or owed.size:
+            held.append((label, ranks, owed, mats))
+            size += owed.size
+            waiting += len(ranks)
+        else:
+            yield label, ranks
+    yield from _second_prime_pass(held)
 
-    def finish(self) -> tuple[np.ndarray, np.ndarray]:
-        """Empty the pool with one mod-P2 pass: (positions, certified ranks) of its trials."""
-        if not self._size:
-            return _NONE_SETTLED
-        positions, mats, ranks = map(np.concatenate, zip(*self._pending))
-        self._pending, self._size = [], 0
-        return positions, np.maximum(ranks, _rank_mod(mats, P2))
+
+def _second_prime_pass(held):
+    """Yield the held stacks' (label, ranks), their owed trials re-ranked mod P2 in one pass."""
+    if held:
+        second = _rank_mod(np.concatenate([mats for *_, mats in held]), P2)
+    for label, ranks, owed, _ in held:
+        ranks[owed] = np.maximum(ranks[owed], second[: owed.size])
+        second = second[owed.size :]
+        yield label, ranks

@@ -16,13 +16,12 @@ exhaustive, the g x g matrices for singularity.  The ranks are
 elimination mod P1 = 2^31 - 1, certified by Hadamard's bound; a
 rank-deficient trial whose bound reaches P1 is ranked again mod
 P2 = 2147483629, and one whose bound reaches P1*P2 falls back to Bareiss
-elimination over the integers (``exact``).  The mod-P2 re-ranks of a
-call are pooled across its chunks (``exact.SecondPrimePool``) and run
-once at the end of the call, or earlier whenever the pool would exceed a
-chunk of trials.  No floating-point value decides any rank.  The
-single-matrix functions (``bernoulli_matrix``, ``is_nonsingular_exact``,
-``product_span_rank``, ``run_trial``) are batches of one through
-``exact.batch_rank``.
+elimination over the integers (``exact``).  A call's chunks stream
+through ``exact.certified_ranks``, which pools the mod-P2 re-ranks across
+chunks and yields each chunk's ranks final.  No floating-point value
+decides any rank.  The single-matrix functions (``bernoulli_matrix``,
+``is_nonsingular_exact``, ``product_span_rank``, ``run_trial``) are
+batches of one through ``exact.batch_rank``.
 
 Span matrices are assembled in ``int64`` without a matrix product: each
 quad-monomial column is a sum of at most four products M[a, j] * M[b, l],
@@ -43,14 +42,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .curves import MAX_GENUS, PlaneCurveModel, moduli_count
 from .errors import DomainError, ValidationError
-from .exact import SecondPrimePool, batch_rank
+from .exact import batch_rank, certified_ranks
 from .rng import MASK64, stream_draws, trial_seeds
 
 # Trials are processed in chunks whose ranked arrays (g*g draws and
@@ -284,8 +283,8 @@ def _select_stats(
 
     ``matrices(start, stop)`` returns a chunk's per-trial labels (seeds or
     codes) and its (B, g, g) matrices.  A chunk holds as many trials as
-    fit ``CHUNK_ELEMENTS`` elements of span matrices, and the span ranks
-    owed a mod-P2 pass wait in one pool of at most a chunk of trials.
+    fit ``CHUNK_ELEMENTS`` elements of span matrices, and each record is
+    built once, from the final ranks ``exact.certified_ranks`` yields.
     Returns the stats, and the records too when ``records`` is set.
     """
     g = model.genus
@@ -293,28 +292,19 @@ def _select_stats(
     pairs = first_three_rows_indices(g)
     table = _span_table(model)
     per_trial = len(pairs) * len(table.columns)  # elements of one span matrix
-    pool = SecondPrimePool(chunk_trials(per_trial))
     log: list[TrialRecord] = []
     succ = nonsing = 0
 
-    def settle(positions, ranks):
-        # a pooled trial is rank-deficient mod P1, so not yet counted a success
-        nonlocal succ
-        succ += int(np.count_nonzero(ranks == target))
-        if records:
-            for k, r in zip(positions.tolist(), ranks.tolist()):
-                log[k] = replace(log[k], span_rank=r, success=r == target)
+    def stacks():
+        for start, stop in _chunks(n_trials, per_trial):
+            labels, mats = matrices(start, stop)
+            yield (start, labels, batch_rank(mats) == g), _span_matrices(mats, table, pairs)
 
-    for start, stop in _chunks(n_trials, per_trial):
-        labels, mats = matrices(start, stop)
-        nonsingular = batch_rank(mats) == g
-        span, settled = pool.rank(_span_matrices(mats, table, pairs))
+    for (start, labels, nonsingular), span in certified_ranks(stacks()):
         succ += int(np.count_nonzero(span == target))
         nonsing += int(np.count_nonzero(nonsingular))
         if records:
             log.extend(_records(start, labels.tolist(), nonsingular, span, target))
-        settle(*settled)
-    settle(*pool.finish())
     return _stats(n_trials, succ, nonsing, exact), log
 
 
@@ -326,7 +316,7 @@ def run_selection(
     Trial i uses the seed derive_seed(seed, i), so the aggregate is
     independent of execution order and chunking, and any single trial can
     be reproduced in isolation with ``run_trial``.  Without ``records``
-    the returned list is empty and memory stays bounded by the chunk size.
+    the returned list is empty and memory stays bounded by a few chunks.
     """
     if n_trials < 1:
         raise DomainError("n_trials must be >= 1")
@@ -379,12 +369,8 @@ def singularity_rate(g: int, p: float, n_trials: int, seed: int) -> SuccessStats
         raise DomainError(f"g must be <= {MAX_GENUS}")
     if n_trials < 1:
         raise DomainError("n_trials must be >= 1")
-    pool = SecondPrimePool(chunk_trials(g * g))
-    nonsingular = 0  # a pooled trial is rank-deficient mod P1 until its pass settles it
-    for start, stop in _chunks(n_trials, g * g):
-        ranks, (_, settled) = pool.rank(_bits(trial_seeds(seed, start, stop), g, p))
-        nonsingular += int(np.count_nonzero(ranks == g) + np.count_nonzero(settled == g))
-    nonsingular += int(np.count_nonzero(pool.finish()[1] == g))
+    stacks = ((None, _bits(trial_seeds(seed, *c), g, p)) for c in _chunks(n_trials, g * g))
+    nonsingular = sum(int(np.count_nonzero(ranks == g)) for _, ranks in certified_ranks(stacks))
     return _stats(n_trials, n_trials - nonsingular, nonsingular)
 
 

@@ -50,13 +50,18 @@ class BandLimitScore:
 
 
 def spectrum(values) -> Spectrum:
+    """Squared moduli of ``values``, largest first; ``ValidationError`` unless every
+    entry, every squared modulus and their sum are finite (1e200, or 1e154 twice,
+    would make the energy fractions and the power-law fit NaN)."""
     vals = np.asarray(values, dtype=complex)
     if vals.size == 0:
         raise ValidationError("spectrum requires a non-empty input")
     if not np.all(np.isfinite(vals.real)) or not np.all(np.isfinite(vals.imag)):
         raise ValidationError("spectrum entries must be finite")
-    sq = np.abs(vals.ravel()) ** 2
-    sq = np.sort(sq)[::-1]
+    with np.errstate(over="ignore"):
+        sq = np.sort(np.abs(vals.ravel()) ** 2)[::-1]
+        if not np.isfinite(sq.sum()):
+            raise ValidationError("spectrum squared moduli and their sum must be finite")
     return Spectrum(values=tuple(float(v) for v in sq), source_count=int(vals.size))
 
 

@@ -339,6 +339,17 @@ class TestStatsCommand:
         assert run(argv) == 2
         assert [p.name for p in tmp_path.iterdir()] == ["one.json"]
 
+    def test_overflowing_squared_moduli_refused(self, tmp_path, capsys):
+        # a Siegel member whose squared modulus overflows: validate accepts it,
+        # stats refuses it with exit 3 rather than write inf and NaN
+        src = tmp_path / "huge.json"
+        src.write_text(periods.period_json_text(np.array([[1e200 + 1e200j]]), "normalized", {}))
+        assert run(["validate", src]) == 0
+        capsys.readouterr()
+        argv = ["stats", "--in", src, "--spectrum", tmp_path / "s.csv", "--fit", tmp_path / "f.json"]
+        err = _refused(argv + ["--k", 1], 3, tmp_path, capsys, before=["huge.json"])
+        assert "squared moduli and their sum must be finite" in err
+
 
 class TestSiegelSampleCommand:
     def test_sample_validates(self, tmp_path):

@@ -1,16 +1,18 @@
 import random
+import weakref
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import cofactor_determinant, rank_mod_with_temporaries
+from periodlab import exact
 from periodlab.exact import (
     P1,
     P2,
-    SecondPrimePool,
     _rank_mod,
     batch_rank,
+    certified_ranks,
     integer_rank,
 )
 
@@ -82,6 +84,12 @@ def test_second_prime_recovers_rank():
     assert batch_rank(np.array([np.diag([P1, 1, 1])])).tolist() == [3]
 
 
+def test_second_prime_keeps_the_larger_rank():
+    # diag(P2, 2, 0) is owed the mod-P2 pass (rank-deficient, P1 <= H = 2*P2 < P1*P2)
+    # but ranks 2 mod P1 and only 1 mod P2: the certified rank is the larger
+    assert batch_rank(np.array([np.diag([P2, 2, 0])])).tolist() == [2]
+
+
 def test_bareiss_fallback_beyond_both_primes():
     assert batch_rank(np.array([[[P1 * P2]]])).tolist() == [1]
 
@@ -106,19 +114,98 @@ def test_batch_rank_empty_shapes():
     assert batch_rank(np.zeros((2, 0, 3), dtype=np.int64)).tolist() == [0, 0]
 
 
-def test_second_prime_pool_defers_and_flushes():
-    # every stack holds one trial owed the mod-P2 pass; a pool of two re-ranks
-    # them when a third would overflow it, and the rest at finish
-    owed = np.diag([P1, 1, 1])
-    stack = np.array([np.eye(3, dtype=np.int64), owed])
-    pool = SecondPrimePool(2)
-    results = [pool.rank(stack) for _ in range(3)]
-    assert [ranks.tolist() for ranks, _ in results] == [[3, 2]] * 3
-    assert [positions.tolist() for _, (positions, _) in results] == [[], [], [1, 3]]
-    assert results[2][1][1].tolist() == [3, 3]
-    positions, ranks = pool.finish()
-    assert (positions.tolist(), ranks.tolist()) == ([5], [3])
-    assert pool.finish()[0].size == 0
+EYE = np.eye(3, dtype=np.int64)
+# owed the mod-P2 pass: ranks 2 and 1 mod P1, 3 and 2 mod P2 and over Q
+OWED = np.diag([P1, 1, 1])
+OWED2 = np.diag([P1, 1, 0])
+
+
+def _stream(monkeypatch, stacks):
+    """Run ``certified_ranks`` over ``stacks``, logging in order each stack pulled
+    from the input, each mod-P2 pass (with its trial count) and each stack yielded.
+    Every stack pulled so far must be released by the time a stack is yielded."""
+    events, refs, rank_mod = [], [], exact._rank_mod
+
+    def counting_rank_mod(a, p):
+        if p == P2:
+            events.append(("P2", len(a)))
+        return rank_mod(a, p)
+
+    def pull(label, mats):
+        events.append(("pull", label))
+        a = np.array(mats, dtype=np.int64)
+        refs.append(weakref.ref(a))
+        return label, a
+
+    monkeypatch.setattr(exact, "_rank_mod", counting_rank_mod)
+    for label, ranks in certified_ranks(pull(*item) for item in enumerate(stacks)):
+        assert all(ref() is None for ref in refs)
+        events.append(("yield", label, ranks.tolist()))
+    return events
+
+
+def test_second_prime_pool_defers_and_flushes(monkeypatch):
+    # every stack holds one trial owed the mod-P2 pass, and two owed trials fit
+    # the largest stack: the first two stacks are re-ranked together when the
+    # third's would overflow, and yielded final before the third is certified
+    assert _stream(monkeypatch, [[EYE, OWED]] * 3) == [
+        ("pull", 0),
+        ("pull", 1),
+        ("pull", 2),
+        ("P2", 2),
+        ("yield", 0, [3, 3]),
+        ("yield", 1, [3, 3]),
+        ("P2", 1),
+        ("yield", 2, [3, 3]),
+    ]
+
+
+def test_second_prime_pool_is_bounded_by_the_largest_stack(monkeypatch):
+    # stacks of 1, 3, 1 and 2 trials: the owed trials wait until they would
+    # outnumber the largest stack seen (3), not the first or the current one,
+    # and each gets its own rank back from the shared pass
+    stacks = [[OWED], [OWED2, EYE, EYE], [OWED], [OWED2, OWED]]
+    assert _stream(monkeypatch, stacks) == [
+        ("pull", 0),
+        ("pull", 1),
+        ("pull", 2),
+        ("pull", 3),
+        ("P2", 3),
+        ("yield", 0, [3]),
+        ("yield", 1, [2, 3, 3]),
+        ("yield", 2, [3]),
+        ("P2", 2),
+        ("yield", 3, [2, 3]),
+    ]
+
+
+def test_stack_with_nothing_owed_is_yielded_at_once(monkeypatch):
+    # a stack with nothing owed is yielded before the next is pulled, unless an
+    # earlier stack is still waiting for its pass: the order is kept
+    assert _stream(monkeypatch, [[EYE], [OWED], [EYE], [EYE]]) == [
+        ("pull", 0),
+        ("yield", 0, [3]),
+        ("pull", 1),
+        ("pull", 2),
+        ("pull", 3),
+        ("P2", 1),
+        ("yield", 1, [3]),
+        ("yield", 2, [3]),
+        ("yield", 3, [3]),
+    ]
+
+
+def test_stacks_behind_an_owed_trial_wait_boundedly(monkeypatch):
+    # one owed trial, then stacks that owe nothing: they wait behind it only
+    # until their ranks would outnumber the entries of the largest stack (9),
+    # so a long call holds a bounded number of stacks, not all of them
+    stacks = [[OWED]] + [[EYE]] * 19
+    assert _stream(monkeypatch, stacks) == (
+        [("pull", i) for i in range(10)]
+        + [("P2", 1)]
+        + [("yield", i, [3]) for i in range(10)]
+        + [e for i in range(10, 20) for e in [("pull", i), ("yield", i, [3])]]
+    )
 
 
 INT64 = np.iinfo(np.int64)

@@ -338,11 +338,13 @@ class TestTrials:
         assert len(p2_sizes) <= 1
         assert sum(p2_sizes) == sum(owed) <= chunk_trials(QUINTIC_SPAN_ELEMENTS)
 
-    def test_second_prime_pass_corrects_pooled_records(self, monkeypatch):
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 4, 7])
+    def test_second_prime_pass_corrects_pooled_records(self, chunk, monkeypatch):
         # 0/1 trials almost never rank differently mod P1 and P2, so give each
         # quartic trial the span matrix diag(P1 or 1, 1, 1, 1, 1, M[1][1]):
         # when M[0][0] = 1 its rank mod P1 is one short, and only the pooled
-        # mod-P2 pass, across four-trial chunks, sees the missing rank
+        # mod-P2 pass, across chunks of ``chunk`` trials, sees the missing rank;
+        # 40 trials put a pass at every boundary and, for 3 and 7, a short last chunk
         def span_matrices(mats, scatter, pairs):
             diag = np.ones((len(mats), 6), dtype=np.int64)
             diag[:, 0] = np.where(mats[:, 0, 0] == 1, exact.P1, 1)
@@ -350,7 +352,7 @@ class TestTrials:
             return diag[:, :, None] * np.eye(6, dtype=np.int64)
 
         monkeypatch.setattr(modsel, "_span_matrices", span_matrices)
-        monkeypatch.setattr(modsel, "CHUNK_ELEMENTS", 4 * 36)
+        monkeypatch.setattr(modsel, "CHUNK_ELEMENTS", chunk * 36)
         stats, records = run_selection(QUARTIC, 0.5, 40, 3, records=True)
         for r in records:
             assert r == run_trial(QUARTIC, 0.5, r.seed, r.trial_index)
@@ -401,10 +403,11 @@ class TestSingularityRate:
             )
             assert singularity_rate(g, 0.5, n, -7).successes == singular
 
-    def test_second_prime_pass_settles_pooled_trials(self, monkeypatch):
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 4, 7])
+    def test_second_prime_pass_settles_pooled_trials(self, chunk, monkeypatch):
         # entry (0, 0) scaled by P1: such a trial ranks one short mod P1 when the
-        # entry is needed, and only the pooled mod-P2 pass, across three-trial
-        # chunks, finds it nonsingular
+        # entry is needed, and only the pooled mod-P2 pass, across chunks of
+        # ``chunk`` trials, finds it nonsingular
         bits = modsel._bits
 
         def scaled_bits(seeds, g, p):
@@ -413,7 +416,7 @@ class TestSingularityRate:
             return mats
 
         monkeypatch.setattr(modsel, "_bits", scaled_bits)
-        monkeypatch.setattr(modsel, "CHUNK_ELEMENTS", 3 * 9)
+        monkeypatch.setattr(modsel, "CHUNK_ELEMENTS", chunk * 9)
         mats = scaled_bits(trial_seeds(8, 0, 60), 3, 0.5)
         singular = sum(integer_rank(m) < 3 for m in mats.tolist())
         mod_p1_singular = sum(integer_rank((m % exact.P1).tolist()) < 3 for m in mats)

@@ -28,6 +28,10 @@ class TestSpectrum:
             spectrum([])
         with pytest.raises(ValidationError):
             spectrum([complex(np.inf, 0.0)])
+        # finite entries whose squared modulus, or the sum of two, overflows
+        for values in ([1e200], [1e154, 1e154]):
+            with pytest.raises(ValidationError, match="squared moduli and their sum"):
+                spectrum(values)
 
 
 class TestPowerLawFit:
