@@ -191,8 +191,8 @@ def _cmd_validate(args):
 
 def _cmd_select(args):
     model = MODELS[args.model]
-    stats, records = modsel.run_selection(model, args.p, args.trials, args.seed, records=True)
-    outputs = [(args.out, _csv_text(modsel.trial_log_rows(records)))]
+    stats, log = modsel.run_selection(model, args.p, args.trials, args.seed, records=True)
+    outputs = [(args.out, _csv_text(modsel.trial_log_rows(log)))]
     if args.summary:
         outputs.append((args.summary, _selection_summary(stats, model)))
     line = _summary(

@@ -17,11 +17,11 @@ Theory*, section 2.2):
 * a trial with H >= P1*P2 falls back to ``integer_rank``.
 
 ``certified_ranks`` ranks a stream of labelled stacks, such as the trial
-chunks of one ``modsel`` call, and yields each stack's ranks final, in
-order.  Trials owed a mod-P2 pass wait and are re-ranked together, so a
-call of a few chunks pays one pass rather than one per chunk; what waits
-is bounded by the largest stack, so memory stays bounded by a few chunks
-however long the call.  ``batch_rank`` is its one-stack case.
+chunks of one ``modsel`` call, and yields each stack's ranks once final,
+in any order.  Trials owed a mod-P2 pass wait and are re-ranked together,
+so a call of a few chunks pays one pass rather than one per chunk; at
+most the largest stack's count of owed trials waits, from at most that
+many stacks, however long the call.  ``batch_rank`` is its one-stack case.
 
 The elimination mod a prime (``_rank_mod``) runs on one (column, row,
 trial) work block and one scratch block of the same shape, preallocated
@@ -187,32 +187,31 @@ def batch_rank(a) -> np.ndarray:
 
 
 def certified_ranks(stacks):
-    """Yield ``(label, ranks)`` for each ``(label, stack)`` of ``stacks``, in order.
+    """Yield ``(label, ranks)`` for each ``(label, stack)`` of ``stacks``, once final.
 
-    Every yielded rank is final (module docstring).  A stack with trials owed
-    the mod-P2 pass waits, with its label and ranks mod P1, and so does every
-    later stack.  They get one pass when the next stack would make the owed
-    trials outnumber the largest stack's trials, or the waiting ranks its
-    entries; and at the end.  Only owed matrices are kept, and a stack that
-    owes nothing, behind no waiting stack, is yielded at once.
+    Every yielded rank is final (module docstring), and stacks come out in
+    any order.  A stack that owes no trial the mod-P2 pass is yielded at
+    once; a stack that owes some waits with only its label, its ranks mod
+    P1 and its owed matrices.  The waiting stacks get one pass when the next
+    owing stack would make the owed trials outnumber the largest stack's
+    trials, and at the end, so at most that many owed trials wait.
     """
     held: list[tuple] = []  # (label, ranks mod P1, owed positions, owed matrices)
-    size = waiting = largest = entries = 0
+    size = largest = 0
     for label, a in stacks:
         a = np.asarray(a, dtype=np.int64)
         ranks, owed = _ranks_mod_p1(a)
-        largest, entries = max(largest, len(a)), max(entries, a.size)
+        largest = max(largest, len(a))
         mats = a[owed]
         del a  # the stack is not held across a yield
-        if size + owed.size > largest or waiting + len(ranks) > entries:
-            yield from _second_prime_pass(held)
-            held, size, waiting = [], 0, 0
-        if held or owed.size:
-            held.append((label, ranks, owed, mats))
-            size += owed.size
-            waiting += len(ranks)
-        else:
+        if not owed.size:
             yield label, ranks
+            continue
+        if size + owed.size > largest:
+            yield from _second_prime_pass(held)
+            held, size = [], 0
+        held.append((label, ranks, owed, mats))
+        size += owed.size
     yield from _second_prime_pass(held)
 
 

@@ -18,10 +18,11 @@ rank-deficient trial whose bound reaches P1 is ranked again mod
 P2 = 2147483629, and one whose bound reaches P1*P2 falls back to Bareiss
 elimination over the integers (``exact``).  A call's chunks stream
 through ``exact.certified_ranks``, which pools the mod-P2 re-ranks across
-chunks and yields each chunk's ranks final.  No floating-point value
-decides any rank.  The single-matrix functions (``bernoulli_matrix``,
-``is_nonsingular_exact``, ``product_span_rank``, ``run_trial``) are
-batches of one through ``exact.batch_rank``.
+chunks and yields each chunk's ranks once final, in any order; counts
+are sums and the trial log is filed by trial index, so only the chunks
+owing that pass wait.  No floating-point value decides any rank.  The
+single-matrix functions (``bernoulli_matrix``, ``is_nonsingular_exact``,
+``product_span_rank``, ``run_trial``) are batches of one.
 
 Span matrices are assembled in ``int64`` without a matrix product: each
 quad-monomial column is a sum of at most four products M[a, j] * M[b, l],
@@ -33,9 +34,9 @@ quad-monomial basis, and a column permutation changes no rank (mod P1,
 mod P2 or over Q) and no row norm, so every count, record and certificate
 branch is the one the basis order gives.
 
-``run_selection(..., records=True)`` also returns the per-trial records
-that ``trial_log_rows`` renders.  Results are plain dataclasses, written
-out with ``dataclasses.asdict``, and every 3g-3 is ``curves.moduli_count``.
+``run_selection(..., records=True)`` also returns a ``TrialLog``, columns
+by trial index that ``trial_log_rows`` renders.  Results are plain
+dataclasses, written out with ``dataclasses.asdict``; 3g-3 is ``moduli_count``.
 """
 
 from __future__ import annotations
@@ -252,71 +253,71 @@ class SuccessStats:
 def _stats(trials: int, successes: int, nonsingular: int, exact: bool = False) -> SuccessStats:
     est = successes / trials
     half = 0.0 if exact else 1.96 * math.sqrt(est * (1.0 - est) / trials)
-    return SuccessStats(
-        trials=trials,
-        successes=successes,
-        nonsingular_count=nonsingular,
-        estimate=est,
-        ci95_halfwidth=half,
-    )
+    return SuccessStats(trials, successes, nonsingular, est, half)
 
 
-def _records(start, seeds, nonsingular, span, target) -> list[TrialRecord]:
-    return [
-        TrialRecord(start + k, s, ns, r, r == target)
-        for k, (s, ns, r) in enumerate(zip(seeds, nonsingular.tolist(), span.tolist()))
-    ]
+class TrialLog(NamedTuple):
+    """A select call's results by trial index; trial i succeeds iff span_rank[i] == target."""
+
+    labels: np.ndarray  # uint64
+    nonsingular: np.ndarray  # bool
+    span_rank: np.ndarray  # int64
+    target: int
 
 
 def run_trial(model: PlaneCurveModel, p: float, seed: int, trial_index: int = 0) -> TrialRecord:
-    """One full experiment instance with an explicit per-trial seed."""
-    g = model.genus
-    mats = _bits(_one_seed(seed), g, p)
-    span = batch_rank(_span_matrices(mats, _span_table(model), first_three_rows_indices(g)))
-    return _records(trial_index, [seed], batch_rank(mats) == g, span, moduli_count(g))[0]
+    """One full experiment instance with an explicit per-trial seed: a select call of one."""
+    seeds = _one_seed(seed)
+    log = _select_stats(model, 1, lambda *_: (seeds, _bits(seeds, model.genus, p)), True)[1]
+    rank = int(log.span_rank[0])
+    return TrialRecord(trial_index, seed, bool(log.nonsingular[0]), rank, rank == log.target)
 
 
 def _select_stats(
     model, n_trials, matrices, records=False, exact=False
-) -> tuple[SuccessStats, list[TrialRecord]]:
+) -> tuple[SuccessStats, TrialLog | None]:
     """Stream trials 0..n_trials-1 through the ranks; the one select pipeline.
 
     ``matrices(start, stop)`` returns a chunk's per-trial labels (seeds or
-    codes) and its (B, g, g) matrices.  A chunk holds as many trials as
-    fit ``CHUNK_ELEMENTS`` elements of span matrices, and each record is
-    built once, from the final ranks ``exact.certified_ranks`` yields.
-    Returns the stats, and the records too when ``records`` is set.
+    codes) and its (B, g, g) matrices.  With ``records``, each chunk files
+    rows [start:stop] of a preallocated ``TrialLog``, its span ranks once
+    ``certified_ranks`` yields them, in any order; else the log is None.
     """
     g = model.genus
     target = moduli_count(g)
     pairs = first_three_rows_indices(g)
     table = _span_table(model)
     per_trial = len(pairs) * len(table.columns)  # elements of one span matrix
-    log: list[TrialRecord] = []
+    columns = (np.empty(n_trials, t) for t in (np.uint64, bool, np.int64))
+    log = TrialLog(*columns, target) if records else None
     succ = nonsing = 0
 
     def stacks():
         for start, stop in _chunks(n_trials, per_trial):
             labels, mats = matrices(start, stop)
-            yield (start, labels, batch_rank(mats) == g), _span_matrices(mats, table, pairs)
+            nonsingular = batch_rank(mats) == g
+            if records:
+                log.labels[start:stop], log.nonsingular[start:stop] = labels, nonsingular
+            label = slice(start, stop), int(np.count_nonzero(nonsingular))
+            yield label, _span_matrices(mats, table, pairs)
 
-    for (start, labels, nonsingular), span in certified_ranks(stacks()):
+    for (rows, nonsingular), span in certified_ranks(stacks()):
         succ += int(np.count_nonzero(span == target))
-        nonsing += int(np.count_nonzero(nonsingular))
+        nonsing += nonsingular
         if records:
-            log.extend(_records(start, labels.tolist(), nonsingular, span, target))
+            log.span_rank[rows] = span
     return _stats(n_trials, succ, nonsing, exact), log
 
 
 def run_selection(
     model: PlaneCurveModel, p: float, n_trials: int, seed: int, records: bool = False
-) -> tuple[SuccessStats, list[TrialRecord]]:
-    """Stats of ``n_trials`` seeded trials, plus their records if ``records``.
+) -> tuple[SuccessStats, TrialLog | None]:
+    """Stats of ``n_trials`` seeded trials, plus their ``TrialLog`` if ``records``.
 
     Trial i uses the seed derive_seed(seed, i), so the aggregate is
     independent of execution order and chunking, and any single trial can
-    be reproduced in isolation with ``run_trial``.  Without ``records``
-    the returned list is empty and memory stays bounded by a few chunks.
+    be reproduced in isolation with ``run_trial``.  The log takes 17 bytes a
+    trial; without it, memory stays bounded by a few chunks.
     """
     if n_trials < 1:
         raise DomainError("n_trials must be >= 1")
@@ -329,12 +330,7 @@ def run_selection(
 
 
 def monte_carlo(model: PlaneCurveModel, p: float, n_trials: int, seed: int) -> SuccessStats:
-    """Monte Carlo success estimate over independent seeded trials.
-
-    Per-trial seeds come from derive_seed(seed, index), so the aggregate
-    is independent of execution order and any single trial can be
-    reproduced in isolation.
-    """
+    """Monte Carlo success estimate over independent seeded trials, as ``run_selection``."""
     return run_selection(model, p, n_trials, seed)[0]
 
 
@@ -406,8 +402,9 @@ def paper_bounds(g: int) -> list[tuple[str, float]]:
 # Trial logs
 
 
-def trial_log_rows(records):
-    """CSV rows of a trial log: the header, then one row per trial."""
+def trial_log_rows(log: TrialLog):
+    """CSV rows of a trial log: the header, then one row per trial, by trial index."""
     yield ["trial_index", "seed", "nonsingular", "span_rank", "success"]
-    for r in records:
-        yield [r.trial_index, r.seed, int(r.matrix_nonsingular), r.span_rank, int(r.success)]
+    columns = (log.nonsingular, log.span_rank, log.span_rank == log.target)
+    nonsingular, span, success = (c.astype(np.int64).tolist() for c in columns)
+    yield from zip(range(len(span)), log.labels.tolist(), nonsingular, span, success)

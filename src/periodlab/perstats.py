@@ -52,7 +52,8 @@ class BandLimitScore:
 def spectrum(values) -> Spectrum:
     """Squared moduli of ``values``, largest first; ``ValidationError`` unless every
     entry, every squared modulus and their sum are finite (1e200, or 1e154 twice,
-    would make the energy fractions and the power-law fit NaN)."""
+    would make the energy fractions and the power-law fit NaN), and unless the
+    largest is a normal double or every entry is 0 (1e-200 would square to 0.0)."""
     vals = np.asarray(values, dtype=complex)
     if vals.size == 0:
         raise ValidationError("spectrum requires a non-empty input")
@@ -62,6 +63,8 @@ def spectrum(values) -> Spectrum:
         sq = np.sort(np.abs(vals.ravel()) ** 2)[::-1]
         if not np.isfinite(sq.sum()):
             raise ValidationError("spectrum squared moduli and their sum must be finite")
+    if sq[0] < np.finfo(float).tiny and np.any(vals):
+        raise ValidationError("spectrum largest squared modulus underflows a normal double")
     return Spectrum(values=tuple(float(v) for v in sq), source_count=int(vals.size))
 
 

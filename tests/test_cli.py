@@ -350,6 +350,18 @@ class TestStatsCommand:
         err = _refused(argv + ["--k", 1], 3, tmp_path, capsys, before=["huge.json"])
         assert "squared moduli and their sum must be finite" in err
 
+    def test_underflowing_squared_moduli_refused(self, tmp_path, capsys):
+        # a Siegel member whose squared moduli all underflow to 0.0: validate
+        # accepts it, stats refuses it with exit 3 rather than report zeros
+        src = tmp_path / "tiny.json"
+        tiny = np.array([[1e-200 + 2e-200j, 1e-200j], [1e-200j, 3e-200 + 2e-200j]])
+        src.write_text(periods.period_json_text(tiny, "normalized", {}))
+        assert run(["validate", src]) == 0
+        capsys.readouterr()
+        argv = ["stats", "--in", src, "--spectrum", tmp_path / "s.csv", "--fit", tmp_path / "f.json"]
+        err = _refused(argv + ["--k", 1], 3, tmp_path, capsys, before=["tiny.json"])
+        assert "underflows a normal double" in err
+
 
 class TestSiegelSampleCommand:
     def test_sample_validates(self, tmp_path):

@@ -180,31 +180,30 @@ def test_second_prime_pool_is_bounded_by_the_largest_stack(monkeypatch):
 
 
 def test_stack_with_nothing_owed_is_yielded_at_once(monkeypatch):
-    # a stack with nothing owed is yielded before the next is pulled, unless an
-    # earlier stack is still waiting for its pass: the order is kept
+    # a stack with nothing owed is yielded right after its pull, even behind a
+    # stack still waiting for its pass: stacks come out once final, in any order
     assert _stream(monkeypatch, [[EYE], [OWED], [EYE], [EYE]]) == [
         ("pull", 0),
         ("yield", 0, [3]),
         ("pull", 1),
         ("pull", 2),
+        ("yield", 2, [3]),
         ("pull", 3),
+        ("yield", 3, [3]),
         ("P2", 1),
         ("yield", 1, [3]),
-        ("yield", 2, [3]),
-        ("yield", 3, [3]),
     ]
 
 
 def test_stacks_behind_an_owed_trial_wait_boundedly(monkeypatch):
-    # one owed trial, then stacks that owe nothing: they wait behind it only
-    # until their ranks would outnumber the entries of the largest stack (9),
-    # so a long call holds a bounded number of stacks, not all of them
-    stacks = [[OWED]] + [[EYE]] * 19
+    # one owed trial, then stacks that owe nothing: none of them waits behind
+    # it, each is yielded before the next pull, and only the owing stack is
+    # held, to the end of the stream and its one mod-P2 pass
+    stacks = [[OWED]] + [[EYE]] * 1000
     assert _stream(monkeypatch, stacks) == (
-        [("pull", i) for i in range(10)]
-        + [("P2", 1)]
-        + [("yield", i, [3]) for i in range(10)]
-        + [e for i in range(10, 20) for e in [("pull", i), ("yield", i, [3])]]
+        [("pull", 0)]
+        + [e for i in range(1, 1001) for e in [("pull", i), ("yield", i, [3])]]
+        + [("P2", 1), ("yield", 0, [3])]
     )
 
 

@@ -20,6 +20,7 @@ from periodlab.rng import SplitMix64, derive_seed, trial_seeds
 from periodlab.errors import DomainError, ValidationError
 from periodlab.modsel import (
     BernoulliMatrix,
+    TrialRecord,
     bernoulli_matrix,
     chunk_trials,
     exhaustive,
@@ -63,6 +64,12 @@ def _count_rank_passes(monkeypatch):
 
 def _p2_sizes(passes):
     return [trials for p, _, trials in passes if p == exact.P2]
+
+
+def _record(log, i):
+    """Row i of a ``TrialLog`` as the ``TrialRecord`` that ``run_trial`` returns."""
+    rank = int(log.span_rank[i])
+    return TrialRecord(i, int(log.labels[i]), bool(log.nonsingular[i]), rank, rank == log.target)
 
 
 def _matrix(g, rows):
@@ -266,9 +273,9 @@ class TestTrials:
         assert rec.success == (rec.span_rank == 6)
 
     def test_monte_carlo_order_independent(self):
-        records = run_selection(QUARTIC, 0.5, 64, 7, records=True)[1]
+        log = run_selection(QUARTIC, 0.5, 64, 7, records=True)[1]
         # each trial is reproducible in isolation from its own seed
-        for r in (records[0], records[17], records[63]):
+        for r in (_record(log, 0), _record(log, 17), _record(log, 63)):
             again = run_trial(QUARTIC, 0.5, r.seed, trial_index=r.trial_index)
             assert again == r
 
@@ -282,18 +289,18 @@ class TestTrials:
     @pytest.mark.parametrize("p", [0.2, 0.5, 0.9])
     def test_quartic_success_iff_nonsingular(self, seed, p):
         # g = 3: Sym^2 H^0(K) = H^0(2K), so the products span iff M is invertible
-        stats, records = run_selection(QUARTIC, p, 200, seed, records=True)
-        assert all(r.success == r.matrix_nonsingular for r in records)
+        stats, log = run_selection(QUARTIC, p, 200, seed, records=True)
+        assert np.array_equal(log.span_rank == log.target, log.nonsingular)
         assert stats.successes == stats.nonsingular_count
 
     def _assert_records_match_single_trials(self, p, n, seed):
-        stats, records = run_selection(QUINTIC, p, n, seed, records=True)
-        assert [r.trial_index for r in records] == list(range(n))
-        for r in records:
-            assert r == run_trial(QUINTIC, p, derive_seed(seed, r.trial_index), r.trial_index)
-        assert stats.successes == sum(r.success for r in records)
-        assert stats.nonsingular_count == sum(r.matrix_nonsingular for r in records)
-        assert run_selection(QUINTIC, p, n, seed) == (stats, [])
+        stats, log = run_selection(QUINTIC, p, n, seed, records=True)
+        assert [len(column) for column in log[:3]] == [n, n, n]
+        for i in range(n):
+            assert _record(log, i) == run_trial(QUINTIC, p, derive_seed(seed, i), i)
+        assert stats.successes == np.count_nonzero(log.span_rank == log.target)
+        assert stats.nonsingular_count == np.count_nonzero(log.nonsingular)
+        assert run_selection(QUINTIC, p, n, seed) == (stats, None)
 
     @pytest.mark.parametrize("seed", [-7, 2**64 + 3])
     @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
@@ -353,7 +360,8 @@ class TestTrials:
 
         monkeypatch.setattr(modsel, "_span_matrices", span_matrices)
         monkeypatch.setattr(modsel, "CHUNK_ELEMENTS", chunk * 36)
-        stats, records = run_selection(QUARTIC, 0.5, 40, 3, records=True)
+        stats, log = run_selection(QUARTIC, 0.5, 40, 3, records=True)
+        records = [_record(log, i) for i in range(40)]
         for r in records:
             assert r == run_trial(QUARTIC, 0.5, r.seed, r.trial_index)
             m = bernoulli_matrix(3, 0.5, r.seed).entries
@@ -363,10 +371,33 @@ class TestTrials:
         assert run_selection(QUARTIC, 0.5, 40, 3)[0] == stats
 
     def test_trial_log_row_count(self):
-        records = run_selection(QUARTIC, 0.5, 25, 1, records=True)[1]
-        rows = list(trial_log_rows(records))
+        log = run_selection(QUARTIC, 0.5, 25, 1, records=True)[1]
+        rows = list(trial_log_rows(log))
         assert rows[0] == ["trial_index", "seed", "nonsingular", "span_rank", "success"]
         assert len(rows) == 26
+
+    def test_trial_log_rows_render_each_trial(self):
+        # each row is its trial's record, in trial order, with bools as 0/1
+        log = run_selection(QUINTIC, 0.5, 150, 4, records=True)[1]
+        for i, row in enumerate(list(trial_log_rows(log))[1:]):
+            r = _record(log, i)
+            assert list(row) == [i, r.seed, int(r.matrix_nonsingular), r.span_rank, int(r.success)]
+            assert all(type(v) is int for v in row)
+
+    def test_trial_log_memory(self):
+        # the log holds three columns, 17 bytes a trial, and nothing per trial
+        # beside them (a list of TrialRecord objects held about 190 bytes a trial)
+        n = 20_000
+        run_selection(QUINTIC, 0.5, 100, 1, records=True)  # cached tables and imports
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = run_selection(QUINTIC, 0.5, n, 1, records=True)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert result[0].trials == n
+        assert held <= 24 * n
 
 
 class TestExhaustive:

@@ -32,6 +32,13 @@ class TestSpectrum:
         for values in ([1e200], [1e154, 1e154]):
             with pytest.raises(ValidationError, match="squared moduli and their sum"):
                 spectrum(values)
+        # nonzero entries whose largest squared modulus is subnormal or 0.0
+        for values in ([1e-160], [1e-200 + 1e-200j, 2e-200j, 3e-200 + 1e-200j], [1e-170, 0.0]):
+            with pytest.raises(ValidationError, match="underflows a normal double"):
+                spectrum(values)
+        # a tiny entry beside a normal one, and all zeros, are still accepted
+        assert spectrum([1e-170, 1.0]).values == (1.0, 0.0)
+        assert spectrum([0.0, 0j]).values == (0.0, 0.0)
 
 
 class TestPowerLawFit:
@@ -73,6 +80,11 @@ class TestBestKEnergy:
         )
     )
     def test_monotone_in_k(self, mags):
+        if max(mags) > 0.0 and max(mags) ** 2 < np.finfo(float).tiny:
+            # nonzero entries whose squares underflow are refused, not read as zeros
+            with pytest.raises(ValidationError, match="underflows a normal double"):
+                spectrum(mags)
+            return
         s = spectrum(mags)
         energies = [best_k_energy(s, k) for k in range(1, len(mags) + 1)]
         assert all(b >= a - 1e-12 for a, b in zip(energies, energies[1:]))
