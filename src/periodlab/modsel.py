@@ -10,9 +10,11 @@ through splitmix64 streams so runs are bit-reproducible.
 Every experiment runs through one chunked pipeline: splitmix64 bits for a
 chunk of trials (``rng.stream_draws``), the g x g matrices and their
 product-span matrices, exact ranks of both, and streaming counts.  A
-chunk holds as many trials as fit ``CHUNK_ELEMENTS`` elements of the
-array that is ranked: the (3g-3) x (3g-3) span matrices for select and
-exhaustive, the g x g matrices for singularity.  The ranks are
+call is cut into the fewest chunks of near-equal size whose ranked
+arrays, the (3g-3) x (3g-3) span matrices for select and exhaustive and
+the g x g matrices for singularity, hold about ``CHUNK_ELEMENTS``
+elements each (``_chunks``), so a call that fits one chunk is ranked in
+one pass per stack shape.  The ranks are
 elimination mod P1 = 2^31 - 1, certified by Hadamard's bound; a
 rank-deficient trial whose bound reaches P1 is ranked again mod
 P2 = 2147483629, and one whose bound reaches P1*P2 falls back to Bareiss
@@ -53,30 +55,44 @@ from .errors import DomainError, ValidationError
 from .exact import batch_rank, certified_ranks
 from .rng import MASK64, stream_draws, trial_seeds
 
-# Trials are processed in chunks whose ranked arrays (g*g draws and
-# matrices for singularity, (3g-3)^2 span matrices for select) fill about
-# this many elements, so memory stays bounded whatever the trial count.
-# No transient outgrows the ranked array: a select chunk's span assembly
+# Each chunk's ranked array (g*g draws and matrices for singularity,
+# (3g-3)^2 span matrices for select) holds about this many elements
+# (``_chunks``), so memory stays bounded whatever the trial count.  No
+# transient outgrows the ranked array: a select chunk's span assembly
 # holds at most two gathered member rounds beside the span matrices, each
 # no larger than they are, and a rank pass one scratch block of the
-# stack's size.  perfbench, 4 alternating 15 s runs per size on a shared
-# 2-vCPU machine, medians at 2^13 / 2^14 / 2^15: select-quintic 24.0k /
-# 26.7k / 30.0k trials/s (a 100-trial call fits one 2^15 chunk), peak RSS
-# 33.9 / 34.1 / 34.4 MB; singularity-sweep 164k / 217k / 206k trials/s,
-# 33.8 / 34.0 / 35.0 MB.  2^13 is slower on both (more chunks, each paying
-# numpy's per-call cost); 2^15 would trade the sweep for the quintic.
+# stack's size.  A call is cut into near-equal chunks, not steps of
+# CHUNK_ELEMENTS // per_trial trials, so that no short tail chunk pays a
+# rank pass's fixed numpy cost (a 100-trial quintic select is one chunk,
+# not 72 + 28 trials).  perfbench medians of 10 alternating 25 s pairs on
+# a shared 2-vCPU machine, steps against near-equal chunks (both with
+# exact._rank_mod skipping its first reduction, which alone moved neither
+# workload measurably): select-quintic 28.3k -> 30.8k trials/s (+8.7%,
+# 10/10 pairs); singularity-sweep 223.8k -> 217.0k (-3.0%), because
+# blocks above 128 KiB, the default threshold of glibc malloc, are
+# returned to the system after each chunk and fault in again (about 260
+# page faults a call at g = 5 and g = 12, none before).
 CHUNK_ELEMENTS = 2**14
 
-
-def chunk_trials(per_trial: int) -> int:
-    """Trials per chunk when one trial's ranked array has ``per_trial`` elements."""
-    return max(1, CHUNK_ELEMENTS // per_trial)
+# The most trials a call that keeps its trial log may ask for.  The log is
+# preallocated, and the CLI renders it as one CSV text: a quintic select
+# held about 140 bytes a trial at its peak (166 MB at 10^6 trials), so
+# this bound keeps a call near 1.4 GB rather than failing to allocate.
+MAX_LOGGED_TRIALS = 10**7
 
 
 def _chunks(n_trials: int, per_trial: int):
-    step = chunk_trials(per_trial)
-    for start in range(0, n_trials, step):
-        yield start, min(start + step, n_trials)
+    """``[start, stop)`` trial ranges that cover ``range(n_trials)`` in order.
+
+    There are ``count`` chunks, ``n_trials * per_trial / CHUNK_ELEMENTS``
+    rounded to the nearest integer and clamped to [1, n_trials], and chunk
+    i is [n*i // count, n*(i+1) // count), so sizes differ by at most one
+    trial and a chunk's ranked array holds at most
+    1.5 * CHUNK_ELEMENTS + per_trial elements.
+    """
+    count = min(max((n_trials * per_trial + CHUNK_ELEMENTS // 2) // CHUNK_ELEMENTS, 1), n_trials)
+    for i in range(count):
+        yield n_trials * i // count, n_trials * (i + 1) // count
 
 
 # ---------------------------------------------------------------------------
@@ -317,10 +333,13 @@ def run_selection(
     Trial i uses the seed derive_seed(seed, i), so the aggregate is
     independent of execution order and chunking, and any single trial can
     be reproduced in isolation with ``run_trial``.  The log takes 17 bytes a
-    trial; without it, memory stays bounded by a few chunks.
+    trial and is refused above ``MAX_LOGGED_TRIALS`` trials; without it,
+    memory stays bounded by a few chunks.
     """
     if n_trials < 1:
         raise DomainError("n_trials must be >= 1")
+    if records and n_trials > MAX_LOGGED_TRIALS:
+        raise DomainError(f"n_trials must be <= {MAX_LOGGED_TRIALS} with a trial log")
 
     def matrices(start, stop):
         seeds = trial_seeds(seed, start, stop)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from periodlab import cli, curves, periods, perstats, siegel
+from periodlab import cli, curves, modsel, periods, perstats, siegel
 from periodlab.errors import NumericError
 
 
@@ -290,6 +290,14 @@ class TestSelectCommands:
         assert run(select + ["--out", tmp_path / "log.csv"] + bad) == 2
         assert not (tmp_path / "log.csv").exists()
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("trials", [modsel.MAX_LOGGED_TRIALS + 1, 10**11])
+    def test_select_trial_log_above_limit_exit_two(self, tmp_path, capsys, monkeypatch, trials):
+        # refused before any trial runs: 10^11 trials would ask for a 745 GiB log
+        monkeypatch.setattr(modsel, "_select_stats", None)
+        argv = ["select", "--model", "quintic", "--trials", trials, "--seed", 1]
+        err = _refused(argv + ["--out", tmp_path / "x.csv"], 2, tmp_path, capsys)
+        assert f"<= {modsel.MAX_LOGGED_TRIALS}" in err
 
 
 class TestStatsCommand:

@@ -22,7 +22,6 @@ from periodlab.modsel import (
     BernoulliMatrix,
     TrialRecord,
     bernoulli_matrix,
-    chunk_trials,
     exhaustive,
     first_three_rows_indices,
     is_nonsingular_exact,
@@ -39,6 +38,10 @@ QUARTIC = PlaneCurveModel(4)
 QUINTIC = PlaneCurveModel(5)
 # elements of one quintic span matrix: 15 pairs over 15 quad monomials
 QUINTIC_SPAN_ELEMENTS = len(first_three_rows_indices(6)) * len(QUINTIC.quad_monomials)
+
+
+def _chunk_sizes(n, per_trial):
+    return [stop - start for start, stop in modsel._chunks(n, per_trial)]
 
 
 def _count_rank_passes(monkeypatch):
@@ -230,8 +233,24 @@ def _traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+class TestChunkPlan:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 10**6), st.integers(1, 2**17))
+    def test_fewest_near_equal_chunks(self, n, per_trial):
+        plan = list(modsel._chunks(n, per_trial))
+        # contiguous chunks that cover range(n) in order, none of them empty
+        assert [start for start, _ in plan] == [0] + [stop for _, stop in plan[:-1]]
+        assert plan[-1][1] == n
+        sizes = [stop - start for start, stop in plan]
+        assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+        elements = modsel.CHUNK_ELEMENTS
+        assert len(plan) == min(max((n * per_trial + elements // 2) // elements, 1), n)
+        assert max(sizes) * per_trial <= 1.5 * elements + per_trial
+
+
 class TestChunkMemory:
-    """One select-quintic chunk through span assembly and rank, within fixed bounds.
+    """The chunk of a 100-trial select-quintic call through span assembly and
+    rank, within fixed bounds.
 
     The bounds are the traced peaks of the kernels these replaced (4.24 and
     3.04 times the array's bytes), rounded up, so both kernels must meet them.
@@ -239,18 +258,18 @@ class TestChunkMemory:
 
     def _chunk(self):
         pairs = first_three_rows_indices(6)
-        mats = modsel._bits(trial_seeds(1, 0, chunk_trials(QUINTIC_SPAN_ELEMENTS)), 6, 0.5)
-        return mats, pairs
+        [(start, stop)] = modsel._chunks(100, QUINTIC_SPAN_ELEMENTS)
+        return modsel._bits(trial_seeds(1, start, stop), 6, 0.5), pairs
 
     @pytest.mark.parametrize("kernel", ["member rounds", "scatter product"])
     def test_span_assembly(self, kernel):
         mats, pairs = self._chunk()
-        assert len(mats) == 72
+        assert len(mats) == 100
         if kernel == "member rounds":
             args = (modsel._span_matrices, mats, modsel._span_table(QUINTIC), pairs)
         else:
             args = (span_matrices_by_product, mats, scatter_matrix(QUINTIC), pairs)
-        span_bytes = 72 * QUINTIC_SPAN_ELEMENTS * 8
+        span_bytes = len(mats) * QUINTIC_SPAN_ELEMENTS * 8
         assert _traced_peak(*args) <= 4.3 * span_bytes
 
     @pytest.mark.parametrize("kernel", ["scratch block", "with temporaries"])
@@ -305,19 +324,21 @@ class TestTrials:
     @pytest.mark.parametrize("seed", [-7, 2**64 + 3])
     @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
     def test_batched_records_match_single_trials_across_chunks(self, seed, p):
-        # chunk boundaries must not change any record
-        chunk = chunk_trials(QUINTIC_SPAN_ELEMENTS)
-        for n in (1, chunk - 1, chunk, chunk + 1):
+        # chunk boundaries must not change any record: 109 trials are the
+        # largest call of one chunk, 110 and 111 the smallest of two
+        plans = {1: [1], 109: [109], 110: [55, 55], 111: [55, 56]}
+        for n, sizes in plans.items():
+            assert _chunk_sizes(n, QUINTIC_SPAN_ELEMENTS) == sizes
             self._assert_records_match_single_trials(p, n, seed)
 
     def test_second_prime_pass_straddles_a_chunk_boundary(self, monkeypatch):
         # trials owed the mod-P2 pass on both sides of a boundary share one pass
         owed, passes = _count_rank_passes(monkeypatch)
-        chunk = chunk_trials(QUINTIC_SPAN_ELEMENTS)
-        run_selection(QUINTIC, 0.5, 2 * chunk, 11)
+        assert _chunk_sizes(144, QUINTIC_SPAN_ELEMENTS) == [72, 72]
+        run_selection(QUINTIC, 0.5, 144, 11)
         assert len(owed) == 2 and all(k > 0 for k in owed)
         assert _p2_sizes(passes) == [sum(owed)]
-        self._assert_records_match_single_trials(0.5, 2 * chunk, 11)
+        self._assert_records_match_single_trials(0.5, 144, 11)
 
     def test_full_second_prime_pool_flushes_mid_call(self, monkeypatch):
         # four trials per chunk: the pool fills and is re-ranked mod P2 before the end
@@ -334,24 +355,23 @@ class TestTrials:
 
     @pytest.mark.parametrize("seed", [1, 77, 2**64 - 1])
     def test_select_call_rank_passes(self, seed, monkeypatch, tmp_path):
-        # one select call of 100 quintic trials: two chunks, so two passes mod P1
-        # per stack shape and at most one mod-P2 pass, over at most a chunk of trials
+        # one select call of 100 quintic trials: one chunk, so one pass mod P1
+        # per stack shape and at most one mod-P2 pass, over at most its trials
         owed, passes = _count_rank_passes(monkeypatch)
         argv = ["select", "--model", "quintic", "--trials", "100", "--seed", str(seed)]
         assert cli.main(argv + ["--out", str(tmp_path / "log.csv")]) == 0
         p1_shapes = Counter(shape for p, shape, _ in passes if p == exact.P1)
-        assert p1_shapes == {(6, 6): 2, (15, 15): 2}
+        assert p1_shapes == {(6, 6): 1, (15, 15): 1}
         p2_sizes = _p2_sizes(passes)
         assert len(p2_sizes) <= 1
-        assert sum(p2_sizes) == sum(owed) <= chunk_trials(QUINTIC_SPAN_ELEMENTS)
+        assert sum(p2_sizes) == sum(owed) <= 100
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 4, 7])
     def test_second_prime_pass_corrects_pooled_records(self, chunk, monkeypatch):
         # 0/1 trials almost never rank differently mod P1 and P2, so give each
         # quartic trial the span matrix diag(P1 or 1, 1, 1, 1, 1, M[1][1]):
         # when M[0][0] = 1 its rank mod P1 is one short, and only the pooled
-        # mod-P2 pass, across chunks of ``chunk`` trials, sees the missing rank;
-        # 40 trials put a pass at every boundary and, for 3 and 7, a short last chunk
+        # mod-P2 pass, across chunks of about ``chunk`` trials, sees the missing rank
         def span_matrices(mats, scatter, pairs):
             diag = np.ones((len(mats), 6), dtype=np.int64)
             diag[:, 0] = np.where(mats[:, 0, 0] == 1, exact.P1, 1)
@@ -425,9 +445,11 @@ class TestSingularityRate:
         assert stats.successes + stats.nonsingular_count == stats.trials
 
     def test_matches_single_matrices_across_chunks(self):
+        # 983 trials are the largest call of one chunk at g = 5, 984 the smallest of two
         g = 5
-        chunk = chunk_trials(g * g)
-        for n in (1, chunk - 1, chunk + 1):
+        plans = {1: [1], 983: [983], 984: [492, 492]}
+        for n, sizes in plans.items():
+            assert _chunk_sizes(n, g * g) == sizes
             singular = sum(
                 not is_nonsingular_exact(bernoulli_matrix(g, 0.5, derive_seed(-7, i)))
                 for i in range(n)
@@ -438,7 +460,7 @@ class TestSingularityRate:
     def test_second_prime_pass_settles_pooled_trials(self, chunk, monkeypatch):
         # entry (0, 0) scaled by P1: such a trial ranks one short mod P1 when the
         # entry is needed, and only the pooled mod-P2 pass, across chunks of
-        # ``chunk`` trials, finds it nonsingular
+        # about ``chunk`` trials, finds it nonsingular
         bits = modsel._bits
 
         def scaled_bits(seeds, g, p):
