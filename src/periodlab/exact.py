@@ -112,14 +112,11 @@ def _rank_mod(a: np.ndarray, p: int) -> np.ndarray:
     takes its fixed buffers, at most 8192 elements an operand, for the two
     broadcasting products.)  The pivot of each trial is its first nonzero
     row in the column; its value is gathered once and is zero exactly when
-    the column has no pivot.  The input is reduced mod p first only when
-    some entry lies outside [0, p): the 0/1 matrices and span matrices of
-    the trials already lie inside and skip that pass.
+    the column has no pivot.
     """
     work = a.transpose(2, 1, 0).copy()
     scratch = np.empty_like(work)
-    if work.size and (work.min() < 0 or work.max() >= p):
-        _reduce(work, p, scratch)
+    _reduce(work, p, scratch)
     ncols, nrows, batch = work.shape
     rank = np.zeros(batch, dtype=np.int64)
     if nrows == 0:

@@ -10,12 +10,12 @@ through splitmix64 streams so runs are bit-reproducible.
 Every experiment runs through one chunked pipeline: splitmix64 bits for a
 chunk of trials (``rng.stream_draws``), the g x g matrices and their
 product-span matrices, exact ranks of both, and streaming counts.  A
-call is cut into the fewest chunks of near-equal size whose ranked
-arrays, the (3g-3) x (3g-3) span matrices for select and exhaustive and
-the g x g matrices for singularity, hold about ``CHUNK_ELEMENTS``
-elements each (``_chunks``), so a call that fits one chunk is ranked in
-one pass per stack shape.  The ranks are
-elimination mod P1 = 2^31 - 1, certified by Hadamard's bound; a
+call is cut into chunks whose ranked arrays, the (3g-3) x (3g-3) span
+matrices for select and exhaustive and the g x g matrices for
+singularity, hold at most ``CHUNK_ELEMENTS`` elements each, or into one
+chunk when the whole call holds at most 1.5 times that (``_chunks``), so
+a 100-trial quintic select is ranked in one pass per stack shape.  The
+ranks are elimination mod P1 = 2^31 - 1, certified by Hadamard's bound; a
 rank-deficient trial whose bound reaches P1 is ranked again mod
 P2 = 2147483629, and one whose bound reaches P1*P2 falls back to Bareiss
 elimination over the integers (``exact``).  A call's chunks stream
@@ -56,22 +56,22 @@ from .exact import batch_rank, certified_ranks
 from .rng import MASK64, stream_draws, trial_seeds
 
 # Each chunk's ranked array (g*g draws and matrices for singularity,
-# (3g-3)^2 span matrices for select) holds about this many elements
-# (``_chunks``), so memory stays bounded whatever the trial count.  No
-# transient outgrows the ranked array: a select chunk's span assembly
-# holds at most two gathered member rounds beside the span matrices, each
-# no larger than they are, and a rank pass one scratch block of the
-# stack's size.  A call is cut into near-equal chunks, not steps of
-# CHUNK_ELEMENTS // per_trial trials, so that no short tail chunk pays a
-# rank pass's fixed numpy cost (a 100-trial quintic select is one chunk,
-# not 72 + 28 trials).  perfbench medians of 10 alternating 25 s pairs on
-# a shared 2-vCPU machine, steps against near-equal chunks (both with
-# exact._rank_mod skipping its first reduction, which alone moved neither
-# workload measurably): select-quintic 28.3k -> 30.8k trials/s (+8.7%,
-# 10/10 pairs); singularity-sweep 223.8k -> 217.0k (-3.0%), because
-# blocks above 128 KiB, the default threshold of glibc malloc, are
-# returned to the system after each chunk and fault in again (about 260
-# page faults a call at g = 5 and g = 12, none before).
+# (3g-3)^2 span matrices for select) holds at most this many elements, or
+# 1.5 times as many when the whole call is one chunk (``_chunks``), so
+# memory stays bounded whatever the trial count.  No transient outgrows
+# the ranked array: a select chunk's span assembly holds at most two
+# gathered member rounds beside the span matrices, each no larger than
+# they are, and a rank pass one scratch block of the stack's size.  A
+# call is cut into near-equal chunks, not steps of CHUNK_ELEMENTS //
+# per_trial trials, so that no short tail chunk pays a rank pass's fixed
+# numpy cost: a 100-trial quintic select is one chunk, not 72 + 28 trials.
+# Chunks of a larger call stay within CHUNK_ELEMENTS because 8-byte arrays
+# above 128 KiB, glibc malloc's default threshold, went back to the system
+# after each chunk and faulted in again (with the nearest whole number of
+# chunks instead, singularity-sweep lost 3%).  perfbench medians of 10
+# alternating 25 s pairs on a shared 2-vCPU machine, steps against this
+# rule: select-quintic 28.4k -> 31.5k trials/s (+10.8%, 10/10 pairs);
+# singularity-sweep 218.7k -> 220.6k (+0.9%, within noise).
 CHUNK_ELEMENTS = 2**14
 
 # The most trials a call that keeps its trial log may ask for.  The log is
@@ -84,13 +84,13 @@ MAX_LOGGED_TRIALS = 10**7
 def _chunks(n_trials: int, per_trial: int):
     """``[start, stop)`` trial ranges that cover ``range(n_trials)`` in order.
 
-    There are ``count`` chunks, ``n_trials * per_trial / CHUNK_ELEMENTS``
-    rounded to the nearest integer and clamped to [1, n_trials], and chunk
-    i is [n*i // count, n*(i+1) // count), so sizes differ by at most one
-    trial and a chunk's ranked array holds at most
-    1.5 * CHUNK_ELEMENTS + per_trial elements.
+    A call of at most 1.5 * CHUNK_ELEMENTS elements is one chunk.  A larger
+    one is cut into the fewest chunks of at most CHUNK_ELEMENTS elements (or
+    one trial), and chunk i of ``count`` is [n*i // count, n*(i+1) // count),
+    so sizes differ by at most one trial and no short tail chunk is left.
     """
-    count = min(max((n_trials * per_trial + CHUNK_ELEMENTS // 2) // CHUNK_ELEMENTS, 1), n_trials)
+    step = max(1, CHUNK_ELEMENTS // per_trial)
+    count = 1 if 2 * n_trials * per_trial <= 3 * CHUNK_ELEMENTS else -(-n_trials // step)
     for i in range(count):
         yield n_trials * i // count, n_trials * (i + 1) // count
 

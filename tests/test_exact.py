@@ -209,15 +209,12 @@ def test_stacks_behind_an_owed_trial_wait_boundedly(monkeypatch):
 
 INT64 = np.iinfo(np.int64)
 # entry sets for the rank kernels: bits, small signed, entries whose products
-# leave int64 unless reduced first, the int64 extremes, and entries on both
-# sides of each prime, so that stacks already in [0, p) and stacks that need
-# the first reduction both occur mod P1 and mod P2
+# leave int64 unless reduced first, and the int64 extremes
 ENTRY_SETS = {
     "bits": [0, 1],
     "threes": [0, 3, -3],
     "two to the 40": [0, 1, 2**40, -(2**40)],
     "int64 extremes": [0, 1, -1, INT64.min, INT64.max, INT64.min + 1],
-    "around the primes": [0, 1, P2 - 1, P2, P1 - 1, P1],
 }
 
 

@@ -244,8 +244,13 @@ class TestChunkPlan:
         sizes = [stop - start for start, stop in plan]
         assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
         elements = modsel.CHUNK_ELEMENTS
-        assert len(plan) == min(max((n * per_trial + elements // 2) // elements, 1), n)
-        assert max(sizes) * per_trial <= 1.5 * elements + per_trial
+        if 2 * n * per_trial <= 3 * elements:
+            assert len(plan) == 1
+        else:
+            # the fewest chunks of at most CHUNK_ELEMENTS elements, or of one trial
+            step = max(1, elements // per_trial)
+            assert len(plan) == math.ceil(n / step)
+            assert max(sizes) * per_trial <= max(elements, per_trial)
 
 
 class TestChunkMemory:
@@ -371,7 +376,7 @@ class TestTrials:
         # 0/1 trials almost never rank differently mod P1 and P2, so give each
         # quartic trial the span matrix diag(P1 or 1, 1, 1, 1, 1, M[1][1]):
         # when M[0][0] = 1 its rank mod P1 is one short, and only the pooled
-        # mod-P2 pass, across chunks of about ``chunk`` trials, sees the missing rank
+        # mod-P2 pass, across chunks of at most ``chunk`` trials, sees the missing rank
         def span_matrices(mats, scatter, pairs):
             diag = np.ones((len(mats), 6), dtype=np.int64)
             diag[:, 0] = np.where(mats[:, 0, 0] == 1, exact.P1, 1)
@@ -460,7 +465,7 @@ class TestSingularityRate:
     def test_second_prime_pass_settles_pooled_trials(self, chunk, monkeypatch):
         # entry (0, 0) scaled by P1: such a trial ranks one short mod P1 when the
         # entry is needed, and only the pooled mod-P2 pass, across chunks of
-        # about ``chunk`` trials, finds it nonsingular
+        # at most ``chunk`` trials, finds it nonsingular
         bits = modsel._bits
 
         def scaled_bits(seeds, g, p):
