@@ -28,7 +28,12 @@ trial) work block and one scratch block of the same shape, preallocated
 per stack: every update and reduction writes into them with ``out=``, so
 a stack costs two blocks of its size and no per-column temporaries of
 that size.  Reductions are x - (x // p) * p rather than
-``np.remainder``, which numpy evaluates several times slower.
+``np.remainder``, which numpy evaluates several times slower, and they
+run only once entries could reach p: the block holds exact integers of
+absolute value below p until a bound on them reaches p, and residues in
+[0, p) from then on.  An exact integer below p in absolute value is zero
+mod p only when it is zero, so the pivots, and the ranks, are those of
+reducing after every column.
 
 Every comparison that decides a rank is between integers; no floating
 point is involved anywhere.
@@ -100,9 +105,19 @@ def _rank_mod(a: np.ndarray, p: int) -> np.ndarray:
     Fraction-free elimination over the trial axis: at each column every
     row becomes pivot * row - entry * pivot_row in the later columns, so
     no modular inverse is needed.  That turns the pivot row itself into
-    zeros, so a row used as a pivot is never chosen again.  Entries are
-    kept in [0, p) with p < 2^31, so each product stays below 2^62 and the
-    arithmetic is exact in ``int64``.
+    zeros, so a row used as a pivot is never chosen again.
+
+    A Python-int ``bound`` on |entry| decides when to reduce mod p.  It
+    starts at max|a|, and the input is reduced first only if that reaches
+    p.  An update of entries at most b in absolute value gives entries at
+    most 2*b^2, so each update squares and doubles the bound, and the rest
+    of the block is reduced only once the bound reaches p, after which it
+    is p - 1.  So every entry is either an exact integer with |v| < p or,
+    once reduced, a residue in [0, p).  Either way v is 0 mod p exactly
+    when v == 0, so the pivots found are those of reducing after every
+    column; and with p < 2^31 each product stays below 2^62 and each
+    update below 2^63, so the arithmetic is exact in ``int64``.  On 0/1
+    stacks the first four updates, the largest, need no reduction.
 
     The work block is laid out (column, row, trial), so each update runs
     over one contiguous block, and one scratch block of the same shape
@@ -116,7 +131,10 @@ def _rank_mod(a: np.ndarray, p: int) -> np.ndarray:
     """
     work = a.transpose(2, 1, 0).copy()
     scratch = np.empty_like(work)
-    _reduce(work, p, scratch)
+    bound = max(int(work.max()), -int(work.min())) if work.size else 0
+    if bound >= p:
+        _reduce(work, p, scratch)
+        bound = p - 1
     ncols, nrows, batch = work.shape
     rank = np.zeros(batch, dtype=np.int64)
     if nrows == 0:
@@ -136,7 +154,10 @@ def _rank_mod(a: np.ndarray, p: int) -> np.ndarray:
         rest *= pivot
         np.multiply(column, pivot_row[:, None, :], out=product)
         rest -= product
-        _reduce(rest, p, product)
+        bound *= 2 * bound
+        if bound >= p:
+            _reduce(rest, p, product)
+            bound = p - 1
     return rank
 
 

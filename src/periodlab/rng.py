@@ -54,10 +54,16 @@ def derive_seed(seed: int, index: int) -> int:
 
 
 def mix64_array(z: np.ndarray) -> np.ndarray:
-    """``mix64`` applied elementwise to a ``uint64`` array."""
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    """``mix64`` applied elementwise to a ``uint64`` array, which is left unchanged.
+
+    The first xor-shift makes the result array; the other steps run in it.
+    """
+    z = z ^ (z >> np.uint64(30))
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def trial_seeds(seed: int, start: int, stop: int) -> np.ndarray:

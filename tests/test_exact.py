@@ -209,12 +209,18 @@ def test_stacks_behind_an_owed_trial_wait_boundedly(monkeypatch):
 
 INT64 = np.iinfo(np.int64)
 # entry sets for the rank kernels: bits, small signed, entries whose products
-# leave int64 unless reduced first, and the int64 extremes
+# leave int64 unless reduced first, and the int64 extremes; and the edges of
+# _rank_mod's reduction schedule: +-32767 stays exact through one update
+# (2 * 32767^2 < P2 < P1), +-32768 is reduced after it (2 * 32768^2 >= P1),
+# and P2 - 1, P1 - 1 are exact mod P1 but reduced up front mod P2
 ENTRY_SETS = {
     "bits": [0, 1],
     "threes": [0, 3, -3],
     "two to the 40": [0, 1, 2**40, -(2**40)],
     "int64 extremes": [0, 1, -1, INT64.min, INT64.max, INT64.min + 1],
+    "just exact through one update": [0, 32767, -32767],
+    "reduced after one update": [0, 32768, -32768],
+    "just below the primes": [0, P2 - 1, P1 - 1],
 }
 
 
@@ -247,3 +253,33 @@ def test_rank_mod_matches_the_kernel_with_temporaries(batch, rows, cols, entries
         assert got.dtype == np.int64
         assert got.tolist() == want.tolist()
     assert np.array_equal(a, before)
+
+
+def _reductions(monkeypatch, a):
+    """The sizes of the blocks ``_rank_mod(a, P1)`` reduces, in order."""
+    sizes, reduce = [], exact._reduce
+
+    def counting_reduce(x, p, scratch):
+        sizes.append(x.size)
+        reduce(x, p, scratch)
+
+    monkeypatch.setattr(exact, "_reduce", counting_reduce)
+    _rank_mod(a, P1)
+    return sizes
+
+
+def test_reductions_start_once_entries_could_reach_the_prime(monkeypatch):
+    # 0/1 entries: the bound 2 * b^2 after each update runs 1, 2, 8, 128,
+    # 32768, then 2^31 >= P1, so of the 19 updates of a 20 x 20 stack the
+    # first four need no reduction and the input is not reduced up front
+    bits = np.zeros((3, 20, 20), dtype=np.int64)
+    bits[0, 0, 0] = 1
+    assert _reductions(monkeypatch, bits) == [3 * 20 * c for c in range(15, 0, -1)]
+    # max entry 4: 4, 32, 2048, 2^23, then 2^47, so 11 of the 14 updates of
+    # a 12 x 15 stack are reduced
+    span = np.full((2, 12, 15), 4, dtype=np.int64)
+    assert _reductions(monkeypatch, span) == [2 * 12 * c for c in range(11, 0, -1)]
+    # an entry that reaches P1 is reduced up front, and so is every update
+    big = np.eye(3, dtype=np.int64)[None]
+    big[0, 1, 2] = P1
+    assert _reductions(monkeypatch, big) == [9, 6, 3]
