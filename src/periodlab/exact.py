@@ -2,7 +2,7 @@
 
 ``integer_rank`` is fraction-free (Bareiss) elimination over Python
 integers, so intermediate growth is handled by arbitrary-precision
-arithmetic.  ``batch_rank`` ranks a whole (B, r, c) stack of ``int64``
+arithmetic.  ``batch_rank`` ranks a whole (B, r, c) stack of integer
 matrices at once by elimination modulo primes, and certifies each rank
 with Hadamard's bound (Cohen, *A Course in Computational Algebraic Number
 Theory*, section 2.2):
@@ -22,12 +22,17 @@ in any order.  Trials owed a mod-P2 pass wait and are re-ranked together,
 so a call of a few chunks pays one pass rather than one per chunk; at
 most the largest stack's count of owed trials waits, from at most that
 many stacks, however long the call.  ``batch_rank`` is its one-stack case.
+A stack keeps its own bool or integer dtype, so a 0/1 stack of one byte
+an entry is widened to ``int64`` only in the elimination's work block.
+Entries must lie in ``int64``: float, complex and object stacks, and
+unsigned entries of 2^63 or more, are refused with ``ValidationError``
+rather than truncated or wrapped.
 
 The elimination mod a prime (``_rank_mod``) runs on one (column, row,
-trial) work block and one scratch block of the same shape, preallocated
-per stack: every update and reduction writes into them with ``out=``, so
-a stack costs two blocks of its size and no per-column temporaries of
-that size.  Reductions are x - (x // p) * p rather than
+trial) ``int64`` work block, cast from the stack, and one scratch block of
+the same shape, preallocated per stack: every update and reduction writes
+into them with ``out=``, so a stack costs two ``int64`` blocks of its size
+and no per-column temporaries of that size.  Reductions are x - (x // p) * p rather than
 ``np.remainder``, which numpy evaluates several times slower, and they
 run only once entries could reach p: the block holds exact integers of
 absolute value below p until a bound on them reaches p, and residues in
@@ -41,9 +46,12 @@ point is involved anywhere.
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence
 
 import numpy as np
+
+from .errors import ValidationError
 
 P1 = 2**31 - 1
 P2 = 2147483629
@@ -54,8 +62,13 @@ def integer_rank(rows: Sequence[Sequence[int]]) -> int:
 
     Fraction-free Gaussian elimination: every intermediate entry is the
     determinant of a minor of the input, so all divisions are exact.
+    Entries are taken through ``operator.index``, so a float entry raises
+    ``ValidationError`` instead of being truncated.
     """
-    m = [list(map(int, r)) for r in rows]
+    try:
+        m = [list(map(operator.index, r)) for r in rows]
+    except TypeError as err:
+        raise ValidationError(f"matrix entries must be integers: {err}") from None
     if not m:
         return 0
     nrows, ncols = len(m), len(m[0])
@@ -100,7 +113,7 @@ def _reduce(x: np.ndarray, p: int, scratch: np.ndarray) -> None:
 
 
 def _rank_mod(a: np.ndarray, p: int) -> np.ndarray:
-    """Ranks mod the prime ``p`` of a (B, r, c) stack of ``int64`` matrices.
+    """Ranks mod the prime ``p`` of a (B, r, c) stack of integer matrices.
 
     Fraction-free elimination over the trial axis: at each column every
     row becomes pivot * row - entry * pivot_row in the later columns, so
@@ -119,17 +132,18 @@ def _rank_mod(a: np.ndarray, p: int) -> np.ndarray:
     update below 2^63, so the arithmetic is exact in ``int64``.  On 0/1
     stacks the first four updates, the largest, need no reduction.
 
-    The work block is laid out (column, row, trial), so each update runs
-    over one contiguous block, and one scratch block of the same shape
-    takes every intermediate: the outer product entry * pivot_row and the
-    quotients of each reduction write into it with ``out=``, so no column
-    allocates an array of the block's size.  (numpy's iterator still
-    takes its fixed buffers, at most 8192 elements an operand, for the two
-    broadcasting products.)  The pivot of each trial is its first nonzero
-    row in the column; its value is gathered once and is zero exactly when
-    the column has no pivot.
+    The work block is the stack cast to ``int64`` and laid out (column,
+    row, trial), so each update runs over one contiguous block; the cast
+    into that layout is the stack's one copy, whatever its dtype.  One
+    scratch block of the same shape takes every intermediate: the outer
+    product entry * pivot_row and the quotients of each reduction write
+    into it with ``out=``, so no column allocates an array of the block's
+    size.  (numpy's iterator still takes its fixed buffers, at most 8192
+    elements an operand, for the two broadcasting products.)  The pivot of
+    each trial is its first nonzero row in the column; its value is
+    gathered once and is zero exactly when the column has no pivot.
     """
-    work = a.transpose(2, 1, 0).copy()
+    work = a.transpose(2, 1, 0).astype(np.int64, order="C")
     scratch = np.empty_like(work)
     bound = max(int(work.max()), -int(work.min())) if work.size else 0
     if bound >= p:
@@ -162,17 +176,21 @@ def _rank_mod(a: np.ndarray, p: int) -> np.ndarray:
 
 
 def _hadamard_squared(a: np.ndarray) -> np.ndarray:
-    """Per matrix of a (B, r, c) stack: H^2 = prod max(1, ||row||^2), as exact Python ints."""
+    """Per matrix of a (B, r, c) stack: H^2 = prod max(1, ||row||^2), as exact Python ints.
+
+    The entries are cast before they are squared, to ``int64`` or, where
+    squared row norms could overflow it, to Python ints, so a narrow dtype
+    such as ``uint8`` cannot wrap.
+    """
     ncols = a.shape[2]
     top = max(int(a.max()), -int(a.min()))
-    if ncols * top * top >= 2**63:  # squared row norms could overflow int64
-        a = a.astype(object)
+    a = a.astype(object if ncols * top * top >= 2**63 else np.int64, copy=False)
     squares = np.maximum((a * a).sum(axis=2), 1)
     return np.prod(squares.astype(object), axis=1)
 
 
 def _ranks_mod_p1(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ranks of a (B, r, c) ``int64`` stack, and the trials still owed the mod-P2 pass.
+    """Ranks of a (B, r, c) integer stack, and the trials still owed the mod-P2 pass.
 
     Ranks mod P1 for every trial and ``integer_rank`` for rank-deficient
     trials whose Hadamard bound H reaches P1*P2 are certified here.  The
@@ -196,12 +214,29 @@ def _ranks_mod_p1(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ranks, deficient[(h2 >= P1 * P1) & (h2 < (P1 * P2) ** 2)]
 
 
+def integer_stack(a) -> np.ndarray:
+    """``a`` as an array of bool or integer dtype whose entries lie in ``int64``.
+
+    Anything else would be truncated (floats) or wrapped (uint64 entries of
+    2^63 or more) on its way into the ``int64`` work block, so it raises
+    ``ValidationError``; Python ints beyond 64 bits arrive as an object array.
+    """
+    a = np.asarray(a)
+    if a.dtype.kind not in "biu":
+        raise ValidationError(f"entries must be integers within int64, not dtype {a.dtype}")
+    if a.dtype == np.uint64 and a.size and a.max() > np.iinfo(np.int64).max:
+        raise ValidationError("entries must lie within int64, not reach 2^63")
+    return a
+
+
 def batch_rank(a) -> np.ndarray:
-    """Exact ranks over Q of a (B, r, c) stack of ``int64`` integer matrices.
+    """Exact ranks over Q of a (B, r, c) stack of integer matrices, as ``int64``.
 
     Ranks mod P1 for every trial, mod P2 for rank-deficient trials whose
     Hadamard bound H reaches P1, and ``integer_rank`` for those whose H
-    reaches P1*P2; see the module docstring for the certificate.
+    reaches P1*P2; see the module docstring for the certificate.  ``a`` may
+    be any array-like of bool or integer entries within ``int64``; anything
+    else raises ``ValidationError``.
     """
     [(_, ranks)] = certified_ranks([(None, a)])
     return ranks
@@ -216,11 +251,16 @@ def certified_ranks(stacks):
     P1 and its owed matrices.  The waiting stacks get one pass when the next
     owing stack would make the owed trials outnumber the largest stack's
     trials, and at the end, so at most that many owed trials wait.
+
+    Each stack keeps its own bool or integer dtype and is not copied to
+    ``int64``: only ``_rank_mod``'s work block is.  A stack of any other
+    dtype, or with entries outside ``int64``, raises ``ValidationError``
+    (``integer_stack``).
     """
     held: list[tuple] = []  # (label, ranks mod P1, owed positions, owed matrices)
     size = largest = 0
     for label, a in stacks:
-        a = np.asarray(a, dtype=np.int64)
+        a = integer_stack(a)
         ranks, owed = _ranks_mod_p1(a)
         largest = max(largest, len(a))
         mats = a[owed]
@@ -239,7 +279,7 @@ def certified_ranks(stacks):
 def _second_prime_pass(held):
     """Yield the held stacks' (label, ranks), their owed trials re-ranked mod P2 in one pass."""
     if held:
-        second = _rank_mod(np.concatenate([mats for *_, mats in held]), P2)
+        second = _rank_mod(np.concatenate([mats for *_, mats in held], dtype=np.int64), P2)
     for label, ranks, owed, _ in held:
         ranks[owed] = np.maximum(ranks[owed], second[: owed.size])
         second = second[owed.size :]

@@ -9,7 +9,10 @@ through splitmix64 streams so runs are bit-reproducible.
 
 Every experiment runs through one chunked pipeline: splitmix64 bits for a
 chunk of trials (``rng.stream_draws``), the g x g matrices and their
-product-span matrices, exact ranks of both, and streaming counts.  A
+product-span matrices, exact ranks of both, and streaming counts.  The
+bits are ``uint8`` 0/1 matrices (``_bits``): singularity ranks them as they
+are, and ``exact`` widens them to ``int64`` only in its work block, while
+select widens them once, as its chunk's matrices, for span assembly.  A
 call is cut into chunks whose ranked arrays, the (3g-3) x (3g-3) span
 matrices for select and exhaustive and the g x g matrices for
 singularity, hold at most ``CHUNK_ELEMENTS`` elements each, or into one
@@ -52,27 +55,36 @@ import numpy as np
 
 from .curves import MAX_GENUS, PlaneCurveModel, moduli_count
 from .errors import DomainError, ValidationError
-from .exact import batch_rank, certified_ranks
+from .exact import batch_rank, certified_ranks, integer_stack
 from .rng import MASK64, stream_draws, trial_seeds
 
-# Each chunk's ranked array (g*g draws and matrices for singularity,
-# (3g-3)^2 span matrices for select) holds at most this many elements, or
-# 1.5 times as many when the whole call is one chunk (``_chunks``), so
-# memory stays bounded whatever the trial count.  No transient outgrows
-# the ranked array: a select chunk's span assembly holds at most two
-# gathered member rounds beside the span matrices, each no larger than
-# they are, and a rank pass one scratch block of the stack's size.  A
-# call is cut into near-equal chunks, not steps of CHUNK_ELEMENTS //
-# per_trial trials, so that no short tail chunk pays a rank pass's fixed
-# numpy cost: a 100-trial quintic select is one chunk, not 72 + 28 trials.
-# Chunks of a larger call stay within CHUNK_ELEMENTS because 8-byte arrays
-# above 128 KiB, glibc malloc's default threshold, went back to the system
-# after each chunk and faulted in again (with the nearest whole number of
-# chunks instead, singularity-sweep lost 3%).  perfbench medians of 10
-# alternating 25 s pairs on a shared 2-vCPU machine, steps against this
-# rule: select-quintic 28.4k -> 31.5k trials/s (+10.8%, 10/10 pairs);
-# singularity-sweep 218.7k -> 220.6k (+0.9%, within noise).
-CHUNK_ELEMENTS = 2**14
+# Each chunk's ranked array (g*g bits for singularity, (3g-3)^2 span
+# matrices for select) holds at most this many elements, or 1.5 times as
+# many when the whole call is one chunk (``_chunks``), so memory stays
+# bounded whatever the trial count.  A singularity chunk peaks at 17 bytes
+# an element: drawing holds the uint64 draws, mixed in place, and one shift
+# (16 bytes) and leaves one byte of bits; ranking holds the bits and the
+# rank kernel's work and scratch blocks, the only int64 arrays of the
+# chunk's size.  Traced, a full g = 20 chunk peaks at 2.39 times its int64
+# block, against 3.26 times with int64 bits and a mixed copy of the draws.
+# A select chunk's span assembly holds at most two gathered member rounds
+# beside the int64 span matrices, each no larger than they are, and a rank
+# pass one scratch block of the stack's size.  A call is cut into
+# near-equal chunks, not steps of CHUNK_ELEMENTS // per_trial trials, so
+# that no short tail chunk pays a rank pass's fixed numpy cost: a
+# 1600-trial singularity call at g = 20 is 10 chunks of 160 trials, not 9
+# of 163 and one of 133.  Chunks of a larger call stay within
+# CHUNK_ELEMENTS: at 2^14, the nearest whole number of chunks instead put
+# more blocks above malloc's mmap threshold, to fault in again per chunk,
+# and singularity-sweep lost 3%.  perfbench medians of 10 alternating 25 s
+# pairs on a shared 2-vCPU machine, 2^16 against 2^14: singularity-sweep
+# 241.8k -> 330.2k trials/s (+36.6%, 10/10 pairs; a sweep round makes 22
+# mod-P1 rank passes instead of 78), peak RSS 34.03 -> 34.93 MB;
+# select-quintic, whose 100-trial calls are one chunk either way, 33.66k
+# -> 33.50k (within noise).  Not 2^17: 4 alternating 8 s runs gave 299k
+# against 333k trials/s and 0.7 MB more RSS; its g = 20 work and scratch
+# blocks, 1 MB each, together outgrow that machine's 2 MiB L2 cache.
+CHUNK_ELEMENTS = 2**16
 
 # The most trials a call that keeps its trial log may ask for.  The log is
 # preallocated, and the CLI renders it as one CSV text: a quintic select
@@ -108,14 +120,18 @@ class BernoulliMatrix:
 
 
 def _bits(seeds: np.ndarray, g: int, p: float) -> np.ndarray:
-    """(len(seeds), g, g) ``int64`` 0/1 matrices, one per splitmix64 seed."""
+    """(len(seeds), g, g) ``uint8`` 0/1 matrices, one per splitmix64 seed.
+
+    The bits are the comparison of the draws with the threshold, viewed as
+    ``uint8``, so they take one byte an entry and no copy of their own.
+    """
     if not 0.0 <= p <= 1.0:
         raise DomainError("p must lie in [0, 1]")
     threshold = math.floor(p * 2**64)
     if threshold > MASK64:  # p = 1: every draw is below 2^64
-        return np.ones((len(seeds), g, g), dtype=np.int64)
+        return np.ones((len(seeds), g, g), dtype=np.uint8)
     draws = stream_draws(seeds, g * g)
-    return (draws < np.uint64(threshold)).astype(np.int64).reshape(-1, g, g)
+    return (draws < np.uint64(threshold)).view(np.uint8).reshape(-1, g, g)
 
 
 def _one_seed(seed: int) -> np.ndarray:
@@ -199,17 +215,20 @@ def _span_table(model: PlaneCurveModel) -> _SpanTable:
 def _span_matrices(mats: np.ndarray, table: _SpanTable, pairs) -> np.ndarray:
     """Product-span matrices, one |pairs| x (quad monomials) matrix per change of basis.
 
-    ``mats`` is a (B, g, g) ``int64`` stack of changes of basis M.  Row
+    ``mats`` is a (B, g, g) integer stack of changes of basis M.  Row
     (a, b) of a trial's span matrix holds the coefficients of
     omega_a * omega_b over the quad monomials, in the column order of
     ``table``: column c is the sum over its members (j, l) of
     M[a, j] * M[b, l].  The sum is built one member round at a time, each
     round gathering its factors from the rows of the stack and adding their
     product into a prefix of the columns, all in ``int64``, so the only
-    temporaries are two gathered rounds.  The columns are the quad
+    temporaries are two gathered rounds.  A stack of another integer dtype
+    is cast to ``int64`` first, so no product is taken in a narrow dtype;
+    an ``int64`` stack is used as it is.  The columns are the quad
     monomials in a fixed order, so ranks and row norms are those of the
     matrices in ``model.quad_monomials`` order.
     """
+    mats = mats.astype(np.int64, copy=False)
     first, second = np.array(pairs).T[:, :, None]  # (|pairs|, 1) row indices each
     (j, l), *later = table.rounds  # round 0 covers every column
     span = mats[:, first, j]
@@ -234,7 +253,7 @@ def product_span_rank(model: PlaneCurveModel, m: BernoulliMatrix, pairs) -> int:
         raise ValidationError("matrix size must equal the model genus")
     if not all(0 <= a <= b < g for a, b in pairs):
         raise ValidationError("index pairs must satisfy 0 <= i <= j < g")
-    mats = np.array([m.entries], dtype=np.int64)
+    mats = integer_stack([m.entries])
     return int(batch_rank(_span_matrices(mats, _span_table(model), pairs))[0])
 
 
@@ -343,7 +362,8 @@ def run_selection(
 
     def matrices(start, stop):
         seeds = trial_seeds(seed, start, stop)
-        return seeds, _bits(seeds, model.genus, p)
+        # one widening serves both the g x g ranks and the span assembly
+        return seeds, _bits(seeds, model.genus, p).astype(np.int64)
 
     return _select_stats(model, n_trials, matrices, records)
 

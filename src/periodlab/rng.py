@@ -53,26 +53,39 @@ def derive_seed(seed: int, index: int) -> int:
     return mix64((seed & MASK64) ^ (index & MASK64))
 
 
-def mix64_array(z: np.ndarray) -> np.ndarray:
-    """``mix64`` applied elementwise to a ``uint64`` array, which is left unchanged.
+def _mix64_in_place(z: np.ndarray) -> np.ndarray:
+    """``mix64`` applied elementwise to the ``uint64`` array ``z``, in place; returns z.
 
-    The first xor-shift makes the result array; the other steps run in it.
+    Each xor-shift writes its shift into one temporary of z's shape, so the
+    mix holds at most one array beside z.
     """
-    z = z ^ (z >> np.uint64(30))
+    shifted = np.right_shift(z, np.uint64(30))
+    z ^= shifted
     z *= np.uint64(_MIX1)
-    z ^= z >> np.uint64(27)
+    z ^= np.right_shift(z, np.uint64(27), out=shifted)
     z *= np.uint64(_MIX2)
-    z ^= z >> np.uint64(31)
+    z ^= np.right_shift(z, np.uint64(31), out=shifted)
     return z
+
+
+def mix64_array(z: np.ndarray) -> np.ndarray:
+    """``mix64`` applied elementwise to a ``uint64`` array, which is left unchanged."""
+    return _mix64_in_place(np.array(z, dtype=np.uint64))
 
 
 def trial_seeds(seed: int, start: int, stop: int) -> np.ndarray:
     """``derive_seed(seed, i)`` for i in [start, stop), as ``uint64``."""
     index = np.arange(start, stop, dtype=np.uint64)
-    return mix64_array(np.uint64(seed & MASK64) ^ index)
+    index ^= np.uint64(seed & MASK64)
+    return _mix64_in_place(index)
 
 
 def stream_draws(seeds: np.ndarray, n: int) -> np.ndarray:
-    """(len(seeds), n) array: the first n outputs of SplitMix64(s) per seed."""
+    """(len(seeds), n) array: the first n outputs of SplitMix64(s) per seed.
+
+    The draws are mixed in place in the array of counter values s + k*gamma
+    they are built as, so a chunk of draws holds two ``uint64`` arrays of its
+    size at its peak: the draws and one shift.
+    """
     steps = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
-    return mix64_array(np.asarray(seeds, dtype=np.uint64)[:, None] + steps)
+    return _mix64_in_place(np.asarray(seeds, dtype=np.uint64)[:, None] + steps)

@@ -2,11 +2,13 @@ import random
 import weakref
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import cofactor_determinant, rank_mod_with_temporaries
 from periodlab import exact
+from periodlab.errors import ValidationError
 from periodlab.exact import (
     P1,
     P2,
@@ -112,6 +114,66 @@ def test_mixed_batch_takes_each_branch():
 def test_batch_rank_empty_shapes():
     assert batch_rank(np.zeros((0, 3, 3), dtype=np.int64)).tolist() == []
     assert batch_rank(np.zeros((2, 0, 3), dtype=np.int64)).tolist() == [0, 0]
+
+
+def test_float_entries_are_refused_not_truncated():
+    # 0.5 * I is invertible; truncated to integers it would be the zero matrix
+    half = [[0.5, 0.0], [0.0, 0.5]]
+    for stack in ([half], np.array([half]), np.array([half], dtype=complex)):
+        with pytest.raises(ValidationError):
+            batch_rank(stack)
+    with pytest.raises(ValidationError):
+        integer_rank(half)
+    with pytest.raises(ValidationError):
+        integer_rank(np.array(half))
+
+
+def test_entries_beyond_int64_are_refused():
+    # 2^70 arrives as an object array: refused, not an OverflowError traceback
+    with pytest.raises(ValidationError):
+        batch_rank([[[2**70, 1], [0, 1]]])
+    assert integer_rank([[2**70, 1], [0, 1]]) == 2  # Python ints have no width
+
+
+def test_uint64_entries_from_two_to_the_63_are_refused():
+    # uint64 entries of 2^63 or more would wrap to negative int64 values
+    top = np.iinfo(np.int64).max
+    assert batch_rank(np.array([[[top, 0], [0, 1]]], dtype=np.uint64)).tolist() == [2]
+    with pytest.raises(ValidationError):
+        batch_rank(np.array([[[2**63, 0], [0, 1]]], dtype=np.uint64))
+
+
+# det = P1 exactly, so this matrix has rank 3 mod P1 and 4 over Q; only its
+# Hadamard bound, from squared row norms far above 255, sends it to the
+# mod-P2 pass, so a uint8 stack must not square in uint8
+DET_P1 = [[109, 8, 225, 183], [249, 216, 192, 67], [6, 157, 229, 114], [58, 51, 23, 209]]
+
+
+def test_uint8_stack_is_squared_without_wrapping():
+    assert cofactor_determinant(DET_P1) == P1
+    a = np.array([DET_P1], dtype=np.uint8)
+    assert _rank_mod(a, P1).tolist() == [3]
+    assert batch_rank(a).tolist() == [4]
+    assert a.tolist() == [DET_P1]  # the input is not cast in place
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 12),
+    st.integers(0, 8),
+    st.integers(0, 8),
+    st.sampled_from([(0, 1), (0, 255), (250, 255)]),
+    st.booleans(),
+    st.integers(0, 2**32),
+)
+def test_uint8_and_int64_stacks_rank_alike(batch, rows, cols, bounds, deficient, seed):
+    # a stack is ranked in its own dtype: a uint8 stack, entries up to 255,
+    # ranks as its int64 copy, through the Hadamard and Bareiss branches too
+    rng = np.random.default_rng(seed)
+    a = rng.integers(bounds[0], bounds[1], size=(batch, rows, cols), dtype=np.uint8, endpoint=True)
+    if deficient and rows > 1:
+        a[:, -1] = a[:, 0]
+    assert batch_rank(a).tolist() == batch_rank(a.astype(np.int64)).tolist()
 
 
 EYE = np.eye(3, dtype=np.int64)

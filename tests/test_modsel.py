@@ -118,6 +118,11 @@ class TestBernoulliMatrix:
             m = bernoulli_matrix(4, 0.5, seed)
             assert is_nonsingular_exact(m) == (cofactor_determinant(m.entries) != 0)
 
+    def test_nonsingular_refuses_non_integer_entries(self):
+        # 0.5 * I is invertible: refused, not truncated to the zero matrix
+        with pytest.raises(ValidationError):
+            is_nonsingular_exact(BernoulliMatrix(2, ((0.5, 0.0), (0.0, 0.5)), 0.5, 0))
+
 
 class TestIndexSet:
     def test_first_three_rows(self):
@@ -153,6 +158,12 @@ class TestProductSpanRank:
 
     def test_size_mismatch(self):
         m = _matrix(4, [[1] * 4] * 4)
+        with pytest.raises(ValidationError):
+            product_span_rank(QUARTIC, m, first_three_rows_indices(3))
+
+    def test_non_integer_entries_refused(self):
+        # 0.5 * I spans like I; truncated to integers it would be the zero matrix, rank 0
+        m = _matrix(3, [[0.5 * (i == j) for j in range(3)] for i in range(3)])
         with pytest.raises(ValidationError):
             product_span_rank(QUARTIC, m, first_three_rows_indices(3))
 
@@ -220,6 +231,16 @@ class TestSpanAssembly:
         assert np.array_equal(got, want[..., list(table.columns)])
         assert np.array_equal(exact.batch_rank(got), exact.batch_rank(want))
 
+    @pytest.mark.parametrize("dtype", [np.uint8, bool])
+    def test_narrow_stacks_are_assembled_in_int64(self, dtype):
+        # bool products and sums would be logical, and uint8 ones (entries
+        # up to 255) would wrap: a narrow stack spans as its int64 copy
+        table, pairs = modsel._span_table(QUINTIC), first_three_rows_indices(6)
+        mats = np.random.default_rng(3).integers(0, 2 if dtype is bool else 256, size=(20, 6, 6))
+        got = modsel._span_matrices(mats.astype(dtype), table, pairs)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, modsel._span_matrices(mats, table, pairs))
+
 
 def _traced_peak(fn, *args):
     """Bytes ``fn(*args)`` allocates at its peak above what was held before."""
@@ -285,6 +306,60 @@ class TestChunkMemory:
         rank_mod = exact._rank_mod if kernel == "scratch block" else rank_mod_with_temporaries
         assert _traced_peak(rank_mod, span, p) <= 3.1 * span.nbytes
 
+    def test_singularity_chunk_from_seeds_to_ranks(self):
+        # one full g = 20 chunk of a 1600-trial singularity call: the draws mix
+        # in place beside one shift, the bits take a byte an entry, and the
+        # rank kernel's work and scratch blocks are its only int64 arrays of
+        # the chunk's size (the int64 bits and draw temporaries peaked at 3.3
+        # times the int64 block at this size, 4.2 times at 2^14 elements)
+        g = 20
+        start, stop = next(modsel._chunks(1600, g * g))
+        seeds = trial_seeds(1, start, stop)
+        assert (stop - start) * g * g > modsel.CHUNK_ELEMENTS // 2
+        peak = _traced_peak(lambda: exact.batch_rank(modsel._bits(seeds, g, 0.5)))
+        assert peak <= 2.75 * (stop - start) * g * g * 8
+
+
+class TestChunkInvariance:
+    """Chunk size changes no count and no trial log column."""
+
+    @staticmethod
+    def _each_size(monkeypatch, run, n, per_trial):
+        """``run()`` with CHUNK_ELEMENTS at 2^10, 2^14 and 2^16, and how many
+        chunks each cuts the call of ``n`` trials into."""
+        counts, results = [], []
+        for elements in (2**10, 2**14, 2**16):
+            monkeypatch.setattr(modsel, "CHUNK_ELEMENTS", elements)
+            counts.append(len(list(modsel._chunks(n, per_trial))))
+            results.append(run())
+        return counts, results
+
+    @pytest.mark.parametrize("g, n", [(3, 12000), (5, 4000), (8, 2000), (20, 400)])
+    def test_singularity_rate(self, g, n, monkeypatch):
+        run = lambda: singularity_rate(g, 0.5, n, 31)
+        counts, (first, *rest) = self._each_size(monkeypatch, run, n, g * g)
+        assert len(set(counts)) == 3, counts
+        assert all(stats == first for stats in rest)
+
+    @pytest.mark.parametrize("model, n", [(QUARTIC, 2000), (QUINTIC, 600)], ids=["quartic", "quintic"])
+    def test_run_selection_records(self, model, n, monkeypatch):
+        per_trial = len(first_three_rows_indices(model.genus)) * len(model.quad_monomials)
+        run = lambda: run_selection(model, 0.5, n, 5, records=True)
+        counts, ((stats, log), *rest) = self._each_size(monkeypatch, run, n, per_trial)
+        assert len(set(counts)) == 3, counts
+        for other_stats, other_log in rest:
+            assert other_stats == stats
+            assert other_log.target == log.target
+            for column, other in zip(log[:3], other_log[:3]):
+                assert column.dtype == other.dtype and np.array_equal(column, other)
+
+    def test_exhaustive_quartic(self, monkeypatch):
+        # 512 trials of 36 elements are one chunk from 2^14 elements on
+        counts, (first, *rest) = self._each_size(monkeypatch, lambda: exhaustive(QUARTIC), 512, 36)
+        assert counts[0] > counts[1] == counts[2] == 1
+        assert first.successes == 174
+        assert all(stats == first for stats in rest)
+
 
 class TestTrials:
     def test_run_trial_deterministic(self):
@@ -328,9 +403,11 @@ class TestTrials:
 
     @pytest.mark.parametrize("seed", [-7, 2**64 + 3])
     @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
-    def test_batched_records_match_single_trials_across_chunks(self, seed, p):
-        # chunk boundaries must not change any record: 109 trials are the
-        # largest call of one chunk, 110 and 111 the smallest of two
+    def test_batched_records_match_single_trials_across_chunks(self, seed, p, monkeypatch):
+        # chunk boundaries must not change any record: with chunks of 2^14
+        # elements, 109 trials are the largest call of one chunk, 110 and 111
+        # the smallest of two
+        monkeypatch.setattr(modsel, "CHUNK_ELEMENTS", 2**14)
         plans = {1: [1], 109: [109], 110: [55, 55], 111: [55, 56]}
         for n, sizes in plans.items():
             assert _chunk_sizes(n, QUINTIC_SPAN_ELEMENTS) == sizes
@@ -338,6 +415,7 @@ class TestTrials:
 
     def test_second_prime_pass_straddles_a_chunk_boundary(self, monkeypatch):
         # trials owed the mod-P2 pass on both sides of a boundary share one pass
+        monkeypatch.setattr(modsel, "CHUNK_ELEMENTS", 2**14)
         owed, passes = _count_rank_passes(monkeypatch)
         assert _chunk_sizes(144, QUINTIC_SPAN_ELEMENTS) == [72, 72]
         run_selection(QUINTIC, 0.5, 144, 11)
@@ -449,8 +527,10 @@ class TestSingularityRate:
         assert abs(stats.estimate - 338 / 512) < 0.03
         assert stats.successes + stats.nonsingular_count == stats.trials
 
-    def test_matches_single_matrices_across_chunks(self):
-        # 983 trials are the largest call of one chunk at g = 5, 984 the smallest of two
+    def test_matches_single_matrices_across_chunks(self, monkeypatch):
+        # with chunks of 2^14 elements, 983 trials are the largest call of one
+        # chunk at g = 5, 984 the smallest of two
+        monkeypatch.setattr(modsel, "CHUNK_ELEMENTS", 2**14)
         g = 5
         plans = {1: [1], 983: [983], 984: [492, 492]}
         for n, sizes in plans.items():
@@ -469,7 +549,7 @@ class TestSingularityRate:
         bits = modsel._bits
 
         def scaled_bits(seeds, g, p):
-            mats = bits(seeds, g, p)
+            mats = bits(seeds, g, p).astype(np.int64)  # a uint8 entry cannot hold P1
             mats[:, 0, 0] *= exact.P1
             return mats
 
