@@ -16,29 +16,45 @@ Theory*, section 2.2):
   two distinct primes cannot both divide a nonzero minor below P1*P2;
 * a trial with H >= P1*P2 falls back to ``integer_rank``.
 
+Nonsingularity needs less: det != 0 over Q exactly when the rank is full,
+and full rank mod any prime already proves it, since the determinant is
+then nonzero mod p.  ``certified_nonsingular`` therefore ranks a square
+stack mod Q = 32749, the largest prime below 2^15, in ``int32`` (see
+``_rank_mod``).  Full rank mod Q is final.  So is a deficient trial whose
+H < Q: a nonzero determinant of absolute value below Q is nonzero mod Q,
+so its determinant is 0.  Only a deficient trial with H >= Q goes on to
+the ranks above, mod P1 first.  A random 0/1 matrix of
+size n <= 9 has (n * 1)^n < Q^2, so every such trial is settled in the
+one ``int32`` pass.  Span matrices are not ranked mod Q first: most
+quintic span matrices are rank-deficient and have H >= Q, so a mod-Q pass
+would only be one more.
+
 ``certified_ranks`` ranks a stream of labelled stacks, such as the trial
 chunks of one ``modsel`` call, and yields each stack's ranks once final,
 in any order.  Trials owed a mod-P2 pass wait and are re-ranked together,
 so a call of a few chunks pays one pass rather than one per chunk; at
 most the largest stack's count of owed trials waits, from at most that
-many stacks, however long the call.  ``batch_rank`` is its one-stack case.
-A stack keeps its own bool or integer dtype, so a 0/1 stack of one byte
-an entry is widened to ``int64`` only in the elimination's work block.
-Entries must lie in ``int64``: float, complex and object stacks, and
-unsigned entries of 2^63 or more, are refused with ``ValidationError``
-rather than truncated or wrapped.
+many stacks, however long the call (``_pooled``).  ``batch_rank`` is its
+one-stack case.  ``certified_nonsingular`` pools its trials owed the
+ranks above by the same rule.  A stack keeps its own bool or integer
+dtype, so a 0/1 stack of one byte an entry is widened only in the
+elimination's work block.  Entries must lie in ``int64``: float, complex
+and object stacks, and unsigned entries of 2^63 or more, are refused with
+``ValidationError`` rather than truncated or wrapped.
 
 The elimination mod a prime (``_rank_mod``) runs on one (column, row,
-trial) ``int64`` work block, cast from the stack, and one scratch block of
-the same shape, preallocated per stack: every update and reduction writes
-into them with ``out=``, so a stack costs two ``int64`` blocks of its size
-and no per-column temporaries of that size.  Reductions are x - (x // p) * p rather than
-``np.remainder``, which numpy evaluates several times slower, and they
-run only once entries could reach p: the block holds exact integers of
-absolute value below p until a bound on them reaches p, and residues in
-[0, p) from then on.  An exact integer below p in absolute value is zero
-mod p only when it is zero, so the pivots, and the ranks, are those of
-reducing after every column.
+trial) work block, cast from the stack, and one scratch block of the same
+shape, preallocated per stack: every update and reduction writes into
+them with ``out=``, so a stack costs two blocks of its size and no
+per-column temporaries of that size.  The blocks are ``int32`` mod Q and
+``int64`` mod P1 and P2, the narrowest dtype that holds every update
+exactly.  Reductions are x - (x // p) * p rather than ``np.remainder``,
+which numpy evaluates several times slower, and they run only once
+entries could reach p: the block holds exact integers of absolute value
+below p until a bound on them reaches p, and residues in [0, p) from then
+on.  An exact integer below p in absolute value is zero mod p only when
+it is zero, so the pivots, and the ranks, are those of reducing after
+every column.
 
 Every comparison that decides a rank is between integers; no floating
 point is involved anywhere.
@@ -55,6 +71,7 @@ from .errors import ValidationError
 
 P1 = 2**31 - 1
 P2 = 2147483629
+Q = 32749
 
 
 def integer_rank(rows: Sequence[Sequence[int]]) -> int:
@@ -128,27 +145,37 @@ def _rank_mod(a: np.ndarray, p: int) -> np.ndarray:
     is p - 1.  So every entry is either an exact integer with |v| < p or,
     once reduced, a residue in [0, p).  Either way v is 0 mod p exactly
     when v == 0, so the pivots found are those of reducing after every
-    column; and with p < 2^31 each product stays below 2^62 and each
-    update below 2^63, so the arithmetic is exact in ``int64``.  On 0/1
-    stacks the first four updates, the largest, need no reduction.
+    column.  On 0/1 stacks the first four updates, the largest, need no
+    reduction mod P1, and the first three mod Q.
 
-    The work block is the stack cast to ``int64`` and laid out (column,
-    row, trial), so each update runs over one contiguous block; the cast
-    into that layout is the stack's one copy, whatever its dtype.  One
-    scratch block of the same shape takes every intermediate: the outer
-    product entry * pivot_row and the quotients of each reduction write
-    into it with ``out=``, so no column allocates an array of the block's
-    size.  (numpy's iterator still takes its fixed buffers, at most 8192
-    elements an operand, for the two broadcasting products.)  The pivot of
-    each trial is its first nonzero row in the column; its value is
-    gathered once and is zero exactly when the column has no pivot.
+    The work dtype follows from p: every update is at most 2*(p-1)^2 in
+    absolute value, so the block is ``int32`` when 2*(p-1)^2 < 2^31, as for
+    Q = 32749 (2,144,863,008 < 2^31 - 1), and ``int64`` otherwise, where
+    p < 2^31 keeps each update below 2^63.  Either way the arithmetic is
+    exact, and an ``int32`` block moves half the bytes.  An input that
+    reaches p is reduced in ``int64`` through ``_reduce`` before it is
+    narrowed, so no entry wraps in the cast.
+
+    The work block is the stack cast to the work dtype and laid out
+    (column, row, trial), so each update runs over one contiguous block;
+    the cast into that layout is the stack's one copy, whatever its dtype.
+    One scratch block of the same shape takes every intermediate: the
+    outer product entry * pivot_row and the quotients of each reduction
+    write into it with ``out=``, so no column allocates an array of the
+    block's size.  (numpy's iterator still takes its fixed buffers, at
+    most 8192 elements an operand, for the two broadcasting products.)
+    The pivot of each trial is its first nonzero row in the column; its
+    value is gathered once and is zero exactly when the column has no
+    pivot.
     """
-    work = a.transpose(2, 1, 0).astype(np.int64, order="C")
-    scratch = np.empty_like(work)
-    bound = max(int(work.max()), -int(work.min())) if work.size else 0
+    dtype = np.int32 if 2 * (p - 1) ** 2 < 2**31 else np.int64
+    bound = max(int(a.max()), -int(a.min())) if a.size else 0
+    work = a.transpose(2, 1, 0).astype(np.int64 if bound >= p else dtype, order="C")
     if bound >= p:
-        _reduce(work, p, scratch)
+        _reduce(work, p, np.empty_like(work))
+        work = work.astype(dtype, copy=False)
         bound = p - 1
+    scratch = np.empty_like(work)
     ncols, nrows, batch = work.shape
     rank = np.zeros(batch, dtype=np.int64)
     if nrows == 0:
@@ -189,6 +216,22 @@ def _hadamard_squared(a: np.ndarray) -> np.ndarray:
     return np.prod(squares.astype(object), axis=1)
 
 
+def _reaching(a: np.ndarray, trials: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Those of ``trials`` whose Hadamard bound H reaches ``p``, and H^2 of each.
+
+    When (c * top^2)^r < p^2, with top = max|a|, no trial of the (B, r, c)
+    stack reaches p (H^2 <= (c * top^2)^r), and no row norm is taken.
+    """
+    nrows, ncols = a.shape[1:]
+    if trials.size:
+        top = max(int(a.max()), -int(a.min()))
+        if (ncols * top * top) ** nrows >= p * p:
+            h2 = _hadamard_squared(a[trials])
+            reach = h2 >= p * p
+            return trials[reach], h2[reach]
+    return trials[:0], np.empty(0, dtype=object)
+
+
 def _ranks_mod_p1(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ranks of a (B, r, c) integer stack, and the trials still owed the mod-P2 pass.
 
@@ -198,20 +241,14 @@ def _ranks_mod_p1(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     their entries hold the rank mod P1 until the mod-P2 pass raises them.
     """
     batch, nrows, ncols = a.shape
-    owed = np.empty(0, dtype=np.intp)
     if min(nrows, ncols) == 0:
-        return np.zeros(batch, dtype=np.int64), owed
+        return np.zeros(batch, dtype=np.int64), np.empty(0, dtype=np.intp)
     ranks = _rank_mod(a, P1)
-    deficient = np.flatnonzero(ranks < min(nrows, ncols))
-    if deficient.size == 0:
-        return ranks, owed
-    top = max(int(a.max()), -int(a.min()))
-    if (ncols * top * top) ** nrows < P1 * P1:
-        return ranks, owed  # H^2 <= (ncols * top^2)^nrows < P1^2 for every trial
-    h2 = _hadamard_squared(a[deficient])
-    for k in deficient[h2 >= (P1 * P2) ** 2]:
+    deficient, h2 = _reaching(a, np.flatnonzero(ranks < min(nrows, ncols)), P1)
+    beyond = h2 >= (P1 * P2) ** 2
+    for k in deficient[beyond]:
         ranks[k] = integer_rank(a[k].tolist())
-    return ranks, deficient[(h2 >= P1 * P1) & (h2 < (P1 * P2) ** 2)]
+    return ranks, deficient[~beyond]
 
 
 def integer_stack(a) -> np.ndarray:
@@ -246,41 +283,92 @@ def certified_ranks(stacks):
     """Yield ``(label, ranks)`` for each ``(label, stack)`` of ``stacks``, once final.
 
     Every yielded rank is final (module docstring), and stacks come out in
-    any order.  A stack that owes no trial the mod-P2 pass is yielded at
-    once; a stack that owes some waits with only its label, its ranks mod
-    P1 and its owed matrices.  The waiting stacks get one pass when the next
-    owing stack would make the owed trials outnumber the largest stack's
-    trials, and at the end, so at most that many owed trials wait.
+    any order.  Each stack is ranked mod P1; the trials it owes the mod-P2
+    pass wait in ``_pooled``, and each ends with the larger of its ranks
+    mod P1 and mod P2.  The stacks of one stream share their matrix shape.
 
     Each stack keeps its own bool or integer dtype and is not copied to
     ``int64``: only ``_rank_mod``'s work block is.  A stack of any other
     dtype, or with entries outside ``int64``, raises ``ValidationError``
     (``integer_stack``).
     """
-    held: list[tuple] = []  # (label, ranks mod P1, owed positions, owed matrices)
+
+    def first_passes():
+        for label, a in stacks:
+            a = integer_stack(a)
+            ranks, owed = _ranks_mod_p1(a)
+            count, mats = len(a), a[owed]
+            del a  # the stack is not held across a yield
+            yield label, ranks, count, owed, mats
+
+    return _pooled(first_passes(), lambda mats: _rank_mod(mats, P2))
+
+
+def certified_nonsingular(stacks):
+    """Yield ``(label, nonsingular)`` for each ``(label, stack)`` of square ``stacks``, once final.
+
+    ``nonsingular`` is a bool array, True where the trial's determinant is
+    nonzero over Q, and stacks come out in any order.  Each stack is ranked
+    mod Q in an ``int32`` block.  Full rank mod Q is final, and so is a
+    deficient trial whose Hadamard bound H is below Q (module docstring);
+    on a 0/1 stack of size n <= 9, (n * 1)^n < Q^2 settles every trial in
+    that one pass.  A deficient trial with H >= Q waits in ``_pooled`` and
+    is ranked with the trials other stacks owe by ``batch_rank``: mod P1,
+    then mod P2 or by Bareiss elimination as its bound needs.  The stacks
+    of one stream share their matrix shape.
+
+    A non-square stack, or one ``integer_stack`` refuses, raises
+    ``ValidationError``.
+    """
+
+    def first_passes():
+        for label, a in stacks:
+            a = integer_stack(a)
+            if a.ndim != 3 or a.shape[1] != a.shape[2]:
+                raise ValidationError(f"stacks must hold square matrices, not shape {a.shape}")
+            nonsingular = _rank_mod(a, Q) == a.shape[1]
+            owed, _ = _reaching(a, np.flatnonzero(~nonsingular), Q)
+            count, mats = len(a), a[owed]
+            del a  # the stack is not held across a yield
+            yield label, nonsingular, count, owed, mats
+
+    return _pooled(first_passes(), lambda mats: batch_rank(mats) == mats.shape[1])
+
+
+def _pooled(firsts, settle):
+    """Yield ``(label, values)`` for each ``(label, values, count, owed, mats)`` of ``firsts``, once final.
+
+    ``values`` holds a stack's results for its ``count`` trials after a
+    first pass, final except at the positions ``owed``, whose matrices are
+    ``mats``.  A stack that owes nothing is yielded at once; a stack that
+    owes some waits with only its label, its values and its owed matrices.
+    The waiting stacks' owed matrices are settled together, by one call of
+    ``settle``, when the next owing stack would make the owed trials
+    outnumber the largest stack's trials, and at the end, so at most that
+    many owed trials wait, from at most that many stacks, however long the
+    stream.  Each owed trial ends with the larger of its value and the one
+    ``settle`` gives it.
+    """
+    held: list[tuple] = []  # (label, values, owed positions, owed matrices)
     size = largest = 0
-    for label, a in stacks:
-        a = integer_stack(a)
-        ranks, owed = _ranks_mod_p1(a)
-        largest = max(largest, len(a))
-        mats = a[owed]
-        del a  # the stack is not held across a yield
+    for label, values, count, owed, mats in firsts:
+        largest = max(largest, count)
         if not owed.size:
-            yield label, ranks
+            yield label, values
             continue
         if size + owed.size > largest:
-            yield from _second_prime_pass(held)
+            yield from _settle(held, settle)
             held, size = [], 0
-        held.append((label, ranks, owed, mats))
+        held.append((label, values, owed, mats))
         size += owed.size
-    yield from _second_prime_pass(held)
+    yield from _settle(held, settle)
 
 
-def _second_prime_pass(held):
-    """Yield the held stacks' (label, ranks), their owed trials re-ranked mod P2 in one pass."""
+def _settle(held, settle):
+    """Yield the held stacks' (label, values), their owed trials settled in one call."""
     if held:
-        second = _rank_mod(np.concatenate([mats for *_, mats in held], dtype=np.int64), P2)
-    for label, ranks, owed, _ in held:
-        ranks[owed] = np.maximum(ranks[owed], second[: owed.size])
-        second = second[owed.size :]
-        yield label, ranks
+        settled = settle(np.concatenate([mats for *_, mats in held], dtype=np.int64))
+    for label, values, owed, _ in held:
+        values[owed] = np.maximum(values[owed], settled[: owed.size])
+        settled = settled[owed.size :]
+        yield label, values

@@ -11,21 +11,29 @@ Every experiment runs through one chunked pipeline: splitmix64 bits for a
 chunk of trials (``rng.stream_draws``), the g x g matrices and their
 product-span matrices, exact ranks of both, and streaming counts.  The
 bits are ``uint8`` 0/1 matrices (``_bits``): singularity ranks them as they
-are, and ``exact`` widens them to ``int64`` only in its work block, while
-select widens them once, as its chunk's matrices, for span assembly.  A
+are, and ``exact`` widens them only in its work block, while select
+widens them once to ``int64``, as its chunk's matrices, for span
+assembly.  A
 call is cut into chunks whose ranked arrays, the (3g-3) x (3g-3) span
 matrices for select and exhaustive and the g x g matrices for
 singularity, hold at most ``CHUNK_ELEMENTS`` elements each, or into one
 chunk when the whole call holds at most 1.5 times that (``_chunks``), so
 a 100-trial quintic select is ranked in one pass per stack shape.  The
-ranks are elimination mod P1 = 2^31 - 1, certified by Hadamard's bound; a
-rank-deficient trial whose bound reaches P1 is ranked again mod
+g x g matrices are only tested for nonsingularity, by
+``exact.certified_nonsingular``: elimination mod Q = 32749 in ``int32``
+blocks, where full rank is final, and so is a deficient trial whose
+Hadamard bound is below Q, as it is for every 0/1 matrix up to g = 9.
+The span matrices, and the g x g trials that the mod-Q pass leaves open,
+are ranked by elimination mod P1 = 2^31 - 1, certified by Hadamard's
+bound; a rank-deficient trial whose bound reaches P1 is ranked again mod
 P2 = 2147483629, and one whose bound reaches P1*P2 falls back to Bareiss
-elimination over the integers (``exact``).  A call's chunks stream
-through ``exact.certified_ranks``, which pools the mod-P2 re-ranks across
-chunks and yields each chunk's ranks once final, in any order; counts
-are sums and the trial log is filed by trial index, so only the chunks
-owing that pass wait.  No floating-point value decides any rank.  The
+elimination over the integers (``exact``).  A singularity call's chunks
+stream through ``exact.certified_nonsingular`` and a select call's span
+stacks through ``exact.certified_ranks``; each pools its later passes
+across chunks and yields each chunk's results once final, in any order;
+counts are sums and the trial log is filed by trial index, so only the
+chunks owing a later pass wait.  No floating-point value decides any
+rank.  The
 single-matrix functions (``bernoulli_matrix``, ``is_nonsingular_exact``,
 ``product_span_rank``, ``run_trial``) are batches of one.
 
@@ -55,18 +63,19 @@ import numpy as np
 
 from .curves import MAX_GENUS, PlaneCurveModel, moduli_count
 from .errors import DomainError, ValidationError
-from .exact import batch_rank, certified_ranks, integer_stack
+from .exact import batch_rank, certified_nonsingular, certified_ranks, integer_stack
 from .rng import MASK64, stream_draws, trial_seeds
 
 # Each chunk's ranked array (g*g bits for singularity, (3g-3)^2 span
 # matrices for select) holds at most this many elements, or 1.5 times as
 # many when the whole call is one chunk (``_chunks``), so memory stays
 # bounded whatever the trial count.  A singularity chunk peaks at 17 bytes
-# an element: drawing holds the uint64 draws, mixed in place, and one shift
-# (16 bytes) and leaves one byte of bits; ranking holds the bits and the
-# rank kernel's work and scratch blocks, the only int64 arrays of the
-# chunk's size.  Traced, a full g = 20 chunk peaks at 2.39 times its int64
-# block, against 3.26 times with int64 bits and a mixed copy of the draws.
+# an element while drawing: the uint64 draws, mixed in place, and one shift
+# (16 bytes), which leave one byte of bits.  Ranking then holds 9 bytes an
+# element: the 1-byte bits and the rank kernel's work and scratch blocks,
+# 4 bytes each in int32 mod Q.  Traced, a full g = 20 chunk peaks at 2.01
+# times its int64 block (2.39 times with int64 blocks mod P1, 3.26 times
+# with int64 bits and a mixed copy of the draws).
 # A select chunk's span assembly holds at most two gathered member rounds
 # beside the int64 span matrices, each no larger than they are, and a rank
 # pass one scratch block of the stack's size.  A call is cut into
@@ -79,11 +88,13 @@ from .rng import MASK64, stream_draws, trial_seeds
 # and singularity-sweep lost 3%.  perfbench medians of 10 alternating 25 s
 # pairs on a shared 2-vCPU machine, 2^16 against 2^14: singularity-sweep
 # 241.8k -> 330.2k trials/s (+36.6%, 10/10 pairs; a sweep round makes 22
-# mod-P1 rank passes instead of 78), peak RSS 34.03 -> 34.93 MB;
+# first rank passes instead of 78), peak RSS 34.03 -> 34.93 MB;
 # select-quintic, whose 100-trial calls are one chunk either way, 33.66k
-# -> 33.50k (within noise).  Not 2^17: 4 alternating 8 s runs gave 299k
-# against 333k trials/s and 0.7 MB more RSS; its g = 20 work and scratch
-# blocks, 1 MB each, together outgrow that machine's 2 MiB L2 cache.
+# -> 33.50k (within noise).  Not 2^17: with int64 blocks, 4 alternating 8 s
+# runs gave 299k against 333k trials/s and 0.7 MB more RSS, its g = 20 work
+# and scratch blocks, 1 MB each, together outgrowing that machine's 2 MiB
+# L2 cache; with int32 blocks mod Q, an in-process sweep round still took
+# 32.1-33.4 ms against 29.8-31.8 ms at 2^16.
 CHUNK_ELEMENTS = 2**16
 
 # The most trials a call that keeps its trial log may ask for.  The log is
@@ -153,7 +164,8 @@ def bernoulli_matrix(g: int, p: float, seed: int) -> BernoulliMatrix:
 
 def is_nonsingular_exact(m: BernoulliMatrix) -> bool:
     """Exact nonsingularity over the rationals (no floating point)."""
-    return bool(batch_rank([m.entries])[0] == m.g)
+    [(_, nonsingular)] = certified_nonsingular([(None, [m.entries])])
+    return bool(nonsingular[0])
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +236,16 @@ def _span_matrices(mats: np.ndarray, table: _SpanTable, pairs) -> np.ndarray:
     product into a prefix of the columns, all in ``int64``, so the only
     temporaries are two gathered rounds.  A stack of another integer dtype
     is cast to ``int64`` first, so no product is taken in a narrow dtype;
-    an ``int64`` stack is used as it is.  The columns are the quad
-    monomials in a fixed order, so ranks and row norms are those of the
-    matrices in ``model.quad_monomials`` order.
+    an ``int64`` stack is used as it is.  A span entry is a sum of at most
+    ``len(table.rounds)`` products, each at most max|M|^2, so a stack for
+    which that could reach 2^63 raises ``ValidationError`` rather than
+    wrapping.  The columns are the quad monomials in a fixed order, so
+    ranks and row norms are those of the matrices in
+    ``model.quad_monomials`` order.
     """
+    top = max(int(mats.max()), -int(mats.min())) if mats.size else 0
+    if len(table.rounds) * top * top >= 2**63:
+        raise ValidationError(f"entries up to {top} could overflow int64 in the span matrices")
     mats = mats.astype(np.int64, copy=False)
     first, second = np.array(pairs).T[:, :, None]  # (|pairs|, 1) row indices each
     (j, l), *later = table.rounds  # round 0 covers every column
@@ -330,7 +348,7 @@ def _select_stats(
     def stacks():
         for start, stop in _chunks(n_trials, per_trial):
             labels, mats = matrices(start, stop)
-            nonsingular = batch_rank(mats) == g
+            [(_, nonsingular)] = certified_nonsingular([(None, mats)])
             if records:
                 log.labels[start:stop], log.nonsingular[start:stop] = labels, nonsingular
             label = slice(start, stop), int(np.count_nonzero(nonsingular))
@@ -405,7 +423,7 @@ def singularity_rate(g: int, p: float, n_trials: int, seed: int) -> SuccessStats
     if n_trials < 1:
         raise DomainError("n_trials must be >= 1")
     stacks = ((None, _bits(trial_seeds(seed, *c), g, p)) for c in _chunks(n_trials, g * g))
-    nonsingular = sum(int(np.count_nonzero(ranks == g)) for _, ranks in certified_ranks(stacks))
+    nonsingular = sum(int(np.count_nonzero(n)) for _, n in certified_nonsingular(stacks))
     return _stats(n_trials, n_trials - nonsingular, nonsingular)
 
 

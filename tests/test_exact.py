@@ -1,3 +1,4 @@
+import math
 import random
 import weakref
 
@@ -12,8 +13,10 @@ from periodlab.errors import ValidationError
 from periodlab.exact import (
     P1,
     P2,
+    Q,
     _rank_mod,
     batch_rank,
+    certified_nonsingular,
     certified_ranks,
     integer_rank,
 )
@@ -274,7 +277,11 @@ INT64 = np.iinfo(np.int64)
 # leave int64 unless reduced first, and the int64 extremes; and the edges of
 # _rank_mod's reduction schedule: +-32767 stays exact through one update
 # (2 * 32767^2 < P2 < P1), +-32768 is reduced after it (2 * 32768^2 >= P1),
-# and P2 - 1, P1 - 1 are exact mod P1 but reduced up front mod P2
+# and P2 - 1, P1 - 1 are exact mod P1 but reduced up front mod P2.  Mod Q,
+# in int32: +-127 stays exact through one update (2 * 127^2 < Q), +-128 is
+# reduced after it, +-(Q - 1) is the widest update int32 must hold
+# (2 * (Q - 1)^2 = 2,144,863,008 < 2^31 - 1), and Q, Q + 1 are reduced
+# before the cast to int32
 ENTRY_SETS = {
     "bits": [0, 1],
     "threes": [0, 3, -3],
@@ -283,6 +290,10 @@ ENTRY_SETS = {
     "just exact through one update": [0, 32767, -32767],
     "reduced after one update": [0, 32768, -32768],
     "just below the primes": [0, P2 - 1, P1 - 1],
+    "exact mod Q through one update": [0, 127, -127],
+    "reduced mod Q after one update": [0, 128, -128],
+    "widest int32 update": [0, Q - 1, -(Q - 1)],
+    "reduced mod Q before the cast": [0, Q, Q + 1],
 }
 
 
@@ -296,7 +307,8 @@ ENTRY_SETS = {
     st.integers(0, 2**32),
 )
 def test_rank_mod_matches_the_kernel_with_temporaries(batch, rows, cols, entries, shape, seed):
-    # the scratch-block kernel ranks every stack as the one it replaced, mod both primes
+    # the scratch-block kernel ranks every stack as the one it replaced, mod
+    # every prime it is used with, in int32 blocks mod Q
     rng = np.random.default_rng(seed)
     a = rng.choice(np.array(ENTRY_SETS[entries], dtype=np.int64), size=(batch, rows, cols))
     some = rng.random(batch) < 0.5  # the trials made rank-deficient
@@ -307,7 +319,7 @@ def test_rank_mod_matches_the_kernel_with_temporaries(batch, rows, cols, entries
     elif shape == "zero":
         a[some] = 0
     before = a.copy()
-    for p in (P1, P2):
+    for p in (Q, P1, P2):
         got = _rank_mod(a, p)
         # a stack without rows has rank 0; the old kernel fails on it from two
         # columns on, and batch_rank never passes it either kernel
@@ -345,3 +357,109 @@ def test_reductions_start_once_entries_could_reach_the_prime(monkeypatch):
     big = np.eye(3, dtype=np.int64)[None]
     big[0, 1, 2] = P1
     assert _reductions(monkeypatch, big) == [9, 6, 3]
+
+
+def test_q_is_the_largest_prime_whose_updates_fit_int32():
+    def prime(n):
+        return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    assert prime(Q) and Q < 2**15
+    assert not any(prime(n) for n in range(Q + 1, 2**15))
+    assert 2 * (Q - 1) ** 2 == 2_144_863_008 < 2**31 - 1
+
+
+# entry sets for certified_nonsingular: bits, which a mod-Q pass settles up
+# to size 9; signed bits with Q, which vanishes mod Q; Q*P1, which vanishes
+# mod Q and mod P1; and 1, Q*P1 and P2, whose determinants can vanish mod
+# all three primes (Q*P1*P2 itself lies beyond int64)
+NONSINGULAR_ENTRY_SETS = {
+    "bits": [0, 1],
+    "signed bits and Q": [0, 1, -1, Q],
+    "Q*P1": [0, Q * P1],
+    "1, Q*P1 and P2": [0, 1, Q * P1, P2],
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 12),
+    st.integers(0, 12),
+    st.sampled_from(sorted(NONSINGULAR_ENTRY_SETS)),
+    st.booleans(),
+    st.integers(1, 4),
+    st.integers(0, 2**32),
+)
+def test_certified_nonsingular_matches_bareiss(batch, n, entries, deficient, parts, seed):
+    # square stacks, some trials made singular by a repeated row, streamed as
+    # up to four stacks so that trials owed the certified ranks are pooled
+    rng = np.random.default_rng(seed)
+    a = rng.choice(np.array(NONSINGULAR_ENTRY_SETS[entries], dtype=np.int64), size=(batch, n, n))
+    if deficient and n > 1:
+        some = rng.random(batch) < 0.5
+        a[some, -1] = a[some, 0]
+    stacks = list(enumerate(np.array_split(a, parts)))
+    got = dict(certified_nonsingular(stacks))
+    assert sorted(got) == list(range(parts))
+    assert all(got[k].dtype == bool for k in got)
+    verdicts = np.concatenate([got[k] for k in range(parts)]).tolist()
+    assert verdicts == [integer_rank(m) == n for m in a.tolist()]
+
+
+def _nonsingular_passes(monkeypatch, stacks):
+    """Verdicts of ``certified_nonsingular`` over ``stacks``, by label, and its passes
+    in order: (prime, trials) for each ``_rank_mod`` pass, "Bareiss" for each
+    ``integer_rank`` call."""
+    passes, rank_mod, bareiss = [], exact._rank_mod, exact.integer_rank
+
+    def counting_rank_mod(a, p):
+        passes.append((p, len(a)))
+        return rank_mod(a, p)
+
+    def counting_integer_rank(rows):
+        passes.append("Bareiss")
+        return bareiss(rows)
+
+    monkeypatch.setattr(exact, "_rank_mod", counting_rank_mod)
+    monkeypatch.setattr(exact, "integer_rank", counting_integer_rank)
+    verdicts = {label: v.tolist() for label, v in certified_nonsingular(stacks)}
+    return verdicts, passes
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_bits_up_to_size_nine_take_one_pass_mod_q(n, monkeypatch):
+    # (n * 1^2)^n < Q^2 for n <= 9 (9^9 = 387,420,489): every deficient 0/1
+    # trial has H < Q, so full rank mod Q or not is final for each
+    rng = np.random.default_rng(n)
+    a = rng.integers(0, 1, size=(200, n, n), dtype=np.uint8, endpoint=True)
+    a[:50, -1] = a[:50, 0]
+    a[50] = 1
+    verdicts, passes = _nonsingular_passes(monkeypatch, [(0, a)])
+    assert passes == [(Q, 200)]
+    assert verdicts[0] == [integer_rank(m) == n for m in a.tolist()]
+    assert not all(verdicts[0][:51])
+
+
+@pytest.mark.parametrize(
+    "matrix, verdict, passes",
+    [
+        # rank 2 mod Q and H = Q: certified by full rank mod P1
+        (np.diag([Q, 1, 1]), True, [(Q, 1), (P1, 1)]),
+        # rank 2 mod Q and mod P1, P1 <= H < P1*P2: the mod-P2 pass
+        (np.diag([Q * P1, 1, 1]), True, [(Q, 1), (P1, 1), (P2, 1)]),
+        # rank 2 mod Q and mod P1, H = Q*P1*P2: Bareiss
+        (np.diag([Q * P1, P2, 1]), True, [(Q, 1), (P1, 1), "Bareiss"]),
+        # deficient with H = 1 < Q beyond the whole-stack shortcut (size 10)
+        (np.diag([1] * 9 + [0]), False, [(Q, 1)]),
+        # deficient mod Q and mod P1 with Q <= H = 10^5 < P1: singular
+        (np.ones((10, 10), dtype=np.int64), False, [(Q, 1), (P1, 1)]),
+    ],
+)
+def test_certified_nonsingular_branches(matrix, verdict, passes, monkeypatch):
+    assert _nonsingular_passes(monkeypatch, [(0, matrix[None])]) == ({0: [verdict]}, passes)
+
+
+def test_certified_nonsingular_refuses_what_it_cannot_rank():
+    # Q*P1*P2 lies beyond int64 and arrives as an object array
+    for stack in ([np.diag([Q * P1 * P2, 1, 1]).tolist()], np.ones((2, 3, 4), dtype=np.int64)):
+        with pytest.raises(ValidationError):
+            list(certified_nonsingular([(None, stack)]))

@@ -161,6 +161,22 @@ class TestProductSpanRank:
         with pytest.raises(ValidationError):
             product_span_rank(QUARTIC, m, first_three_rows_indices(3))
 
+    def test_entries_whose_products_could_overflow_are_refused(self):
+        # a quartic span entry sums at most two products of entries of M, so
+        # |M| <= 2^31 - 1 keeps every sum within int64 and the span rank of
+        # diag(t, 1, 1) is its true 6; from |t| = 2^31 on a sum could reach
+        # 2^63 and is refused, never wrapped (2^32 * 2^32 wrapped to 0: rank 5)
+        pairs = first_three_rows_indices(3)
+        assert len(modsel._span_table(QUARTIC).rounds) == 2
+        for k in range(64):
+            for t in (2**k - 1, 2**k, -(2**k)):
+                m = _matrix(3, np.diag([t, 1, 1]).tolist())
+                if t and 2 * t * t < 2**63:
+                    assert product_span_rank(QUARTIC, m, pairs) == 6
+                elif t:
+                    with pytest.raises(ValidationError):
+                        product_span_rank(QUARTIC, m, pairs)
+
     def test_non_integer_entries_refused(self):
         # 0.5 * I spans like I; truncated to integers it would be the zero matrix, rank 0
         m = _matrix(3, [[0.5 * (i == j) for j in range(3)] for i in range(3)])
@@ -311,13 +327,18 @@ class TestChunkMemory:
         # in place beside one shift, the bits take a byte an entry, and the
         # rank kernel's work and scratch blocks are its only int64 arrays of
         # the chunk's size (the int64 bits and draw temporaries peaked at 3.3
-        # times the int64 block at this size, 4.2 times at 2^14 elements)
+        # times the int64 block at this size, 4.2 times at 2^14 elements);
+        # mod Q those blocks are int32, and drawing, at 2 times the int64
+        # block, is the chunk's peak
         g = 20
         start, stop = next(modsel._chunks(1600, g * g))
         seeds = trial_seeds(1, start, stop)
         assert (stop - start) * g * g > modsel.CHUNK_ELEMENTS // 2
+        block = (stop - start) * g * g * 8
         peak = _traced_peak(lambda: exact.batch_rank(modsel._bits(seeds, g, 0.5)))
-        assert peak <= 2.75 * (stop - start) * g * g * 8
+        assert peak <= 2.75 * block
+        chunk = lambda: list(exact.certified_nonsingular([(None, modsel._bits(seeds, g, 0.5))]))
+        assert _traced_peak(chunk) <= 2.1 * block
 
 
 class TestChunkInvariance:
@@ -438,13 +459,15 @@ class TestTrials:
 
     @pytest.mark.parametrize("seed", [1, 77, 2**64 - 1])
     def test_select_call_rank_passes(self, seed, monkeypatch, tmp_path):
-        # one select call of 100 quintic trials: one chunk, so one pass mod P1
-        # per stack shape and at most one mod-P2 pass, over at most its trials
+        # one select call of 100 quintic trials: one chunk, so one mod-Q pass
+        # of the 6 x 6 changes of basis, which settles every 0/1 trial of that
+        # size, one mod-P1 pass of the span matrices and at most one mod-P2
+        # pass, over at most its trials
         owed, passes = _count_rank_passes(monkeypatch)
         argv = ["select", "--model", "quintic", "--trials", "100", "--seed", str(seed)]
         assert cli.main(argv + ["--out", str(tmp_path / "log.csv")]) == 0
-        p1_shapes = Counter(shape for p, shape, _ in passes if p == exact.P1)
-        assert p1_shapes == {(6, 6): 1, (15, 15): 1}
+        first_passes = Counter((p, shape) for p, shape, _ in passes if p != exact.P2)
+        assert first_passes == {(exact.Q, (6, 6)): 1, (exact.P1, (15, 15)): 1}
         p2_sizes = _p2_sizes(passes)
         assert len(p2_sizes) <= 1
         assert sum(p2_sizes) == sum(owed) <= 100
@@ -541,16 +564,29 @@ class TestSingularityRate:
             )
             assert singularity_rate(g, 0.5, n, -7).successes == singular
 
+    def test_g20_call_pools_the_trials_deficient_mod_q(self, monkeypatch):
+        # seed 424242: a 1600-trial call at g = 20 is 10 chunks of 160 trials,
+        # each ranked once mod Q; the trials deficient mod Q (every singular
+        # trial among them) are pooled across the chunks into one mod-P1 pass
+        # and at most one mod-P2 pass
+        _, passes = _count_rank_passes(monkeypatch)
+        stats = singularity_rate(20, 0.5, 1600, 424242)
+        assert {shape for _, shape, _ in passes} == {(20, 20)}
+        assert [(p, trials) for p, _, trials in passes[:10]] == [(exact.Q, 160)] * 10
+        (p1, _, pooled), *rest = passes[10:]
+        assert p1 == exact.P1 and pooled >= stats.successes > 0
+        assert [p for p, _, _ in rest] in ([], [exact.P2])
+
     @pytest.mark.parametrize("chunk", [1, 2, 3, 4, 7])
     def test_second_prime_pass_settles_pooled_trials(self, chunk, monkeypatch):
-        # entry (0, 0) scaled by P1: such a trial ranks one short mod P1 when the
-        # entry is needed, and only the pooled mod-P2 pass, across chunks of
-        # at most ``chunk`` trials, finds it nonsingular
+        # entry (0, 0) scaled by Q*P1: such a trial ranks one short mod Q and
+        # mod P1 when the entry is needed, and only the pooled mod-P2 pass,
+        # across chunks of at most ``chunk`` trials, finds it nonsingular
         bits = modsel._bits
 
         def scaled_bits(seeds, g, p):
-            mats = bits(seeds, g, p).astype(np.int64)  # a uint8 entry cannot hold P1
-            mats[:, 0, 0] *= exact.P1
+            mats = bits(seeds, g, p).astype(np.int64)  # a uint8 entry cannot hold Q*P1
+            mats[:, 0, 0] *= exact.Q * exact.P1
             return mats
 
         monkeypatch.setattr(modsel, "_bits", scaled_bits)
