@@ -5,42 +5,40 @@ integers, so intermediate growth is handled by arbitrary-precision
 arithmetic.  ``batch_rank`` ranks a whole (B, r, c) stack of integer
 matrices at once by elimination modulo primes, and certifies each rank
 with Hadamard's bound (Cohen, *A Course in Computational Algebraic Number
-Theory*, section 2.2):
+Theory*, section 2.2).  One certificate covers every case.  Rank mod a
+prime never exceeds the rank s over Q, and some s x s minor is nonzero,
+of absolute value at most H = prod max(1, ||row||) over the rows of the
+matrix.  A nonzero integer below p_1 * ... * p_k in absolute value is not
+divisible by all of the distinct primes p_1, ..., p_k, so once
+H < p_1 * ... * p_k the largest of a trial's ranks mod those primes is its
+rank over Q.  Full rank mod any one prime is final.
 
-* rank mod a prime never exceeds the rank over Q;
-* if the rank over Q is s, some s x s minor is nonzero, and its absolute
-  value is at most H = prod max(1, ||row||) over the rows of the matrix;
-* so a trial that is full rank mod P1 = 2^31 - 1, or has H < P1, has the
-  rank mod P1; a trial with P1 <= H < P1*P2 (P2 = 2147483629, the largest
-  prime below P1) has the larger of its ranks mod P1 and mod P2, because
-  two distinct primes cannot both divide a nonzero minor below P1*P2;
-* a trial with H >= P1*P2 falls back to ``integer_rank``.
+The certified rank ladder (``_ladder``) runs that certificate over a
+tuple of primes.  Every trial is ranked mod the first; a trial still
+rank-deficient whose H reaches the product of the primes it has been
+ranked mod goes on to the next prime, keeping its largest rank, and a
+trial still open after the last prime falls back to ``integer_rank``.
+``certified_ranks`` climbs P1 = 2^31 - 1, then P2 = 2147483629, the
+largest prime below P1.  ``certified_nonsingular`` climbs Q = 32749, P1,
+P2, since det != 0 over Q exactly when the rank is full.  Q is the
+largest prime below 2^15, so its pass runs in ``int32`` (``_rank_mod``), and
+a random 0/1 matrix of size n <= 9 has H^2 <= n^n < Q^2, so every such
+trial is settled in that one pass.  Span matrices are not ranked mod Q
+first: most quintic span matrices are rank-deficient and have H >= Q, so
+a mod-Q pass would only be one more.
 
-Nonsingularity needs less: det != 0 over Q exactly when the rank is full,
-and full rank mod any prime already proves it, since the determinant is
-then nonzero mod p.  ``certified_nonsingular`` therefore ranks a square
-stack mod Q = 32749, the largest prime below 2^15, in ``int32`` (see
-``_rank_mod``).  Full rank mod Q is final.  So is a deficient trial whose
-H < Q: a nonzero determinant of absolute value below Q is nonzero mod Q,
-so its determinant is 0.  Only a deficient trial with H >= Q goes on to
-the ranks above, mod P1 first.  A random 0/1 matrix of
-size n <= 9 has (n * 1)^n < Q^2, so every such trial is settled in the
-one ``int32`` pass.  Span matrices are not ranked mod Q first: most
-quintic span matrices are rank-deficient and have H >= Q, so a mod-Q pass
-would only be one more.
-
-``certified_ranks`` ranks a stream of labelled stacks, such as the trial
-chunks of one ``modsel`` call, and yields each stack's ranks once final,
-in any order.  Trials owed a mod-P2 pass wait and are re-ranked together,
-so a call of a few chunks pays one pass rather than one per chunk; at
-most the largest stack's count of owed trials waits, from at most that
-many stacks, however long the call (``_pooled``).  ``batch_rank`` is its
-one-stack case.  ``certified_nonsingular`` pools its trials owed the
-ranks above by the same rule.  A stack keeps its own bool or integer
-dtype, so a 0/1 stack of one byte an entry is widened only in the
-elimination's work block.  Entries must lie in ``int64``: float, complex
-and object stacks, and unsigned entries of 2^63 or more, are refused with
-``ValidationError`` rather than truncated or wrapped.
+Both rank a stream of labelled stacks, such as the trial chunks of one
+``modsel`` call, and yield each stack's results once final, in any order.
+Each stack gets its first pass as it arrives; its trials owed a later
+prime wait and are ranked together (``_pooled``), so a call of a few
+chunks pays one later pass per prime rather than one per chunk.  At most
+the largest stack's count of owed trials waits, from at most that many
+stacks, however long the call.  ``batch_rank`` is the one-stack case of
+``certified_ranks``.  A stack keeps its own bool or integer dtype, so a
+0/1 stack of one byte an entry is widened only in the elimination's work
+block.  Entries must lie in ``int64``: float, complex and object stacks,
+and unsigned entries of 2^63 or more, are refused with ``ValidationError``
+rather than truncated or wrapped.
 
 The elimination mod a prime (``_rank_mod``) runs on one (column, row,
 trial) work block, cast from the stack, and one scratch block of the same
@@ -216,49 +214,20 @@ def _hadamard_squared(a: np.ndarray) -> np.ndarray:
     return np.prod(squares.astype(object), axis=1)
 
 
-def _reaching(a: np.ndarray, trials: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Those of ``trials`` whose Hadamard bound H reaches ``p``, and H^2 of each.
-
-    When (c * top^2)^r < p^2, with top = max|a|, no trial of the (B, r, c)
-    stack reaches p (H^2 <= (c * top^2)^r), and no row norm is taken.
-    """
-    nrows, ncols = a.shape[1:]
-    if trials.size:
-        top = max(int(a.max()), -int(a.min()))
-        if (ncols * top * top) ** nrows >= p * p:
-            h2 = _hadamard_squared(a[trials])
-            reach = h2 >= p * p
-            return trials[reach], h2[reach]
-    return trials[:0], np.empty(0, dtype=object)
-
-
-def _ranks_mod_p1(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ranks of a (B, r, c) integer stack, and the trials still owed the mod-P2 pass.
-
-    Ranks mod P1 for every trial and ``integer_rank`` for rank-deficient
-    trials whose Hadamard bound H reaches P1*P2 are certified here.  The
-    returned indices are the rank-deficient trials with P1 <= H < P1*P2;
-    their entries hold the rank mod P1 until the mod-P2 pass raises them.
-    """
-    batch, nrows, ncols = a.shape
-    if min(nrows, ncols) == 0:
-        return np.zeros(batch, dtype=np.int64), np.empty(0, dtype=np.intp)
-    ranks = _rank_mod(a, P1)
-    deficient, h2 = _reaching(a, np.flatnonzero(ranks < min(nrows, ncols)), P1)
-    beyond = h2 >= (P1 * P2) ** 2
-    for k in deficient[beyond]:
-        ranks[k] = integer_rank(a[k].tolist())
-    return ranks, deficient[~beyond]
-
-
 def integer_stack(a) -> np.ndarray:
-    """``a`` as an array of bool or integer dtype whose entries lie in ``int64``.
+    """``a`` as a (B, r, c) array of bool or integer dtype whose entries lie in ``int64``.
 
     Anything else would be truncated (floats) or wrapped (uint64 entries of
     2^63 or more) on its way into the ``int64`` work block, so it raises
     ``ValidationError``; Python ints beyond 64 bits arrive as an object array.
+    Ragged rows, and arrays without three axes, raise it too.
     """
-    a = np.asarray(a)
+    try:
+        a = np.asarray(a)
+    except ValueError:
+        raise ValidationError("entries must form a rectangular array") from None
+    if a.ndim != 3:
+        raise ValidationError(f"a stack of matrices has three axes, not shape {a.shape}")
     if a.dtype.kind not in "biu":
         raise ValidationError(f"entries must be integers within int64, not dtype {a.dtype}")
     if a.dtype == np.uint64 and a.size and a.max() > np.iinfo(np.int64).max:
@@ -269,11 +238,10 @@ def integer_stack(a) -> np.ndarray:
 def batch_rank(a) -> np.ndarray:
     """Exact ranks over Q of a (B, r, c) stack of integer matrices, as ``int64``.
 
-    Ranks mod P1 for every trial, mod P2 for rank-deficient trials whose
-    Hadamard bound H reaches P1, and ``integer_rank`` for those whose H
-    reaches P1*P2; see the module docstring for the certificate.  ``a`` may
-    be any array-like of bool or integer entries within ``int64``; anything
-    else raises ``ValidationError``.
+    The one-stack case of ``certified_ranks``: ranks mod P1, then mod P2
+    and by ``integer_rank`` as each trial's Hadamard bound needs (module
+    docstring).  ``a`` may be any array-like of bool or integer entries
+    within ``int64``; anything else raises ``ValidationError``.
     """
     [(_, ranks)] = certified_ranks([(None, a)])
     return ranks
@@ -282,93 +250,118 @@ def batch_rank(a) -> np.ndarray:
 def certified_ranks(stacks):
     """Yield ``(label, ranks)`` for each ``(label, stack)`` of ``stacks``, once final.
 
-    Every yielded rank is final (module docstring), and stacks come out in
-    any order.  Each stack is ranked mod P1; the trials it owes the mod-P2
-    pass wait in ``_pooled``, and each ends with the larger of its ranks
-    mod P1 and mod P2.  The stacks of one stream share their matrix shape.
-
-    Each stack keeps its own bool or integer dtype and is not copied to
-    ``int64``: only ``_rank_mod``'s work block is.  A stack of any other
-    dtype, or with entries outside ``int64``, raises ``ValidationError``
-    (``integer_stack``).
+    Every yielded rank is final, by the ladder over (P1, P2) (module
+    docstring), and stacks come out in any order.  Each stack keeps its own
+    bool or integer dtype and is not copied to ``int64``: only
+    ``_rank_mod``'s work block is.  A stack of any other dtype, or with
+    entries outside ``int64``, raises ``ValidationError`` (``integer_stack``).
     """
-
-    def first_passes():
-        for label, a in stacks:
-            a = integer_stack(a)
-            ranks, owed = _ranks_mod_p1(a)
-            count, mats = len(a), a[owed]
-            del a  # the stack is not held across a yield
-            yield label, ranks, count, owed, mats
-
-    return _pooled(first_passes(), lambda mats: _rank_mod(mats, P2))
+    return _ladder(stacks, (P1, P2))
 
 
 def certified_nonsingular(stacks):
     """Yield ``(label, nonsingular)`` for each ``(label, stack)`` of square ``stacks``, once final.
 
     ``nonsingular`` is a bool array, True where the trial's determinant is
-    nonzero over Q, and stacks come out in any order.  Each stack is ranked
-    mod Q in an ``int32`` block.  Full rank mod Q is final, and so is a
-    deficient trial whose Hadamard bound H is below Q (module docstring);
-    on a 0/1 stack of size n <= 9, (n * 1)^n < Q^2 settles every trial in
-    that one pass.  A deficient trial with H >= Q waits in ``_pooled`` and
-    is ranked with the trials other stacks owe by ``batch_rank``: mod P1,
-    then mod P2 or by Bareiss elimination as its bound needs.  The stacks
-    of one stream share their matrix shape.
-
-    A non-square stack, or one ``integer_stack`` refuses, raises
-    ``ValidationError``.
+    nonzero over Q, that is where its rank on the ladder over (Q, P1, P2)
+    is full; stacks come out in any order.  A non-square stack, or one
+    ``integer_stack`` refuses, raises ``ValidationError``.
     """
+    # map, unlike a generator function, keeps no stack alive across a yield
+    ranked = _ladder(map(_square, stacks), (Q, P1, P2))
+    return ((label, ranks == n) for (label, n), ranks in ranked)
+
+
+def _square(item):
+    """A ``(label, stack)`` of n x n matrices as ``((label, n), stack)``."""
+    label, a = item
+    a = integer_stack(a)
+    if a.shape[1] != a.shape[2]:
+        raise ValidationError(f"stacks must hold square matrices, not shape {a.shape}")
+    return (label, a.shape[1]), a
+
+
+def _ladder(stacks, primes):
+    """Yield ``(label, ranks)`` for each ``(label, stack)`` of ``stacks``, certified over ``primes``.
+
+    Each stack is ranked mod ``primes[0]`` as it arrives.  A rank-deficient
+    trial whose Hadamard bound H reaches that prime is owed the later
+    primes and waits in ``_pooled``; every other rank is final.  When
+    (c * top^2)^r < p^2, with top = max|a|, no trial of the (B, r, c) stack
+    reaches p (H^2 <= (c * top^2)^r), and no row norm is taken.
+    """
+    p = primes[0]
 
     def first_passes():
         for label, a in stacks:
             a = integer_stack(a)
-            if a.ndim != 3 or a.shape[1] != a.shape[2]:
-                raise ValidationError(f"stacks must hold square matrices, not shape {a.shape}")
-            nonsingular = _rank_mod(a, Q) == a.shape[1]
-            owed, _ = _reaching(a, np.flatnonzero(~nonsingular), Q)
-            count, mats = len(a), a[owed]
+            nrows, ncols = a.shape[1:]
+            ranks = _rank_mod(a, p)
+            deficient = np.flatnonzero(ranks < min(nrows, ncols))
+            owed, h2 = deficient[:0], np.empty(0, dtype=object)
+            if deficient.size:
+                top = max(int(a.max()), -int(a.min()))
+                if (ncols * top * top) ** nrows >= p * p:
+                    h2 = _hadamard_squared(a[deficient])
+                    reach = h2 >= p * p
+                    owed, h2 = deficient[reach], h2[reach]
+            mats = a[owed]
             del a  # the stack is not held across a yield
-            yield label, nonsingular, count, owed, mats
+            yield label, ranks, owed, mats, h2
 
-    return _pooled(first_passes(), lambda mats: batch_rank(mats) == mats.shape[1])
+    return _pooled(first_passes(), primes)
 
 
-def _pooled(firsts, settle):
-    """Yield ``(label, values)`` for each ``(label, values, count, owed, mats)`` of ``firsts``, once final.
+def _pooled(firsts, primes):
+    """Yield ``(label, ranks)`` for each ``(label, ranks, owed, mats, h2)`` of ``firsts``, once final.
 
-    ``values`` holds a stack's results for its ``count`` trials after a
-    first pass, final except at the positions ``owed``, whose matrices are
-    ``mats``.  A stack that owes nothing is yielded at once; a stack that
-    owes some waits with only its label, its values and its owed matrices.
-    The waiting stacks' owed matrices are settled together, by one call of
-    ``settle``, when the next owing stack would make the owed trials
-    outnumber the largest stack's trials, and at the end, so at most that
-    many owed trials wait, from at most that many stacks, however long the
-    stream.  Each owed trial ends with the larger of its value and the one
-    ``settle`` gives it.
+    ``ranks`` holds a stack's ranks after its first pass, final except at
+    the positions ``owed``, whose matrices are ``mats`` and whose squared
+    Hadamard bounds are ``h2``.  A stack that owes nothing is yielded at
+    once; a stack that owes some waits with only its label, its ranks and
+    its owed trials.  The waiting trials are settled together, by one pass
+    per later prime (``_settle``), when the next owing stack would make them
+    outnumber the largest stack's trials or has another matrix shape, and at
+    the end, so at most that many owed trials wait, from at most that many
+    stacks, however long the stream.
     """
-    held: list[tuple] = []  # (label, values, owed positions, owed matrices)
+    held: list[tuple] = []  # (label, ranks, owed positions, owed matrices, their H^2)
     size = largest = 0
-    for label, values, count, owed, mats in firsts:
-        largest = max(largest, count)
+    for label, ranks, owed, mats, h2 in firsts:
+        largest = max(largest, len(ranks))
         if not owed.size:
-            yield label, values
+            yield label, ranks
             continue
-        if size + owed.size > largest:
-            yield from _settle(held, settle)
+        if held and (size + owed.size > largest or mats.shape[1:] != held[0][3].shape[1:]):
+            yield from _settle(held, primes)
             held, size = [], 0
-        held.append((label, values, owed, mats))
+        held.append((label, ranks, owed, mats, h2))
         size += owed.size
-    yield from _settle(held, settle)
-
-
-def _settle(held, settle):
-    """Yield the held stacks' (label, values), their owed trials settled in one call."""
     if held:
-        settled = settle(np.concatenate([mats for *_, mats in held], dtype=np.int64))
-    for label, values, owed, _ in held:
-        values[owed] = np.maximum(values[owed], settled[: owed.size])
-        settled = settled[owed.size :]
-        yield label, values
+        yield from _settle(held, primes)
+
+
+def _settle(held, primes):
+    """Yield the held stacks' ``(label, ranks)``, their owed trials ranked mod each later prime.
+
+    A trial goes on to the next prime while it is rank-deficient and its H
+    reaches the product of the primes so far, and ends with the largest of
+    its ranks; one still open after the last prime is ranked by
+    ``integer_rank``.
+    """
+    mats = np.concatenate([mats for *_, mats, _ in held], dtype=np.int64)
+    h2 = np.concatenate([h2 for *_, h2 in held])
+    settled = np.concatenate([ranks[owed] for _, ranks, owed, *_ in held])
+    full, product, trials = min(mats.shape[1:]), primes[0], slice(None)
+    for p in primes[1:]:
+        settled[trials] = np.maximum(settled[trials], _rank_mod(mats[trials], p))
+        product *= p
+        # ranks only grow and products only rise, so no settled trial reopens
+        trials = np.flatnonzero((settled < full) & (h2 >= product * product))
+        if not trials.size:
+            break
+    for k in trials:
+        settled[k] = integer_rank(mats[k].tolist())
+    for label, ranks, owed, *_ in held:
+        ranks[owed], settled = settled[: owed.size], settled[owed.size :]
+        yield label, ranks

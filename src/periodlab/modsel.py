@@ -18,24 +18,24 @@ call is cut into chunks whose ranked arrays, the (3g-3) x (3g-3) span
 matrices for select and exhaustive and the g x g matrices for
 singularity, hold at most ``CHUNK_ELEMENTS`` elements each, or into one
 chunk when the whole call holds at most 1.5 times that (``_chunks``), so
-a 100-trial quintic select is ranked in one pass per stack shape.  The
-g x g matrices are only tested for nonsingularity, by
-``exact.certified_nonsingular``: elimination mod Q = 32749 in ``int32``
-blocks, where full rank is final, and so is a deficient trial whose
-Hadamard bound is below Q, as it is for every 0/1 matrix up to g = 9.
-The span matrices, and the g x g trials that the mod-Q pass leaves open,
-are ranked by elimination mod P1 = 2^31 - 1, certified by Hadamard's
-bound; a rank-deficient trial whose bound reaches P1 is ranked again mod
-P2 = 2147483629, and one whose bound reaches P1*P2 falls back to Bareiss
-elimination over the integers (``exact``).  A singularity call's chunks
-stream through ``exact.certified_nonsingular`` and a select call's span
-stacks through ``exact.certified_ranks``; each pools its later passes
-across chunks and yields each chunk's results once final, in any order;
-counts are sums and the trial log is filed by trial index, so only the
-chunks owing a later pass wait.  No floating-point value decides any
-rank.  The
-single-matrix functions (``bernoulli_matrix``, ``is_nonsingular_exact``,
-``product_span_rank``, ``run_trial``) are batches of one.
+a 100-trial quintic select is ranked in one pass per stack shape.  Every
+rank comes from ``exact``'s certified rank ladder: elimination mod a
+first prime, then mod each later prime for the rank-deficient trials
+whose Hadamard bound H reaches the product of the primes so far, keeping
+the largest rank, and Bareiss elimination for a trial still open after
+the last.  A select call's span stacks climb P1 = 2^31 - 1 and
+P2 = 2147483629 (``exact.certified_ranks``); the g x g matrices, only
+tested for nonsingularity, climb Q = 32749, P1, P2
+(``exact.certified_nonsingular``), and their ``int32`` pass mod Q settles
+every 0/1 matrix up to g = 9, whose H is below Q.  Each chunk gets its
+first pass as it arrives; the trials it owes a later prime wait in one
+pool, ranked together once they would outnumber the largest chunk's
+trials and at the end of the call.  Each chunk's results are yielded
+once final, in any order; counts are sums and the trial log is filed by
+trial index, so only the chunks owing a later pass wait.  No
+floating-point value decides any rank.  The single-matrix functions
+(``bernoulli_matrix``, ``is_nonsingular_exact``, ``product_span_rank``,
+``run_trial``) are batches of one.
 
 Span matrices are assembled in ``int64`` without a matrix product: each
 quad-monomial column is a sum of at most four products M[a, j] * M[b, l],
@@ -162,9 +162,17 @@ def bernoulli_matrix(g: int, p: float, seed: int) -> BernoulliMatrix:
     return BernoulliMatrix(g=g, entries=rows, p=p, seed=seed)
 
 
+def _stack(m: BernoulliMatrix) -> np.ndarray:
+    """``m.entries`` as a (1, g, g) integer stack; any other shape raises ``ValidationError``."""
+    mats = integer_stack([m.entries])
+    if mats.shape != (1, m.g, m.g):
+        raise ValidationError(f"entries must be {m.g} x {m.g}, not shape {mats.shape[1:]}")
+    return mats
+
+
 def is_nonsingular_exact(m: BernoulliMatrix) -> bool:
     """Exact nonsingularity over the rationals (no floating point)."""
-    [(_, nonsingular)] = certified_nonsingular([(None, [m.entries])])
+    [(_, nonsingular)] = certified_nonsingular([(None, _stack(m))])
     return bool(nonsingular[0])
 
 
@@ -271,7 +279,7 @@ def product_span_rank(model: PlaneCurveModel, m: BernoulliMatrix, pairs) -> int:
         raise ValidationError("matrix size must equal the model genus")
     if not all(0 <= a <= b < g for a, b in pairs):
         raise ValidationError("index pairs must satisfy 0 <= i <= j < g")
-    mats = integer_stack([m.entries])
+    mats = _stack(m)
     return int(batch_rank(_span_matrices(mats, _span_table(model), pairs))[0])
 
 

@@ -119,6 +119,15 @@ def test_batch_rank_empty_shapes():
     assert batch_rank(np.zeros((2, 0, 3), dtype=np.int64)).tolist() == [0, 0]
 
 
+def test_stacks_without_three_axes_are_refused():
+    # one matrix, four axes or ragged rows: refused, not a numpy ValueError
+    for a in (np.eye(3, dtype=np.int64), np.ones((1, 2, 2, 2), dtype=np.int64), [[[1, 0], [0]]]):
+        with pytest.raises(ValidationError):
+            batch_rank(a)
+        with pytest.raises(ValidationError):
+            list(certified_nonsingular([(None, a)]))
+
+
 def test_float_entries_are_refused_not_truncated():
     # 0.5 * I is invertible; truncated to integers it would be the zero matrix
     half = [[0.5, 0.0], [0.0, 0.5]]
@@ -185,16 +194,11 @@ OWED = np.diag([P1, 1, 1])
 OWED2 = np.diag([P1, 1, 0])
 
 
-def _stream(monkeypatch, stacks):
+def _stream(rank_passes, stacks):
     """Run ``certified_ranks`` over ``stacks``, logging in order each stack pulled
     from the input, each mod-P2 pass (with its trial count) and each stack yielded.
     Every stack pulled so far must be released by the time a stack is yielded."""
-    events, refs, rank_mod = [], [], exact._rank_mod
-
-    def counting_rank_mod(a, p):
-        if p == P2:
-            events.append(("P2", len(a)))
-        return rank_mod(a, p)
+    events, refs = rank_passes.events, []
 
     def pull(label, mats):
         events.append(("pull", label))
@@ -202,18 +206,17 @@ def _stream(monkeypatch, stacks):
         refs.append(weakref.ref(a))
         return label, a
 
-    monkeypatch.setattr(exact, "_rank_mod", counting_rank_mod)
     for label, ranks in certified_ranks(pull(*item) for item in enumerate(stacks)):
         assert all(ref() is None for ref in refs)
         events.append(("yield", label, ranks.tolist()))
-    return events
+    return [("P2", e[2]) if e[0] == P2 else e for e in events if e[0] != P1]
 
 
-def test_second_prime_pool_defers_and_flushes(monkeypatch):
+def test_second_prime_pool_defers_and_flushes(rank_passes):
     # every stack holds one trial owed the mod-P2 pass, and two owed trials fit
     # the largest stack: the first two stacks are re-ranked together when the
     # third's would overflow, and yielded final before the third is certified
-    assert _stream(monkeypatch, [[EYE, OWED]] * 3) == [
+    assert _stream(rank_passes, [[EYE, OWED]] * 3) == [
         ("pull", 0),
         ("pull", 1),
         ("pull", 2),
@@ -225,12 +228,12 @@ def test_second_prime_pool_defers_and_flushes(monkeypatch):
     ]
 
 
-def test_second_prime_pool_is_bounded_by_the_largest_stack(monkeypatch):
+def test_second_prime_pool_is_bounded_by_the_largest_stack(rank_passes):
     # stacks of 1, 3, 1 and 2 trials: the owed trials wait until they would
     # outnumber the largest stack seen (3), not the first or the current one,
     # and each gets its own rank back from the shared pass
     stacks = [[OWED], [OWED2, EYE, EYE], [OWED], [OWED2, OWED]]
-    assert _stream(monkeypatch, stacks) == [
+    assert _stream(rank_passes, stacks) == [
         ("pull", 0),
         ("pull", 1),
         ("pull", 2),
@@ -244,10 +247,10 @@ def test_second_prime_pool_is_bounded_by_the_largest_stack(monkeypatch):
     ]
 
 
-def test_stack_with_nothing_owed_is_yielded_at_once(monkeypatch):
+def test_stack_with_nothing_owed_is_yielded_at_once(rank_passes):
     # a stack with nothing owed is yielded right after its pull, even behind a
     # stack still waiting for its pass: stacks come out once final, in any order
-    assert _stream(monkeypatch, [[EYE], [OWED], [EYE], [EYE]]) == [
+    assert _stream(rank_passes, [[EYE], [OWED], [EYE], [EYE]]) == [
         ("pull", 0),
         ("yield", 0, [3]),
         ("pull", 1),
@@ -260,16 +263,30 @@ def test_stack_with_nothing_owed_is_yielded_at_once(monkeypatch):
     ]
 
 
-def test_stacks_behind_an_owed_trial_wait_boundedly(monkeypatch):
+def test_stacks_behind_an_owed_trial_wait_boundedly(rank_passes):
     # one owed trial, then stacks that owe nothing: none of them waits behind
     # it, each is yielded before the next pull, and only the owing stack is
     # held, to the end of the stream and its one mod-P2 pass
     stacks = [[OWED]] + [[EYE]] * 1000
-    assert _stream(monkeypatch, stacks) == (
+    assert _stream(rank_passes, stacks) == (
         [("pull", 0)]
         + [e for i in range(1, 1001) for e in [("pull", i), ("yield", i, [3])]]
         + [("P2", 1), ("yield", 0, [3])]
     )
+
+
+def test_pool_is_settled_when_the_matrix_shape_changes(rank_passes):
+    # owing stacks of 3 x 3, then 4 x 4 matrices: the held 3 x 3 trials are
+    # settled before the 4 x 4 ones wait, never stacked with them
+    stacks = [[OWED, EYE, EYE], [np.diag([P1, 1, 1, 1]), np.eye(4), np.eye(4)]]
+    assert _stream(rank_passes, stacks) == [
+        ("pull", 0),
+        ("pull", 1),
+        ("P2", 1),
+        ("yield", 0, [3, 3, 3]),
+        ("P2", 1),
+        ("yield", 1, [4, 4, 4]),
+    ]
 
 
 INT64 = np.iinfo(np.int64)
@@ -405,35 +422,23 @@ def test_certified_nonsingular_matches_bareiss(batch, n, entries, deficient, par
     assert verdicts == [integer_rank(m) == n for m in a.tolist()]
 
 
-def _nonsingular_passes(monkeypatch, stacks):
+def _nonsingular_passes(rank_passes, stacks):
     """Verdicts of ``certified_nonsingular`` over ``stacks``, by label, and its passes
     in order: (prime, trials) for each ``_rank_mod`` pass, "Bareiss" for each
     ``integer_rank`` call."""
-    passes, rank_mod, bareiss = [], exact._rank_mod, exact.integer_rank
-
-    def counting_rank_mod(a, p):
-        passes.append((p, len(a)))
-        return rank_mod(a, p)
-
-    def counting_integer_rank(rows):
-        passes.append("Bareiss")
-        return bareiss(rows)
-
-    monkeypatch.setattr(exact, "_rank_mod", counting_rank_mod)
-    monkeypatch.setattr(exact, "integer_rank", counting_integer_rank)
     verdicts = {label: v.tolist() for label, v in certified_nonsingular(stacks)}
-    return verdicts, passes
+    return verdicts, [e if e == "Bareiss" else (e[0], e[2]) for e in rank_passes.events]
 
 
 @pytest.mark.parametrize("n", range(1, 10))
-def test_bits_up_to_size_nine_take_one_pass_mod_q(n, monkeypatch):
+def test_bits_up_to_size_nine_take_one_pass_mod_q(n, rank_passes):
     # (n * 1^2)^n < Q^2 for n <= 9 (9^9 = 387,420,489): every deficient 0/1
     # trial has H < Q, so full rank mod Q or not is final for each
     rng = np.random.default_rng(n)
     a = rng.integers(0, 1, size=(200, n, n), dtype=np.uint8, endpoint=True)
     a[:50, -1] = a[:50, 0]
     a[50] = 1
-    verdicts, passes = _nonsingular_passes(monkeypatch, [(0, a)])
+    verdicts, passes = _nonsingular_passes(rank_passes, [(0, a)])
     assert passes == [(Q, 200)]
     assert verdicts[0] == [integer_rank(m) == n for m in a.tolist()]
     assert not all(verdicts[0][:51])
@@ -444,18 +449,23 @@ def test_bits_up_to_size_nine_take_one_pass_mod_q(n, monkeypatch):
     [
         # rank 2 mod Q and H = Q: certified by full rank mod P1
         (np.diag([Q, 1, 1]), True, [(Q, 1), (P1, 1)]),
-        # rank 2 mod Q and mod P1, P1 <= H < P1*P2: the mod-P2 pass
+        # rank 2 mod Q and mod P1, H = Q*P1: the mod-P2 pass
         (np.diag([Q * P1, 1, 1]), True, [(Q, 1), (P1, 1), (P2, 1)]),
-        # rank 2 mod Q and mod P1, H = Q*P1*P2: Bareiss
-        (np.diag([Q * P1, P2, 1]), True, [(Q, 1), (P1, 1), "Bareiss"]),
+        # rank 2 mod Q, P1 and P2, H = Q*P1*P2: Bareiss after the mod-P2 pass
+        (np.diag([Q * P1, P2, 1]), True, [(Q, 1), (P1, 1), (P2, 1), "Bareiss"]),
+        # rank 2 mod Q and mod P1, P1*P2 <= H = Q*P1*2^20 < Q*P1*P2: full rank
+        # mod P2 is final, with no Bareiss call
+        (np.diag([Q * P1, 2**20, 1]), True, [(Q, 1), (P1, 1), (P2, 1)]),
+        # singular, rank 1 mod Q and mod P1 with P1 <= H = 3.2e9 < Q*P1: no mod-P2 pass
+        (np.array([[40000, 40000], [40000, 40000]]), False, [(Q, 1), (P1, 1)]),
         # deficient with H = 1 < Q beyond the whole-stack shortcut (size 10)
         (np.diag([1] * 9 + [0]), False, [(Q, 1)]),
         # deficient mod Q and mod P1 with Q <= H = 10^5 < P1: singular
         (np.ones((10, 10), dtype=np.int64), False, [(Q, 1), (P1, 1)]),
     ],
 )
-def test_certified_nonsingular_branches(matrix, verdict, passes, monkeypatch):
-    assert _nonsingular_passes(monkeypatch, [(0, matrix[None])]) == ({0: [verdict]}, passes)
+def test_certified_nonsingular_branches(matrix, verdict, passes, rank_passes):
+    assert _nonsingular_passes(rank_passes, [(0, matrix[None])]) == ({0: [verdict]}, passes)
 
 
 def test_certified_nonsingular_refuses_what_it_cannot_rank():

@@ -44,29 +44,13 @@ def _chunk_sizes(n, per_trial):
     return [stop - start for start, stop in modsel._chunks(n, per_trial)]
 
 
-def _count_rank_passes(monkeypatch):
-    """Record every ``exact._rank_mod`` pass as (prime, matrix shape, trials), and per
-    quintic span stack how many trials are owed the mod-P2 pass."""
-    owed, passes = [], []
-    ranks_mod_p1, rank_mod = exact._ranks_mod_p1, exact._rank_mod
-
-    def counting_ranks_mod_p1(a):
-        ranks, second = ranks_mod_p1(a)
-        if a.shape[1:] == (15, 15):
-            owed.append(second.size)
-        return ranks, second
-
-    def counting_rank_mod(a, p):
-        passes.append((p, a.shape[1:], len(a)))
-        return rank_mod(a, p)
-
-    monkeypatch.setattr(exact, "_ranks_mod_p1", counting_ranks_mod_p1)
-    monkeypatch.setattr(exact, "_rank_mod", counting_rank_mod)
-    return owed, passes
+def _span_owed(rank_passes):
+    """Per quintic span stack, the trials owed a later pass as it entered ``exact._pooled``."""
+    return [owed for shape, owed in rank_passes.owed if shape == (15, 15)]
 
 
-def _p2_sizes(passes):
-    return [trials for p, _, trials in passes if p == exact.P2]
+def _p2_sizes(rank_passes):
+    return [e[2] for e in rank_passes.events if e[0] == exact.P2]
 
 
 def _record(log, i):
@@ -122,6 +106,18 @@ class TestBernoulliMatrix:
         # 0.5 * I is invertible: refused, not truncated to the zero matrix
         with pytest.raises(ValidationError):
             is_nonsingular_exact(BernoulliMatrix(2, ((0.5, 0.0), (0.0, 0.5)), 0.5, 0))
+
+    def test_entries_that_are_not_g_by_g_are_refused(self):
+        # I_3 filed as a larger matrix, or ragged rows: refused, for the span
+        # rank too, not ranked as some other matrix (I_3 as g = 4 was "nonsingular")
+        eye3 = np.eye(3, dtype=int).tolist()
+        with pytest.raises(ValidationError):
+            is_nonsingular_exact(_matrix(4, eye3))
+        for rows in (eye3, [[1] * 6] * 5 + [[1]]):
+            with pytest.raises(ValidationError):
+                is_nonsingular_exact(_matrix(6, rows))
+            with pytest.raises(ValidationError):
+                product_span_rank(QUINTIC, _matrix(6, rows), first_three_rows_indices(6))
 
 
 class TestIndexSet:
@@ -434,43 +430,43 @@ class TestTrials:
             assert _chunk_sizes(n, QUINTIC_SPAN_ELEMENTS) == sizes
             self._assert_records_match_single_trials(p, n, seed)
 
-    def test_second_prime_pass_straddles_a_chunk_boundary(self, monkeypatch):
+    def test_second_prime_pass_straddles_a_chunk_boundary(self, monkeypatch, rank_passes):
         # trials owed the mod-P2 pass on both sides of a boundary share one pass
         monkeypatch.setattr(modsel, "CHUNK_ELEMENTS", 2**14)
-        owed, passes = _count_rank_passes(monkeypatch)
         assert _chunk_sizes(144, QUINTIC_SPAN_ELEMENTS) == [72, 72]
         run_selection(QUINTIC, 0.5, 144, 11)
+        owed = _span_owed(rank_passes)
         assert len(owed) == 2 and all(k > 0 for k in owed)
-        assert _p2_sizes(passes) == [sum(owed)]
+        assert _p2_sizes(rank_passes) == [sum(owed)]
         self._assert_records_match_single_trials(0.5, 144, 11)
 
-    def test_full_second_prime_pool_flushes_mid_call(self, monkeypatch):
+    def test_full_second_prime_pool_flushes_mid_call(self, monkeypatch, rank_passes):
         # four trials per chunk: the pool fills and is re-ranked mod P2 before the end
         monkeypatch.setattr(modsel, "CHUNK_ELEMENTS", 4 * QUINTIC_SPAN_ELEMENTS)
-        owed, passes = _count_rank_passes(monkeypatch)
         n = 60
         run_selection(QUINTIC, 0.5, n, 5)
+        owed = _span_owed(rank_passes)
         assert len(owed) == n // 4
-        p2_sizes = _p2_sizes(passes)
+        p2_sizes = _p2_sizes(rank_passes)
         assert len(p2_sizes) >= 2
         assert max(p2_sizes) <= 4
         assert sum(p2_sizes) == sum(owed)
         self._assert_records_match_single_trials(0.5, n, 5)
 
     @pytest.mark.parametrize("seed", [1, 77, 2**64 - 1])
-    def test_select_call_rank_passes(self, seed, monkeypatch, tmp_path):
+    def test_select_call_rank_passes(self, seed, rank_passes, tmp_path):
         # one select call of 100 quintic trials: one chunk, so one mod-Q pass
         # of the 6 x 6 changes of basis, which settles every 0/1 trial of that
         # size, one mod-P1 pass of the span matrices and at most one mod-P2
         # pass, over at most its trials
-        owed, passes = _count_rank_passes(monkeypatch)
         argv = ["select", "--model", "quintic", "--trials", "100", "--seed", str(seed)]
         assert cli.main(argv + ["--out", str(tmp_path / "log.csv")]) == 0
+        passes = rank_passes.events
         first_passes = Counter((p, shape) for p, shape, _ in passes if p != exact.P2)
         assert first_passes == {(exact.Q, (6, 6)): 1, (exact.P1, (15, 15)): 1}
-        p2_sizes = _p2_sizes(passes)
+        p2_sizes = _p2_sizes(rank_passes)
         assert len(p2_sizes) <= 1
-        assert sum(p2_sizes) == sum(owed) <= 100
+        assert sum(p2_sizes) == sum(_span_owed(rank_passes)) <= 100
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 4, 7])
     def test_second_prime_pass_corrects_pooled_records(self, chunk, monkeypatch):
@@ -564,13 +560,13 @@ class TestSingularityRate:
             )
             assert singularity_rate(g, 0.5, n, -7).successes == singular
 
-    def test_g20_call_pools_the_trials_deficient_mod_q(self, monkeypatch):
+    def test_g20_call_pools_the_trials_deficient_mod_q(self, rank_passes):
         # seed 424242: a 1600-trial call at g = 20 is 10 chunks of 160 trials,
         # each ranked once mod Q; the trials deficient mod Q (every singular
         # trial among them) are pooled across the chunks into one mod-P1 pass
         # and at most one mod-P2 pass
-        _, passes = _count_rank_passes(monkeypatch)
         stats = singularity_rate(20, 0.5, 1600, 424242)
+        passes = rank_passes.events
         assert {shape for _, shape, _ in passes} == {(20, 20)}
         assert [(p, trials) for p, _, trials in passes[:10]] == [(exact.Q, 160)] * 10
         (p1, _, pooled), *rest = passes[10:]
