@@ -453,15 +453,15 @@ def test_bits_up_to_size_nine_take_one_pass_mod_q(n, rank_passes):
         (np.diag([Q * P1, 1, 1]), True, [(Q, 1), (P1, 1), (P2, 1)]),
         # rank 2 mod Q, P1 and P2, H = Q*P1*P2: Bareiss after the mod-P2 pass
         (np.diag([Q * P1, P2, 1]), True, [(Q, 1), (P1, 1), (P2, 1), "Bareiss"]),
+        # deficient with H = 1 < Q beyond the whole-stack shortcut (size 10)
+        (np.diag([1] * 9 + [0]), False, [(Q, 1)]),
+        # deficient mod Q and mod P1 with Q <= H = 10^5 < P1: singular
+        (np.ones((10, 10), dtype=np.int64), False, [(Q, 1), (P1, 1)]),
         # rank 2 mod Q and mod P1, P1*P2 <= H = Q*P1*2^20 < Q*P1*P2: full rank
         # mod P2 is final, with no Bareiss call
         (np.diag([Q * P1, 2**20, 1]), True, [(Q, 1), (P1, 1), (P2, 1)]),
         # singular, rank 1 mod Q and mod P1 with P1 <= H = 3.2e9 < Q*P1: no mod-P2 pass
         (np.array([[40000, 40000], [40000, 40000]]), False, [(Q, 1), (P1, 1)]),
-        # deficient with H = 1 < Q beyond the whole-stack shortcut (size 10)
-        (np.diag([1] * 9 + [0]), False, [(Q, 1)]),
-        # deficient mod Q and mod P1 with Q <= H = 10^5 < P1: singular
-        (np.ones((10, 10), dtype=np.int64), False, [(Q, 1), (P1, 1)]),
     ],
 )
 def test_certified_nonsingular_branches(matrix, verdict, passes, rank_passes):
