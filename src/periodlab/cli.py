@@ -7,15 +7,15 @@ Subcommands map one-to-one onto library operations: ``periods``,
 key=value summary line.
 
 Handlers only compute; ``main`` prints, maps exceptions to exit codes and
-writes all of a command's outputs or none, as one transaction.  The
-output targets are checked right after parsing as well, before any work:
-a target named twice, in a missing directory or naming a directory is
-refused at once, with the same ``error:`` line the write would give.  Every
-refusal, argparse's included, is an exception whose class alone gives the
-exit code (see ``errors``), and ``main`` prints it as one ``error:`` line.
-The parser is built once per process and reused by every ``main`` call, so
-in-process callers pay only the parse; argparse keeps no state between
-calls, as each ``parse_args`` fills a fresh namespace.
+writes all of a command's outputs, each a stream of text blocks, or none, as
+one transaction.  The output targets are checked right after parsing as well,
+before any work: a target named twice, in a missing directory or naming a
+directory is refused at once, with the same ``error:`` line the write would
+give.  Every refusal, argparse's included, is an exception whose class alone
+gives the exit code (see ``errors``), and ``main`` prints it as one
+``error:`` line.  The parser is built once per process and reused by every
+``main`` call, so in-process callers pay only the parse; argparse keeps no
+state between calls, as each ``parse_args`` fills a fresh namespace.
 
 Exit codes: 0 success / membership, 2 bad arguments or a path that cannot
 be read or written, 3 validation failure (including malformed input and
@@ -27,10 +27,8 @@ write).  ``--help`` exits 0 through argparse.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
-import io
 import json
 import os
 import stat
@@ -71,12 +69,6 @@ def _selection_summary(stats, model) -> str:
     return _json_text({**dataclasses.asdict(stats), "paper_bounds": bounds})
 
 
-def _csv_text(rows) -> str:
-    buf = io.StringIO()
-    csv.writer(buf).writerows(rows)
-    return buf.getvalue()
-
-
 def _check_targets(paths) -> list[str]:
     """The absolute paths of the output ``paths``, refused unless each can be written.
 
@@ -100,28 +92,28 @@ def _check_targets(paths) -> list[str]:
 
 
 def _commit(outputs) -> None:
-    """Write every ``(path, text)`` of ``outputs``, or none of them.
+    """Write every ``(path, blocks)`` of ``outputs``, or none of them.
 
-    All targets are checked again (``main`` checked them before the
-    command ran, but the file system may have changed since), then every
-    text is written to a temp file beside its target, then all are renamed
-    into place.  A failure names the requested path and leaves no file
-    behind.  One window remains: a rename that fails after earlier renames
-    succeeded keeps those files.  Files get mode 0o666 less the umask, as
-    ``open`` would give them.
+    All targets are checked again (``main`` checked them before the command
+    ran, but the file system may have changed since), then the blocks of each
+    output are written in turn to a temp file beside its target, then all are
+    renamed into place.  A failed write names the requested path; it, or an
+    exception raised by a block, leaves no file behind.  One window remains: a
+    rename that fails after earlier renames succeeded keeps those files.  Files
+    get mode 0o666 less the umask, as ``open`` would give them.
     """
     umask = os.umask(0)
     os.umask(umask)
-    fulls = _check_targets([path for path, _text in outputs])
+    fulls = _check_targets([path for path, _blocks in outputs])
     temps = []
     try:
-        for (target, text), full in zip(outputs, fulls):
+        for (target, blocks), full in zip(outputs, fulls):
             fd, tmp = tempfile.mkstemp(".tmp", ".periodlab-", os.path.dirname(full))
             temps.append(tmp)
-            with os.fdopen(fd, "wb") as fh:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
                 os.chmod(tmp, 0o666 & ~umask)
-                fh.write(text.encode("utf-8"))
-        for (target, _text), tmp in zip(outputs, temps):
+                fh.writelines(blocks)
+        for (target, _blocks), tmp in zip(outputs, temps):
             os.replace(tmp, target)
     except OSError as exc:
         raise DomainError(f"cannot write {target}: {exc.strerror or exc}") from exc
@@ -133,7 +125,7 @@ def _commit(outputs) -> None:
 
 # ---------------------------------------------------------------------------
 # Subcommand handlers: each returns (exit code, summary line, outputs), where
-# outputs lists the (requested path, text) of every file the command writes.
+# outputs lists the (requested path, text blocks) of every file it writes.
 
 
 def _cmd_periods(args):
@@ -165,10 +157,10 @@ def _cmd_periods(args):
             pm = periods.normalize(table, hom)
             entries, kind, provenance = pm.entries, "normalized", pm.provenance
     text = periods.period_json_text(entries, kind, {**meta, **provenance})
-    outputs = [(args.out, text)]
+    outputs = [(args.out, [text])]
     if args.raw_out:
         raw_text = text if kind == "raw" else periods.period_json_text(raw, "raw", meta)
-        outputs.append((args.raw_out, raw_text))
+        outputs.append((args.raw_out, [raw_text]))
     line = _summary("periods", curve=label, g=entries.shape[1], kind=kind, **fields, out=args.out)
     return EXIT_OK, line, outputs
 
@@ -192,9 +184,9 @@ def _cmd_validate(args):
 def _cmd_select(args):
     model = MODELS[args.model]
     stats, log = modsel.run_selection(model, args.p, args.trials, args.seed, records=True)
-    outputs = [(args.out, _csv_text(modsel.trial_log_rows(log)))]
+    outputs = [(args.out, modsel.trial_log_rows(log))]
     if args.summary:
-        outputs.append((args.summary, _selection_summary(stats, model)))
+        outputs.append((args.summary, [_selection_summary(stats, model)]))
     line = _summary(
         "select",
         model=args.model,
@@ -211,9 +203,7 @@ def _cmd_select(args):
 def _cmd_exhaustive(args):
     model = MODELS[args.model]
     stats = modsel.exhaustive(model)
-    outputs = []
-    if args.summary:
-        outputs.append((args.summary, _selection_summary(stats, model)))
+    outputs = [(args.summary, [_selection_summary(stats, model)])] if args.summary else []
     line = _summary(
         "exhaustive",
         model=args.model,
@@ -227,7 +217,7 @@ def _cmd_exhaustive(args):
 
 def _cmd_singularity(args):
     stats = modsel.singularity_rate(args.g, args.p, args.trials, args.seed)
-    outputs = [(args.summary, _json_text(dataclasses.asdict(stats)))] if args.summary else []
+    outputs = [(args.summary, [_json_text(dataclasses.asdict(stats))])] if args.summary else []
     line = _summary(
         "singularity",
         g=args.g,
@@ -244,18 +234,18 @@ def _cmd_stats(args):
     entries, kind, _meta = periods.load_period_json(args.input)
     values = entries.ravel()
     spec = perstats.spectrum(values)
-    outputs = []
+    outputs = []  # CSV rows as csv.writer writes them: no float repr needs quoting
     if args.spectrum:
-        rows = [[rank, repr(v)] for rank, v in enumerate(spec.values, start=1)]
-        outputs.append((args.spectrum, _csv_text([["rank", "squared_modulus"], *rows])))
+        rows = ["%d,%r\r\n" % row for row in enumerate(spec.values, start=1)]
+        outputs.append((args.spectrum, ["rank,squared_modulus\r\n", *rows]))
     if args.hist:
         hist = perstats.arg_histogram(values, args.bins)
-        rows = [[repr(center), count] for center, count in hist]
-        outputs.append((args.hist, _csv_text([["bin_center", "count"], *rows])))
+        rows = ["%r,%d\r\n" % row for row in hist]
+        outputs.append((args.hist, ["bin_center,count\r\n", *rows]))
     fit = None
     if args.fit:
         fit = perstats.fit_power_law(spec)
-        outputs.append((args.fit, _json_text(dataclasses.asdict(fit))))
+        outputs.append((args.fit, [_json_text(dataclasses.asdict(fit))]))
     band = perstats.band_limit_score(values)
     fields = {
         "input": args.input,
@@ -274,7 +264,7 @@ def _cmd_stats(args):
 def _cmd_siegel_sample(args):
     m = siegel.random_siegel(args.g, args.seed, args.scale)
     meta = {"synthetic": True, "seed": args.seed, "scale": args.scale}
-    outputs = [(args.out, periods.period_json_text(m, "normalized", meta))]
+    outputs = [(args.out, [periods.period_json_text(m, "normalized", meta)])]
     line = _summary("siegel-sample", g=args.g, seed=args.seed, scale=args.scale, out=args.out)
     return EXIT_OK, line, outputs
 

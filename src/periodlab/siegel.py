@@ -44,13 +44,13 @@ def validate_siegel(m: np.ndarray, tol: float = DEFAULT_TOL) -> SiegelValidation
     fail the symmetry check.
     """
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError("validate_siegel requires a square matrix")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+        raise ValidationError("validate_siegel requires a g x g matrix with g >= 1")
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError("tol must be positive and finite")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValidationError("matrix entries must be finite")
-    residual = float(np.max(np.abs(m - m.T))) if m.size else 0.0
+    residual = float(np.max(np.abs(m - m.T)))
     im_sym = (m.imag + m.imag.T) / 2.0
     min_eig = float(np.linalg.eigvalsh(im_sym)[0])
     return SiegelValidation(symmetry_residual=residual, min_im_eigenvalue=min_eig, tol=tol)

@@ -407,12 +407,16 @@ class TestBoundsCommand:
     def test_domain(self):
         assert run(["bounds", "--g", 1]) == 2
 
-    def test_large_genus_underflows_cleanly(self, capsys):
-        assert run(["bounds", "--g", 300]) == 0
+    @pytest.mark.parametrize("g", [300, 10**400, 2**1100], ids=["300", "10**400", "2**1100"])
+    def test_large_genus_underflows_cleanly(self, capsys, g):
+        # a genus beyond a float's range is no error: every value is at its limit
+        assert run(["bounds", "--g", g]) == 0
         bounds = json.loads(capsys.readouterr().out)["bounds"]
         assert all(np.isfinite(v) for v in bounds.values())
         assert bounds["displayed_expression"] == 0.0
         assert bounds["union_bound_reading"] == 1.0
+        assert bounds["tao_vu_conjectured_nonsingular"] == 1.0
+        assert bounds["tao_vu_proved_lower_bound"] == 1.0
 
 
 class TestOutputTransaction:
@@ -452,6 +456,22 @@ class TestOutputTransaction:
         err = _refused(argv + ["--out", log, "--summary", summary], 2, tmp_path, capsys)
         assert err == f"error: cannot write {summary}: {os.strerror(errno.ENOSPC)}\n"
         assert len(made) == 1
+
+    def test_failing_block_leaves_nothing(self, tmp_path, monkeypatch, capsys):
+        # the log's second block raises while its first sits in a temp file
+        seen = []
+
+        def trial_log_rows(log):
+            yield "trial_index,seed,nonsingular,span_rank,success\r\n"
+            seen.extend(p.name for p in tmp_path.iterdir())
+            raise NumericError("no second block")
+
+        monkeypatch.setattr(modsel, "trial_log_rows", trial_log_rows)
+        log, summary = tmp_path / "s.csv", tmp_path / "s.json"
+        argv = ["select", "--model", "quartic", "--trials", 5, "--seed", 1]
+        err = _refused(argv + ["--out", log, "--summary", summary], 4, tmp_path, capsys)
+        assert err == "error: no second block\n"
+        assert len(seen) == 1 and seen[0].startswith(".periodlab-") and seen[0].endswith(".tmp")
 
     def test_file_mode_follows_umask(self, tmp_path):
         out = tmp_path / "s.json"

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import tracemalloc
 from collections import Counter
@@ -57,6 +59,21 @@ def _record(log, i):
     """Row i of a ``TrialLog`` as the ``TrialRecord`` that ``run_trial`` returns."""
     rank = int(log.span_rank[i])
     return TrialRecord(i, int(log.labels[i]), bool(log.nonsingular[i]), rank, rank == log.target)
+
+
+def _read_log(log):
+    """The joined blocks of ``trial_log_rows(log)``, read back as rows by ``csv.reader``."""
+    blocks = list(trial_log_rows(log))
+    assert all(type(b) is str for b in blocks)
+    return list(csv.reader(io.StringIO("".join(blocks), newline="")))
+
+
+def _synthetic_log(n):
+    """A ``TrialLog`` of ``n`` trials with random columns, the largest seed included."""
+    rng = np.random.default_rng(n)
+    labels = rng.integers(0, 2**64, n, dtype=np.uint64)
+    labels[-1] = 2**64 - 1
+    return modsel.TrialLog(labels, rng.random(n) < 0.5, rng.integers(0, 16, n), 12)
 
 
 def _matrix(g, rows):
@@ -494,17 +511,46 @@ class TestTrials:
 
     def test_trial_log_row_count(self):
         log = run_selection(QUARTIC, 0.5, 25, 1, records=True)[1]
-        rows = list(trial_log_rows(log))
+        rows = _read_log(log)
         assert rows[0] == ["trial_index", "seed", "nonsingular", "span_rank", "success"]
         assert len(rows) == 26
 
     def test_trial_log_rows_render_each_trial(self):
         # each row is its trial's record, in trial order, with bools as 0/1
         log = run_selection(QUINTIC, 0.5, 150, 4, records=True)[1]
-        for i, row in enumerate(list(trial_log_rows(log))[1:]):
+        for i, row in enumerate(_read_log(log)[1:]):
             r = _record(log, i)
-            assert list(row) == [i, r.seed, int(r.matrix_nonsingular), r.span_rank, int(r.success)]
-            assert all(type(v) is int for v in row)
+            assert [int(v) for v in row] == [
+                i, r.seed, int(r.matrix_nonsingular), r.span_rank, int(r.success)
+            ]
+            assert all(v == str(int(v)) for v in row)  # integers, written as ints
+
+    @pytest.mark.parametrize("n", [4096, 4097, 8193])
+    def test_trial_log_blocks_match_csv_writer(self, n):
+        # blocks of at most 4096 rows, whose joined text is csv.writer's
+        log = _synthetic_log(n)
+        blocks = list(trial_log_rows(log))
+        rows = [["trial_index", "seed", "nonsingular", "span_rank", "success"]]
+        for i in range(n):
+            rank = int(log.span_rank[i])
+            rows.append([i, int(log.labels[i]), int(log.nonsingular[i]), rank, int(rank == 12)])
+        expected = io.StringIO()
+        csv.writer(expected).writerows(rows)
+        assert "".join(blocks) == expected.getvalue()
+        assert [b.count("\n") for b in blocks[1:-1]] == [4096] * (len(blocks) - 2)
+        assert len(blocks) == 1 + -(-n // 4096)
+
+    def test_trial_log_blocks_memory(self):
+        # a block at a time: 0.94 MB traced, where the whole text of these rows took 29.9 MB
+        log = _synthetic_log(200_000)
+        tracemalloc.start()
+        try:
+            size = sum(len(block) for block in trial_log_rows(log))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size > 200_000 * 10
+        assert peak < 2_000_000
 
     def test_trial_log_memory(self):
         # the log holds three columns, 17 bytes a trial, and nothing per trial

@@ -1,9 +1,12 @@
-"""The README's library quick start runs against the current API and prints what it says."""
+"""The README's library quick start runs against the current API and prints what it says,
+and the limits it states are the code's."""
 
 import contextlib
 import io
 import pathlib
 import re
+
+from periodlab import curves, modsel
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -31,3 +34,16 @@ def test_quartic_census_and_estimate():
     census, estimate = _printed(_python_blocks()[1])
     assert census == "174"
     assert abs(float(estimate) - 174 / 512) < 0.03  # 10,000 trials: about 6 standard errors
+
+
+def test_stated_cli_limits_match_the_code():
+    text = " ".join(README.read_text().split())  # a limit may wrap across lines
+    # `siegel-sample --g` and `singularity --g` share the genus limit
+    genus = re.search(r"`singularity --g` accept at most (\d+) \(`curves\.MAX_GENUS`\)", text)
+    trials = re.search(
+        r"`select --trials` at most 10([⁰¹²³⁴⁵⁶⁷⁸⁹]+) \(`modsel\.MAX_LOGGED_TRIALS`\)", text
+    )
+    assert genus and trials
+    assert int(genus[1]) == curves.MAX_GENUS
+    exponent = trials[1].translate(str.maketrans("⁰¹²³⁴⁵⁶⁷⁸⁹", "0123456789"))
+    assert 10 ** int(exponent) == modsel.MAX_LOGGED_TRIALS

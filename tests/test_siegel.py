@@ -49,6 +49,12 @@ def test_input_validation():
         validate_siegel(np.array([[complex(np.nan, 1.0)]]))
 
 
+def test_empty_matrix_refused():
+    # H_g needs g >= 1; a 0 x 0 matrix has no smallest eigenvalue to report
+    with pytest.raises(ValidationError, match="g >= 1"):
+        validate_siegel(np.zeros((0, 0)))
+
+
 def test_random_siegel_members():
     for g in (1, 2, 6):
         for seed in (0, 1, 12345):
