@@ -9,67 +9,40 @@ Library layout:
 * ``modsel``   - Bernoulli change-of-basis experiments with exact ranks
 * ``perstats`` - spectra, power-law fits, band-limit scores
 * ``cli``      - the ``periodlab`` command-line front end
+
+``import periodlab`` loads no submodule: each is imported when it, or one
+of its names, is first read from the package (PEP 562), which then binds it.
 """
 
-from .curves import (
-    FermatCurve,
-    HyperellipticCurve,
-    PlaneCurveModel,
-    bundled_curve,
-    load_curve,
-    moduli_count,
-    period_count,
-)
-from .modsel import (
-    BernoulliMatrix,
-    bernoulli_matrix,
-    exhaustive,
-    first_three_rows_indices,
-    is_nonsingular_exact,
-    monte_carlo,
-    paper_bounds,
-    product_span_rank,
-    run_trial,
-    singularity_rate,
-)
-from .periods import (
-    beta_function,
-    chebyshev_segment_integral,
-    fermat_raw_periods,
-    hyperelliptic_raw_periods,
-    normalize,
-)
-from .perstats import arg_histogram, band_limit_score, best_k_energy, fit_power_law, spectrum
-from .siegel import random_siegel, validate_siegel
+import importlib
 
-__all__ = [
-    "FermatCurve",
-    "HyperellipticCurve",
-    "PlaneCurveModel",
-    "BernoulliMatrix",
-    "arg_histogram",
-    "band_limit_score",
-    "bernoulli_matrix",
-    "best_k_energy",
-    "beta_function",
-    "bundled_curve",
-    "chebyshev_segment_integral",
-    "exhaustive",
-    "fermat_raw_periods",
-    "first_three_rows_indices",
-    "fit_power_law",
-    "hyperelliptic_raw_periods",
-    "is_nonsingular_exact",
-    "load_curve",
-    "moduli_count",
-    "monte_carlo",
-    "normalize",
-    "paper_bounds",
-    "period_count",
-    "product_span_rank",
-    "random_siegel",
-    "run_trial",
-    "singularity_rate",
-    "spectrum",
-    "validate_siegel",
-]
+# The public names, by the submodule that defines them.
+_EXPORTS = {
+    "curves": "FermatCurve HyperellipticCurve PlaneCurveModel bundled_curve load_curve "
+    "moduli_count period_count",
+    "modsel": "BernoulliMatrix bernoulli_matrix exhaustive first_three_rows_indices monte_carlo "
+    "is_nonsingular_exact paper_bounds product_span_rank run_trial singularity_rate",
+    "periods": "beta_function chebyshev_segment_integral fermat_raw_periods "
+    "hyperelliptic_raw_periods normalize",
+    "perstats": "arg_histogram band_limit_score best_k_energy fit_power_law spectrum",
+    "siegel": "random_siegel validate_siegel",
+}
+_SOURCES = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+_SUBMODULES = {*_EXPORTS, "cli", "errors", "exact", "rng"}
+
+__all__ = sorted(_SOURCES)
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        value = importlib.import_module(f"{__name__}.{name}")
+    elif name in _SOURCES:
+        value = getattr(importlib.import_module(f"{__name__}.{_SOURCES[name]}"), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -15,7 +15,9 @@ give.  Every refusal, argparse's included, is an exception whose class alone
 gives the exit code (see ``errors``), and ``main`` prints it as one
 ``error:`` line.  The parser is built once per process and reused by every
 ``main`` call, so in-process callers pay only the parse; argparse keeps no
-state between calls, as each ``parse_args`` fills a fresh namespace.
+state between calls, as each ``parse_args`` fills a fresh namespace.  Only
+``curves`` and ``errors`` load with this module: each handler imports what it
+runs, and passes ``--nodes`` or ``--tol`` its library default when absent.
 
 Exit codes: 0 success / membership, 2 bad arguments or a path that cannot
 be read or written, 3 validation failure (including malformed input and
@@ -35,7 +37,7 @@ import stat
 import sys
 import tempfile
 
-from . import curves, modsel, periods, perstats, siegel
+from . import curves
 from .errors import DomainError, NumericError, PeriodLabError, ValidationError
 
 EXIT_OK = 0
@@ -65,6 +67,7 @@ def _json_text(payload) -> str:
 
 def _selection_summary(stats, model) -> str:
     """The --summary text of select and exhaustive."""
+    from . import modsel
     bounds = dict(modsel.paper_bounds(model.genus))
     return _json_text({**dataclasses.asdict(stats), "paper_bounds": bounds})
 
@@ -129,8 +132,10 @@ def _commit(outputs) -> None:
 
 
 def _cmd_periods(args):
+    from . import periods
     label = args.curve or args.bundled
     curve = curves.load_curve(label) if args.curve else curves.bundled_curve(label)
+    nodes = periods.check_nodes(periods.DEFAULT_NODES if args.nodes is None else args.nodes)
     meta = {"curve": curves.curve_to_dict(curve)}
     fields, provenance, kind = {}, {}, "raw"
     if isinstance(curve, curves.FermatCurve):
@@ -143,7 +148,7 @@ def _cmd_periods(args):
             col_labels=[list(e) for e in curve.diff_exponents],
         )
     else:
-        table, hom = periods.hyperelliptic_raw_periods(curve, nodes=args.nodes)
+        table, hom = periods.hyperelliptic_raw_periods(curve, nodes=nodes)
         raw = entries = table.entries
         meta.update(
             nodes=table.quadrature_nodes,
@@ -166,10 +171,12 @@ def _cmd_periods(args):
 
 
 def _cmd_validate(args):
+    from . import periods, siegel
     entries, kind, _meta = periods.load_period_json(args.path)
     if entries.shape[0] != entries.shape[1]:
         raise ValidationError("validate requires a square (normalized) period table")
-    result = siegel.validate_siegel(entries, tol=args.tol)
+    tol = siegel.DEFAULT_TOL if args.tol is None else args.tol
+    result = siegel.validate_siegel(entries, tol=tol)
     line = _summary(
         "validate",
         path=args.path,
@@ -182,6 +189,7 @@ def _cmd_validate(args):
 
 
 def _cmd_select(args):
+    from . import modsel
     model = MODELS[args.model]
     stats, log = modsel.run_selection(model, args.p, args.trials, args.seed, records=True)
     outputs = [(args.out, modsel.trial_log_rows(log))]
@@ -201,6 +209,7 @@ def _cmd_select(args):
 
 
 def _cmd_exhaustive(args):
+    from . import modsel
     model = MODELS[args.model]
     stats = modsel.exhaustive(model)
     outputs = [(args.summary, [_selection_summary(stats, model)])] if args.summary else []
@@ -216,6 +225,7 @@ def _cmd_exhaustive(args):
 
 
 def _cmd_singularity(args):
+    from . import modsel
     stats = modsel.singularity_rate(args.g, args.p, args.trials, args.seed)
     outputs = [(args.summary, [_json_text(dataclasses.asdict(stats))])] if args.summary else []
     line = _summary(
@@ -231,15 +241,17 @@ def _cmd_singularity(args):
 
 
 def _cmd_stats(args):
+    from . import periods, perstats
     entries, kind, _meta = periods.load_period_json(args.input)
     values = entries.ravel()
     spec = perstats.spectrum(values)
+    bins = perstats.check_bins(args.bins)
     outputs = []  # CSV rows as csv.writer writes them: no float repr needs quoting
     if args.spectrum:
         rows = ["%d,%r\r\n" % row for row in enumerate(spec.values, start=1)]
         outputs.append((args.spectrum, ["rank,squared_modulus\r\n", *rows]))
     if args.hist:
-        hist = perstats.arg_histogram(values, args.bins)
+        hist = perstats.arg_histogram(values, bins)
         rows = ["%r,%d\r\n" % row for row in hist]
         outputs.append((args.hist, ["bin_center,count\r\n", *rows]))
     fit = None
@@ -262,6 +274,7 @@ def _cmd_stats(args):
 
 
 def _cmd_siegel_sample(args):
+    from . import periods, siegel
     m = siegel.random_siegel(args.g, args.seed, args.scale)
     meta = {"synthetic": True, "seed": args.seed, "scale": args.scale}
     outputs = [(args.out, [periods.period_json_text(m, "normalized", meta)])]
@@ -270,6 +283,7 @@ def _cmd_siegel_sample(args):
 
 
 def _cmd_bounds(args):
+    from . import modsel
     values = modsel.paper_bounds(args.g)
     return EXIT_OK, json.dumps({"g": args.g, "bounds": dict(values)}, sort_keys=True), []
 
@@ -302,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--curve", help="curve description JSON file")
     src.add_argument("--bundled", choices=curves.BUNDLED_CURVES, help="name of a bundled curve")
-    p.add_argument("--nodes", type=int, default=periods.DEFAULT_NODES)
+    p.add_argument("--nodes", type=int)
     p.add_argument(
         "--kind",
         choices=["raw", "normalized"],
@@ -316,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check Siegel membership of a period file")
     p.add_argument("path")
-    p.add_argument("--tol", type=float, default=siegel.DEFAULT_TOL)
+    p.add_argument("--tol", type=float)
     p.set_defaults(func=_cmd_validate, outputs=())
 
     p = sub.add_parser("select", help="Monte Carlo moduli-selection trials")

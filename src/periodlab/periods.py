@@ -390,6 +390,15 @@ def _chain_period_table(curve: HyperellipticCurve, segs, N: int):
     return 2.0 * moments, anchors, ends
 
 
+def check_nodes(nodes: int) -> int:
+    """``nodes`` if it is a valid first node count, else DomainError."""
+    if nodes < 4:
+        raise DomainError("nodes must be >= 4")
+    if nodes > MAX_NODES // 2:
+        raise DomainError(f"nodes must be <= {MAX_NODES // 2}: node doubling stops at {MAX_NODES}")
+    return nodes
+
+
 def hyperelliptic_raw_periods(
     curve: HyperellipticCurve, nodes: int = DEFAULT_NODES
 ) -> tuple[RawPeriodTable, HomologyBasis]:
@@ -401,10 +410,7 @@ def hyperelliptic_raw_periods(
     ``converged`` says which.  It doubles at least once, so ``nodes`` may
     be at most ``MAX_NODES // 2``.
     """
-    if nodes < 4:
-        raise DomainError("nodes must be >= 4")
-    if nodes > MAX_NODES // 2:
-        raise DomainError(f"nodes must be <= {MAX_NODES // 2}: node doubling stops at {MAX_NODES}")
+    check_nodes(nodes)
     with _refuse_overflow():  # abs() in the chain geometry, and the doubling arithmetic
         _, segs = _chain_segments(curve)
         N = nodes

@@ -114,14 +114,20 @@ def band_limit_score(values) -> BandLimitScore:
     return BandLimitScore(r4=r4, score=1.0 - r4)
 
 
+def check_bins(bins: int) -> int:
+    """``bins`` if it is a valid histogram bin count, else DomainError."""
+    if not 2 <= bins <= MAX_BINS:
+        raise DomainError(f"bins must satisfy 2 <= bins <= {MAX_BINS}")
+    return bins
+
+
 def arg_histogram(values, bins: int):
     """Histogram of arguments of the nonzero values over [-pi, pi).
 
     Returns a list of (bin_center, count) pairs; the counts sum to the
     number of nonzero inputs.
     """
-    if not 2 <= bins <= MAX_BINS:
-        raise DomainError(f"bins must satisfy 2 <= bins <= {MAX_BINS}")
+    check_bins(bins)
     vals = np.asarray(values, dtype=complex).ravel()
     nz = vals[vals != 0]
     if nz.size == 0:

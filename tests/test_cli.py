@@ -129,6 +129,13 @@ class TestPeriodsCommand:
         err = self._assert_refused(argv, 2, tmp_path, capsys)
         assert f"nodes must be <= {periods.MAX_NODES // 2}" in err
 
+    @pytest.mark.parametrize("curve", ["fermat_d4", "g2_real_quintic"])
+    @pytest.mark.parametrize("nodes", [-3, 0, 3, periods.MAX_NODES])
+    def test_nodes_out_of_range_refused_for_every_curve(self, tmp_path, capsys, nodes, curve):
+        # a Fermat table is in closed form and uses no nodes; the flag is checked anyway
+        argv = ["periods", "--bundled", curve, f"--nodes={nodes}"]
+        assert self._assert_refused(argv, 2, tmp_path, capsys).startswith("error: nodes must be ")
+
     @pytest.mark.parametrize(
         "points, leading",
         [
@@ -329,14 +336,16 @@ class TestStatsCommand:
     @pytest.mark.parametrize(
         "bad",
         [["--k", 0], ["--k", 37], ["--bins", 1], ["--bins", perstats.MAX_BINS + 1],
-         ["--bins", 10**11]],
+         ["--bins", 10**11], ["--bins", 0], ["--bins=-3"]],
     )
     def test_out_of_range_exit_two(self, tmp_path, capsys, bad):
+        # refused whether or not the command writes the histogram that reads --bins
         src = tmp_path / "omega.json"
         src.write_text(periods.period_json_text(siegel.random_siegel(6, 3), "normalized", {}))
-        assert run(["stats", "--in", src, "--hist", tmp_path / "h.csv", *bad]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
-        assert [p.name for p in tmp_path.iterdir()] == ["omega.json"]
+        for hist in (["--hist", tmp_path / "h.csv"], []):
+            assert run(["stats", "--in", src, *hist, *bad]) == 2
+            assert capsys.readouterr().err.startswith("error: ")
+            assert [p.name for p in tmp_path.iterdir()] == ["omega.json"]
 
     def test_fit_failure_leaves_no_partial_output(self, tmp_path):
         # the spectrum and histogram succeed, then the fit fails
@@ -494,13 +503,13 @@ class TestTargetsCheckedFirst:
     """A bad output target is refused right after parsing, before any work."""
 
     WORK = [
-        (cli.modsel, "run_selection"),
-        (cli.modsel, "singularity_rate"),
-        (cli.modsel, "exhaustive"),
-        (cli.curves, "load_curve"),
-        (cli.curves, "bundled_curve"),
-        (cli.periods, "load_period_json"),
-        (cli.siegel, "random_siegel"),
+        (modsel, "run_selection"),
+        (modsel, "singularity_rate"),
+        (modsel, "exhaustive"),
+        (curves, "load_curve"),
+        (curves, "bundled_curve"),
+        (periods, "load_period_json"),
+        (siegel, "random_siegel"),
     ]
 
     @pytest.mark.parametrize(
@@ -632,7 +641,7 @@ class TestExitCodes:
         def boom(g):
             raise NumericError("synthetic failure")
 
-        monkeypatch.setattr(cli.modsel, "paper_bounds", boom)
+        monkeypatch.setattr(modsel, "paper_bounds", boom)
         assert _refused(["bounds", "--g", 6], 4, tmp_path, capsys) == "error: synthetic failure\n"
 
 
