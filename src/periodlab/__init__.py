@@ -4,7 +4,7 @@ Library layout:
 
 * ``curves``   - curve models, genus arithmetic, curve description files
 * ``periods``  - hyperelliptic quadrature periods, normalization, Fermat
-  closed forms
+  closed forms, and ``period_matrix``, the pipeline over both
 * ``siegel``   - Siegel upper half-space validation and random samples
 * ``modsel``   - Bernoulli change-of-basis experiments with exact ranks
 * ``perstats`` - spectra, power-law fits, band-limit scores
@@ -23,7 +23,7 @@ _EXPORTS = {
     "modsel": "BernoulliMatrix bernoulli_matrix exhaustive first_three_rows_indices monte_carlo "
     "is_nonsingular_exact paper_bounds product_span_rank run_trial singularity_rate",
     "periods": "beta_function chebyshev_segment_integral fermat_raw_periods "
-    "hyperelliptic_raw_periods normalize",
+    "hyperelliptic_raw_periods normalize period_matrix",
     "perstats": "arg_histogram band_limit_score best_k_energy fit_power_law spectrum",
     "siegel": "random_siegel validate_siegel",
 }

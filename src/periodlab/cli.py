@@ -6,7 +6,9 @@ Subcommands map one-to-one onto library operations: ``periods``,
 --seed flags, and every command prints a single machine-readable
 key=value summary line.
 
-Handlers only compute; ``main`` prints, maps exceptions to exit codes and
+Handlers only call the library and render what it returns: ``periods``
+loads the curve, calls ``periods.period_matrix`` and writes the table and
+its file meta as they come.  ``main`` prints, maps exceptions to exit codes and
 writes all of a command's outputs, each a stream of text blocks, or none, as
 one transaction.  The output targets are checked right after parsing as well,
 before any work: a target named twice, in a missing directory or naming a
@@ -135,38 +137,17 @@ def _cmd_periods(args):
     from . import periods
     label = args.curve or args.bundled
     curve = curves.load_curve(label) if args.curve else curves.bundled_curve(label)
-    nodes = periods.check_nodes(periods.DEFAULT_NODES if args.nodes is None else args.nodes)
-    meta = {"curve": curves.curve_to_dict(curve)}
-    fields, provenance, kind = {}, {}, "raw"
-    if isinstance(curve, curves.FermatCurve):
-        table = periods.fermat_raw_periods(curve.degree)
-        raw = entries = table.entries
-        meta.update(
-            nodes=0,
-            est_error=0.0,
-            row_labels=[list(c) for c in table.cycles],
-            col_labels=[list(e) for e in curve.diff_exponents],
-        )
-    else:
-        table, hom = periods.hyperelliptic_raw_periods(curve, nodes=nodes)
-        raw = entries = table.entries
-        meta.update(
-            nodes=table.quadrature_nodes,
-            est_error=table.est_error,
-            converged=table.converged,
-            bilinear_residual=hom.bilinear_residual,
-            positive_form_min_eig=hom.positive_form_min_eig,
-        )
-        fields = {"nodes": table.quadrature_nodes, "est_error": f"{table.est_error:.3e}"}
-        if args.kind == "normalized":
-            pm = periods.normalize(table, hom)
-            entries, kind, provenance = pm.entries, "normalized", pm.provenance
-    text = periods.period_json_text(entries, kind, {**meta, **provenance})
+    nodes = periods.DEFAULT_NODES if args.nodes is None else args.nodes
+    pm = periods.period_matrix(curve, nodes, args.kind)
+    text = periods.period_json_text(pm.entries, pm.kind, pm.provenance)
     outputs = [(args.out, [text])]
     if args.raw_out:
-        raw_text = text if kind == "raw" else periods.period_json_text(raw, "raw", meta)
-        outputs.append((args.raw_out, [raw_text]))
-    line = _summary("periods", curve=label, g=entries.shape[1], kind=kind, **fields, out=args.out)
+        if pm.raw is not None:  # else the table is raw, and its own raw file
+            text = periods.period_json_text(pm.raw.entries, "raw", pm.raw.provenance)
+        outputs.append((args.raw_out, [text]))
+    m = pm.provenance  # a closed-form table used no nodes
+    fields = {"nodes": m["nodes"], "est_error": f"{m['est_error']:.3e}"} if m["nodes"] else {}
+    line = _summary("periods", curve=label, g=pm.g, kind=pm.kind, **fields, out=args.out)
     return EXIT_OK, line, outputs
 
 

@@ -17,7 +17,7 @@ Three concrete models are supported:
 
 * ``FermatCurve``: x^d + y^d = 1 (degree-d Fermat, affine model).  The
   differential basis is indexed by pairs (r, s) with r, s >= 1 and
-  r + s <= d - 1.
+  r + s <= d - 1, the rows of its period table by the translates ``cycles``.
 
 Monomials are ordered by graded reverse lexicographic order with
 x > y > z (for degree 2 this reads x^2, xy, y^2, xz, yz, z^2); the
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import cmath
 import contextlib
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -72,10 +73,6 @@ class HyperellipticCurve:
         object.__setattr__(self, "leading_coefficient", complex(leading_coefficient))
 
     @property
-    def point_at_infinity_is_branch(self) -> bool:
-        return len(self.branch_points) % 2 == 1
-
-    @property
     def genus(self) -> int:
         return math.ceil(len(self.branch_points) / 2) - 1
 
@@ -114,6 +111,11 @@ class FermatCurve:
     def diff_exponents(self) -> tuple[tuple[int, int], ...]:
         d = self.degree
         return tuple((r, s) for r in range(1, d - 1) for s in range(1, d - r))
+
+    @property
+    def cycles(self) -> tuple[tuple[int, int], ...]:
+        """The path translates (a, b) of the period table's rows, in lexicographic order."""
+        return tuple(itertools.product(range(self.degree - 2), range(self.degree - 1)))
 
     @property
     def genus(self) -> int:

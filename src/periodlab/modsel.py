@@ -258,7 +258,8 @@ def _span_matrices(mats: np.ndarray, table: _SpanTable, pairs) -> np.ndarray:
     if len(table.rounds) * top * top >= 2**63:
         raise ValidationError(f"entries up to {top} could overflow int64 in the span matrices")
     mats = mats.astype(np.int64, copy=False)
-    first, second = np.array(pairs).T[:, :, None]  # (|pairs|, 1) row indices each
+    # (|pairs|, 1) row indices each; no pairs give span matrices without rows
+    first, second = np.array(pairs, dtype=np.intp).reshape(-1, 2).T[:, :, None]
     (j, l), *later = table.rounds  # round 0 covers every column
     span = mats[:, first, j]
     span *= mats[:, second, l]

@@ -52,16 +52,17 @@ integral of x^(r-1) y^(s-d) dx along the path x = t, y = (1-t^d)^(1/d)
 from (0,1) to (1,0) equals B(r/d, s/d) / d, and the automorphism
 translate (x, y) -> (zeta^a x, zeta^b y) multiplies it by zeta^(a*r+b*s).
 The table's rows are the closed set of translates 0 <= a <= d-3,
-0 <= b <= d-2 (``fermat_raw_periods``), a Z-basis of the translates'
+0 <= b <= d-2 (``FermatCurve.cycles``), a Z-basis of the translates'
 lattice.  They are not a symplectic basis, so the Fermat table is only
-ever raw: ``periods --kind normalized`` on a Fermat curve writes it, and
-the file and the summary say ``kind=raw``.
+ever raw.
 
-A period file is one JSON object: ``entries``, the table as rows of
-[re, im] pairs, ``g``, ``kind`` ("raw" or "normalized") and ``meta``.
-Its bytes are fixed: the text of ``json.dumps(..., indent=2,
-sort_keys=True)`` and a final newline, written without the pure-Python
-encoder (``period_json_text``) and read back in one ``np.array`` call
+``period_matrix(curve, nodes, kind)`` runs either family's stages and
+returns a period file's table with its ``meta`` as ``provenance``.  The
+file is one JSON object: ``entries``, the table as rows of [re, im]
+pairs, ``g``, ``kind`` ("raw" or "normalized") and ``meta``.  Its bytes
+are fixed: the text of ``json.dumps(..., indent=2, sort_keys=True)``
+and a final newline, written without the pure-Python encoder
+(``period_json_text``) and read back in one ``np.array`` call
 (``curves.json_pairs``).
 """
 
@@ -139,6 +140,8 @@ class HomologyBasis:
 class PeriodMatrix:
     entries: np.ndarray
     provenance: dict = field(default_factory=dict)
+    kind: str = "normalized"  # or "raw"
+    raw: PeriodMatrix | None = None  # the raw table of an Omega from period_matrix
 
     @property
     def g(self) -> int:
@@ -350,12 +353,15 @@ def symplectic_transform_from_intersection(E: Sequence[Sequence[int]]) -> list[l
     holds exactly when E is the chain of those signs.
     """
     try:
-        E = np.asarray(E, dtype=np.int64)
+        E = np.asarray(E)
     except ValueError:  # ragged rows
         E = np.empty(0)
     n = len(E)
     if E.ndim != 2 or n == 0 or n % 2 != 0 or E.shape[1] != n:
         raise ValidationError("intersection matrix must be square of positive even size")
+    if E.dtype.kind not in "biu" or E.dtype == np.uint64 and E.max() > np.iinfo(np.int64).max:
+        raise ValidationError("intersection matrix entries must be integers within int64")
+    E = E.astype(np.int64, copy=False)
     signs = E.diagonal(1).tolist()
     not_chain = "intersection matrix must be a skew chain with +-1 on the first off-diagonals"
     if not set(signs) <= {1, -1}:
@@ -391,7 +397,11 @@ def _chain_period_table(curve: HyperellipticCurve, segs, N: int):
 
 
 def check_nodes(nodes: int) -> int:
-    """``nodes`` if it is a valid first node count, else DomainError."""
+    """``nodes`` as an int if it is a valid first node count, else DomainError."""
+    try:
+        nodes = operator.index(nodes)
+    except TypeError:
+        raise DomainError("nodes must be an integer") from None
     if nodes < 4:
         raise DomainError("nodes must be >= 4")
     if nodes > MAX_NODES // 2:
@@ -410,10 +420,9 @@ def hyperelliptic_raw_periods(
     ``converged`` says which.  It doubles at least once, so ``nodes`` may
     be at most ``MAX_NODES // 2``.
     """
-    check_nodes(nodes)
+    N = check_nodes(nodes)
     with _refuse_overflow():  # abs() in the chain geometry, and the doubling arithmetic
         _, segs = _chain_segments(curve)
-        N = nodes
         P, _, _ = _chain_period_table(curve, segs, N)
         while True:
             P2, anchors, ends = _chain_period_table(curve, segs, 2 * N)
@@ -469,24 +478,12 @@ def fermat_period_closed_form(d: int, r: int, s: int, a: int, b: int) -> complex
     return magnitude * complex(math.cos(phase), math.sin(phase))
 
 
-@dataclass(frozen=True, eq=False)
-class FermatPeriodTable:
-    """Closed-form periods: row i over the path translate ``cycles[i]``,
-    column j for the differential ``FermatCurve.diff_exponents[j]``."""
-
-    cycles: tuple[tuple[int, int], ...]
-    entries: np.ndarray
-
-    @property
-    def g(self) -> int:
-        return self.entries.shape[1]
-
-
-def fermat_raw_periods(d: int) -> FermatPeriodTable:
+def fermat_raw_periods(d: int) -> RawPeriodTable:
     """Period table of the degree-d Fermat curve over its closed cycle set.
 
-    The rows are the path translates (a, b) with 0 <= a <= d-3 and
-    0 <= b <= d-2, in lexicographic order: (d-1)(d-2) = 2g cycles.  The
+    The rows are the path translates ``FermatCurve(d).cycles``, (a, b) with
+    0 <= a <= d-3 and 0 <= b <= d-2 in lexicographic order: (d-1)(d-2) = 2g
+    cycles; a closed form has 0 nodes and an error estimate of 0.0.  The
     translates of one cycle generate H_1 of the Fermat curve (Rohrlich,
     appendix to Gross, Invent. Math. 44, 1978), and closing the path into
     that cycle only scales column (r, s) by (1 - zeta^r)(1 - zeta^s).  Row
@@ -498,17 +495,41 @@ def fermat_raw_periods(d: int) -> FermatPeriodTable:
     """
     if not 4 <= d <= curves.MAX_FERMAT_DEGREE:
         raise DomainError(f"Fermat degree must satisfy 4 <= d <= {curves.MAX_FERMAT_DEGREE}")
-    exps = FermatCurve(d).diff_exponents
-    cycles = tuple(itertools.product(range(d - 2), range(d - 1)))
-    entries = np.array(
-        [[fermat_period_closed_form(d, r, s, a, b) for r, s in exps] for a, b in cycles],
-        dtype=complex,
-    )
-    return FermatPeriodTable(cycles=cycles, entries=entries)
+    curve = FermatCurve(d)
+    exps = curve.diff_exponents
+    entries = [[fermat_period_closed_form(d, r, s, a, b) for r, s in exps] for a, b in curve.cycles]
+    return RawPeriodTable(np.array(entries, dtype=complex), quadrature_nodes=0, est_error=0.0)
 
 
 # ---------------------------------------------------------------------------
-# Period table files
+# Period tables and their files
+
+
+def period_matrix(curve, nodes: int = DEFAULT_NODES, kind: str = "normalized") -> PeriodMatrix:
+    """The table of ``curve`` that a period file of ``kind`` holds, its meta as ``provenance``.
+
+    ``nodes`` must pass ``check_nodes`` for both families.  A hyperelliptic curve
+    goes raw -> certificate -> symplectic basis -> Omega -> Siegel check, and its
+    Omega carries the raw table as ``raw``; ``kind="raw"`` stops before ``normalize``.
+    """
+    check_nodes(nodes)
+    _period_kind(kind)
+    meta = {"curve": curves.curve_to_dict(curve)}
+    if isinstance(curve, FermatCurve):
+        table, hom = fermat_raw_periods(curve.degree), None
+        meta["row_labels"] = [list(c) for c in curve.cycles]
+        meta["col_labels"] = [list(e) for e in curve.diff_exponents]
+    else:
+        table, hom = hyperelliptic_raw_periods(curve, nodes)
+        meta["converged"] = table.converged
+        meta["bilinear_residual"] = hom.bilinear_residual
+        meta["positive_form_min_eig"] = hom.positive_form_min_eig
+    meta.update(nodes=table.quadrature_nodes, est_error=table.est_error)
+    raw = PeriodMatrix(table.entries, meta, kind="raw")
+    if hom is None or kind == "raw":
+        return raw
+    omega = normalize(table, hom)
+    return PeriodMatrix(omega.entries, {**meta, **omega.provenance}, raw=raw)
 
 
 # JSON's spellings of the floats whose Python repr is nan, inf or -inf.

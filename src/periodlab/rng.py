@@ -68,11 +68,6 @@ def _mix64_in_place(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def mix64_array(z: np.ndarray) -> np.ndarray:
-    """``mix64`` applied elementwise to a ``uint64`` array, which is left unchanged."""
-    return _mix64_in_place(np.array(z, dtype=np.uint64))
-
-
 def trial_seeds(seed: int, start: int, stop: int) -> np.ndarray:
     """``derive_seed(seed, i)`` for i in [start, stop), as ``uint64``."""
     index = np.arange(start, stop, dtype=np.uint64)

@@ -118,6 +118,21 @@ class TestPeriodsCommand:
             "error: normalized period matrix is not in the Siegel upper half-space"
         )
 
+    def test_refused_normalization_leaves_the_raw_kind(self, tmp_path, capsys):
+        # cond(A) scales with the branch points: at 1e-20 this curve's Omega is refused
+        points = [[k * 1e-20, 0.3 * (k % 2) * 1e-20] for k in range(5)]
+        curve, out = self._curve(tmp_path, points), tmp_path / "raw.json"
+        assert run(["periods", "--curve", curve, "--kind", "raw", "--out", out]) == 0
+        assert capsys.readouterr().out.startswith(f"periods curve={curve} g=2 kind=raw nodes=")
+        entries, kind, _ = periods.load_period_json(out)
+        assert (kind, entries.shape) == ("raw", (4, 2))
+        out.unlink()
+        for flags in ([], ["--kind", "normalized"]):
+            argv = ["periods", "--curve", curve, *flags]
+            err = self._assert_refused(argv, 4, tmp_path, capsys)  # with --raw-out: neither file
+            assert err == "error: A-block condition number 4.384e+19 exceeds 1.0e+10\n"
+            assert _refused([*argv, "--out", out], 4, tmp_path, capsys, ["curve.json"]) == err
+
     def test_nodes_above_limit_refused(self, tmp_path, capsys):
         # a value only twice the cap: even unguarded it would stay small
         argv = ["periods", "--bundled", "g1_lemniscatic", "--nodes", 2 * periods.MAX_NODES]

@@ -72,11 +72,6 @@ def test_hyperelliptic_rejects_non_finite(points, leading):
         HyperellipticCurve(points, leading)
 
 
-def test_point_at_infinity_flag():
-    assert HyperellipticCurve([0, 1, 2, 3, 4]).point_at_infinity_is_branch
-    assert not HyperellipticCurve([0, 1, 2, 3, 4, 5]).point_at_infinity_is_branch
-
-
 def test_moduli_count():
     assert moduli_count(2) == 3
     assert moduli_count(6) == 15

@@ -156,6 +156,13 @@ class TestProductSpanRank:
         m = _matrix(3, [[0] * 3] * 3)
         assert product_span_rank(QUARTIC, m, first_three_rows_indices(3)) == 0
 
+    def test_no_pairs_rank_zero(self):
+        # the rank of a matrix without rows, as batch_rank ranks a stack without rows
+        for model, g in ((QUARTIC, 3), (QUINTIC, 6)):
+            m = _matrix(g, [[int(i == j) for j in range(g)] for i in range(g)])
+            assert product_span_rank(model, m, []) == 0
+            assert product_span_rank(model, m, ()) == 0
+
     def test_repeated_rows_deficient(self):
         m = _matrix(3, [[1, 1, 1], [1, 1, 1], [1, 1, 1]])
         # all products coincide, rank 1

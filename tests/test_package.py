@@ -26,7 +26,18 @@ FOOTPRINTS = {
         ["periods", "--bundled", "g2_x5_minus_1", "--out", "omega.json"],
         {"periodlab.periods", "periodlab.siegel"},
     ),
+    "select": (
+        ["select", "--model", "quartic", "--trials", "5", "--seed", "1", "--out", "log.csv"],
+        {"periodlab.modsel", "periodlab.exact", "periodlab.rng"},
+    ),
+    "validate": (["validate", "omega.json"], {"periodlab.periods", "periodlab.siegel"}),
+    "stats": (
+        ["stats", "--in", "omega.json", "--spectrum", "spec.csv"],
+        {"periodlab.periods", "periodlab.perstats", "periodlab.siegel"},
+    ),
 }
+# The period file that validate and stats read: a member of H_1.
+OMEGA = '{"entries": [[[0.0, 1.0]]], "g": 1, "kind": "normalized", "meta": {}}\n'
 
 PROBE = """
 import json, sys
@@ -49,6 +60,7 @@ print(json.dumps({"code": code, "steps": steps}))
 def test_import_footprint(command, tmp_path):
     """Each import, and each command, loads exactly the modules it runs."""
     argv, added = FOOTPRINTS[command]
+    (tmp_path / "omega.json").write_text(OMEGA)
     proc = subprocess.run(
         [sys.executable, "-c", PROBE, *argv],
         capture_output=True, text=True, cwd=tmp_path, timeout=120, check=True,

@@ -1,9 +1,13 @@
 import cmath
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import math
+import pathlib
 import random
+import tempfile
 
 import numpy as np
 import pytest
@@ -23,7 +27,13 @@ from oracles import (
     xn_lattice_basis,
 )
 from periodlab import cli, periods
-from periodlab.curves import FermatCurve, HyperellipticCurve, bundled_curve, curve_to_dict
+from periodlab.curves import (
+    BUNDLED_CURVES,
+    FermatCurve,
+    HyperellipticCurve,
+    bundled_curve,
+    curve_to_dict,
+)
 from periodlab.errors import DomainError, NumericError, ValidationError
 from periodlab.periods import (
     HomologyBasis,
@@ -37,6 +47,7 @@ from periodlab.periods import (
     load_period_json,
     normalize,
     period_json_text,
+    period_matrix,
     symplectic_transform_from_intersection,
 )
 from periodlab.siegel import validate_siegel
@@ -183,6 +194,17 @@ class TestHyperellipticPeriods:
         for nodes in (5000, periods.MAX_NODES):
             with pytest.raises(DomainError, match="nodes must be <="):
                 hyperelliptic_raw_periods(curve, nodes=nodes)
+
+    @pytest.mark.parametrize("nodes", [256.0, "256", None, 1j])
+    def test_non_integer_nodes_refused(self, nodes):
+        with pytest.raises(DomainError, match="^nodes must be an integer$"):
+            hyperelliptic_raw_periods(bundled_curve("g1_lemniscatic"), nodes=nodes)
+
+    def test_integer_like_nodes_accepted(self):
+        curve = bundled_curve("g1_lemniscatic")
+        raw, _ = hyperelliptic_raw_periods(curve, nodes=np.int64(256))
+        assert type(raw.quadrature_nodes) is int
+        assert raw.entries.tobytes() == hyperelliptic_raw_periods(curve, 256)[0].entries.tobytes()
 
     def test_converged_follows_est_error(self):
         entries = np.zeros((2, 1), dtype=complex)
@@ -396,7 +418,7 @@ class TestFermatPeriods:
         g = curve.genus
         assert table.g == g
         assert table.entries.shape == (2 * g, g)
-        assert table.cycles == tuple(itertools.product(range(d - 2), range(d - 1)))
+        assert curve.cycles == tuple(itertools.product(range(d - 2), range(d - 1)))
         # selected rows are independent over the reals
         flat = np.hstack([table.entries.real, table.entries.imag])
         assert np.linalg.matrix_rank(flat) == 2 * g
@@ -450,6 +472,12 @@ class TestNormalize:
         with pytest.raises(ValidationError, match="intersection matrix size does not match"):
             normalize(raw, HomologyBasis(self.E1))
 
+    def test_float_intersection_matrix_refused(self):
+        # truncated to int64, E would be the standard block and Omega = i
+        raw = self._table([[1], [1j]])
+        with pytest.raises(ValidationError, match="integers within int64"):
+            normalize(raw, HomologyBasis([[0, 1.7], [-1.7, 0]]))
+
     def test_non_member_refused(self):
         # E1 gives T = I, so A = 1, B = -i and Omega = -i, outside H_1
         with pytest.raises(NumericError) as exc:
@@ -495,6 +523,12 @@ class TestSymplecticReduction:
             [[0, 1, 0], [-1, 0, 1], [0, -1, 0]],  # odd size
             [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]],  # J, not a chain
             [[0, 1, 0, 1], [-1, 0, 1, 0], [0, -1, 0, 1], [-1, 0, -1, 0]],  # extra entry
+            [[0, 1.5], [-1.5, 0]],  # float: int64 would truncate it to the standard block
+            [[0, 1.9], [-1.9, 0]],
+            [[0.0, 1.0], [-1.0, 0.0]],  # float, though integral
+            [[0, 1 + 0j], [-1 + 0j, 0]],  # complex
+            np.array([[0, 1], [2**64 - 1, 0]], dtype=np.uint64),  # int64 would wrap it to -1
+            [[0, 2**64], [-(2**64), 0]],  # beyond int64: an object array
         ],
     )
     def test_non_chain_rejected(self, E):
@@ -585,6 +619,83 @@ def test_period_file_bytes_pinned(name, tmp_path, capsys):
     capsys.readouterr()
     digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in (out, raw))
     assert digests == PINNED_PERIOD_FILES[name]
+
+
+def _staged(curve, kind):
+    """The raw table and the table of ``kind`` the stages give ``curve``, or their refusal."""
+    try:
+        if isinstance(curve, FermatCurve):
+            raw = fermat_raw_periods(curve.degree).entries
+            return raw, raw
+        table, hom = hyperelliptic_raw_periods(curve, periods.DEFAULT_NODES)
+        return table.entries, table.entries if kind == "raw" else normalize(table, hom).entries
+    except (DomainError, NumericError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_pipeline_matches_stages(curve, kind, tmp):
+    """period_matrix gives the stages' tables bit for bit, or their refusal, and its
+    provenance is the meta of the files ``periods --raw-out`` writes."""
+    raw, want = _staged(curve, kind)
+    try:
+        pm = period_matrix(curve, periods.DEFAULT_NODES, kind)
+    except (DomainError, NumericError, ValidationError) as exc:
+        assert (type(exc), str(exc)) == (raw, want)
+        return
+    assert isinstance(want, np.ndarray), want
+    assert pm.entries.shape == want.shape and pm.entries.tobytes() == want.tobytes()
+    assert ((pm.raw or pm).entries.tobytes(), (pm.raw or pm).kind) == (raw.tobytes(), "raw")
+    path, out, raw_out = tmp / "curve.json", tmp / "out.json", tmp / "raw.json"
+    path.write_text(json.dumps(curve_to_dict(curve)))
+    argv = ["periods", "--curve", path, "--kind", kind, "--out", out, "--raw-out", raw_out]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([str(a) for a in argv]) == 0
+    for table, written in ((pm, out), (pm.raw or pm, raw_out)):
+        entries, file_kind, meta = load_period_json(written)
+        assert (file_kind, meta) == (table.kind, table.provenance)
+        assert entries.tobytes() == table.entries.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    geometry=st.sampled_from(["real", "circle", "complex", "clustered"]),
+    g=st.integers(1, 4),
+    kind=st.sampled_from(["raw", "normalized"]),
+    leading=st.sampled_from(sorted(LEADING)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_period_matrix_is_the_staged_pipeline(geometry, g, kind, leading, seed):
+    rng = random.Random(seed)
+    points = _branch_points(rng, geometry, 2 * g + 1 + rng.randrange(2))
+    curve = HyperellipticCurve(points, LEADING[leading](rng))
+    with tempfile.TemporaryDirectory() as tmp:
+        _assert_pipeline_matches_stages(curve, kind, pathlib.Path(tmp))
+
+
+@pytest.mark.parametrize("kind", ["raw", "normalized"])
+@pytest.mark.parametrize("name", sorted(BUNDLED_CURVES))
+def test_period_matrix_of_every_bundled_curve(name, kind, tmp_path):
+    _assert_pipeline_matches_stages(bundled_curve(name), kind, tmp_path)
+
+
+class TestPeriodMatrix:
+    def test_raw_kind_never_normalizes(self, monkeypatch):
+        def refuse(raw, hom):
+            raise AssertionError("normalize called")
+
+        monkeypatch.setattr(periods, "normalize", refuse)
+        pm = period_matrix(bundled_curve("g2_x5_minus_1"), kind="raw")
+        assert (pm.kind, pm.raw, pm.entries.shape) == ("raw", None, (4, 2))
+
+    @pytest.mark.parametrize("curve", [FermatCurve(4), bundled_curve("g1_lemniscatic")])
+    @pytest.mark.parametrize("nodes", [3, periods.MAX_NODES, 256.0])
+    def test_nodes_checked_for_both_families(self, curve, nodes):
+        with pytest.raises(DomainError, match="^nodes must be "):
+            period_matrix(curve, nodes)
+
+    def test_unknown_kind_refused(self):
+        with pytest.raises(ValidationError, match="kind must be 'raw' or 'normalized'"):
+            period_matrix(bundled_curve("g1_lemniscatic"), kind="omega")
 
 
 class TestPeriodFiles:

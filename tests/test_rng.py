@@ -6,7 +6,6 @@ from periodlab.rng import (
     SplitMix64,
     derive_seed,
     mix64,
-    mix64_array,
     stream_draws,
     trial_seeds,
 )
@@ -60,10 +59,3 @@ def test_stream_draws_match_sequential_stream():
     for seed, row in zip(seeds, draws):
         stream = SplitMix64(seed)
         assert row == [stream.next_u64() for _ in range(50)]
-
-
-def test_mix64_array_leaves_its_argument_unchanged():
-    z = np.array([0, 1, 2**63, MASK64, derive_seed(9, 3)], dtype=np.uint64)
-    before = z.copy()
-    assert mix64_array(z).tolist() == [mix64(v) for v in before.tolist()]
-    assert np.array_equal(z, before)
