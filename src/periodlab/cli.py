@@ -31,6 +31,7 @@ write).  ``--help`` exits 0 through argparse.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -110,7 +111,7 @@ def _commit(outputs) -> None:
     umask = os.umask(0)
     os.umask(umask)
     fulls = _check_targets([path for path, _blocks in outputs])
-    temps = []
+    temps, renamed = [], 0
     try:
         for (target, blocks), full in zip(outputs, fulls):
             fd, tmp = tempfile.mkstemp(".tmp", ".periodlab-", os.path.dirname(full))
@@ -120,11 +121,12 @@ def _commit(outputs) -> None:
                 fh.writelines(blocks)
         for (target, _blocks), tmp in zip(outputs, temps):
             os.replace(tmp, target)
+            renamed += 1
     except OSError as exc:
         raise DomainError(f"cannot write {target}: {exc.strerror or exc}") from exc
     finally:
-        for tmp in temps:
-            if os.path.exists(tmp):
+        for tmp in temps[renamed:]:
+            with contextlib.suppress(FileNotFoundError):
                 os.unlink(tmp)
 
 

@@ -10,15 +10,15 @@ through splitmix64 streams so runs are bit-reproducible.
 Every experiment runs through one chunked pipeline: splitmix64 bits for a
 chunk of trials (``rng.stream_draws``), the g x g matrices and their
 product-span matrices, exact ranks of both, and streaming counts.  The
-bits are ``uint8`` 0/1 matrices (``_bits``): singularity ranks them as they
-are, and ``exact`` widens them only in its work block, while select
-widens them once to ``int64``, as its chunk's matrices, for span
-assembly.  A
-call is cut into chunks whose ranked arrays, the (3g-3) x (3g-3) span
-matrices for select and exhaustive and the g x g matrices for
-singularity, hold at most ``CHUNK_ELEMENTS`` elements each, or into one
-chunk when the whole call holds at most 1.5 times that (``_chunks``), so
-a 100-trial quintic select is ranked in one pass per stack shape.  Every
+bits are ``uint8`` 0/1 matrices (``_bits``), passed on as they are:
+``exact`` widens them only in its work block, and span assembly casts
+them to the narrowest signed dtype that holds a span entry, ``int8`` for
+0/1 bits (``_span_matrices``).  A call is cut into chunks whose ranked
+arrays, the (3g-3) x (3g-3) span matrices for select and exhaustive and
+the g x g matrices for singularity, hold at most ``CHUNK_ELEMENTS``
+elements each, or into one chunk when the whole call holds at most 1.5
+times that (``_chunks``), so a 100-trial quintic select is ranked in one
+pass per stack shape.  Every
 rank comes from ``exact``'s certified rank ladder: elimination mod a
 first prime, then mod each later prime for the rank-deficient trials
 whose Hadamard bound H reaches the product of the primes so far, keeping
@@ -37,15 +37,15 @@ floating-point value decides any rank.  The single-matrix functions
 (``bernoulli_matrix``, ``is_nonsingular_exact``, ``product_span_rank``,
 ``run_trial``) are batches of one.
 
-Span matrices are assembled in ``int64`` without a matrix product: each
-quad-monomial column is a sum of at most four products M[a, j] * M[b, l],
-one per member (j, l) with zeta_j * zeta_l the column's monomial.  The
-sums are built one member round at a time, each round adding into a
-prefix of the columns, so the columns are ordered by member count
-(``_span_table``).  That order is one fixed column permutation of the
-quad-monomial basis, and a column permutation changes no rank (mod P1,
-mod P2 or over Q) and no row norm, so every count, record and certificate
-branch is the one the basis order gives.
+Span matrices are assembled without a matrix product, in that narrow
+dtype: each quad-monomial column is a sum of at most four products
+M[a, j] * M[b, l], one per member (j, l) with zeta_j * zeta_l the
+column's monomial.  The sums are built one member round at a time, each
+round adding into a prefix of the columns, so the columns are ordered by
+member count (``_span_table``).  That order is one fixed column
+permutation of the quad-monomial basis, and a column permutation changes
+no rank (mod P1, mod P2 or over Q) and no row norm, so every count,
+record and certificate branch is the one the basis order gives.
 
 ``run_selection(..., records=True)`` also returns a ``TrialLog``, columns
 by trial index that ``trial_log_rows`` renders.  Results are plain
@@ -77,8 +77,9 @@ from .rng import MASK64, stream_draws, trial_seeds
 # times its int64 block (2.39 times with int64 blocks mod P1, 3.26 times
 # with int64 bits and a mixed copy of the draws).
 # A select chunk's span assembly holds at most two gathered member rounds
-# beside the int64 span matrices, each no larger than they are, and a rank
-# pass one scratch block of the stack's size.  A call is cut into
+# beside the span matrices, each no larger than they are and in their dtype
+# (int8 for 0/1 bits), and a rank pass an int64 work block and one scratch
+# block of the stack's element count.  A call is cut into
 # near-equal chunks, not steps of CHUNK_ELEMENTS // per_trial trials, so
 # that no short tail chunk pays a rank pass's fixed numpy cost: a
 # 1600-trial singularity call at g = 20 is 10 chunks of 160 trials, not 9
@@ -244,20 +245,24 @@ def _span_matrices(mats: np.ndarray, table: _SpanTable, pairs) -> np.ndarray:
     ``table``: column c is the sum over its members (j, l) of
     M[a, j] * M[b, l].  The sum is built one member round at a time, each
     round gathering its factors from the rows of the stack and adding their
-    product into a prefix of the columns, all in ``int64``, so the only
-    temporaries are two gathered rounds.  A stack of another integer dtype
-    is cast to ``int64`` first, so no product is taken in a narrow dtype;
-    an ``int64`` stack is used as it is.  A span entry is a sum of at most
-    ``len(table.rounds)`` products, each at most max|M|^2, so a stack for
-    which that could reach 2^63 raises ``ValidationError`` rather than
-    wrapping.  The columns are the quad monomials in a fixed order, so
-    ranks and row norms are those of the matrices in
+    product into a prefix of the columns, so the only temporaries are two
+    gathered rounds.  A span entry is a sum of at most ``len(table.rounds)``
+    products, each at most max|M|^2 in absolute value, so the stack is cast
+    first to the narrowest of ``int8``, ``int16``, ``int32`` and ``int64``
+    that holds that reach, and every product and sum is exact in it: a 0/1
+    stack spans in ``int8``, one byte an entry, and no product is taken in
+    a bool or unsigned dtype.  A stack already in that dtype is used as it
+    is.  A stack whose reach is 2^63 or more raises ``ValidationError``
+    rather than wrapping.  The columns are the quad monomials in a fixed
+    order, so ranks and row norms are those of the matrices in
     ``model.quad_monomials`` order.
     """
     top = max(int(mats.max()), -int(mats.min())) if mats.size else 0
-    if len(table.rounds) * top * top >= 2**63:
+    reach = len(table.rounds) * top * top
+    if reach >= 2**63:
         raise ValidationError(f"entries up to {top} could overflow int64 in the span matrices")
-    mats = mats.astype(np.int64, copy=False)
+    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64) if reach <= np.iinfo(t).max)
+    mats = mats.astype(dtype, copy=False)
     # (|pairs|, 1) row indices each; no pairs give span matrices without rows
     first, second = np.array(pairs, dtype=np.intp).reshape(-1, 2).T[:, :, None]
     (j, l), *later = table.rounds  # round 0 covers every column
@@ -393,8 +398,7 @@ def run_selection(
 
     def matrices(start, stop):
         seeds = trial_seeds(seed, start, stop)
-        # one widening serves both the g x g ranks and the span assembly
-        return seeds, _bits(seeds, model.genus, p).astype(np.int64)
+        return seeds, _bits(seeds, model.genus, p)
 
     return _select_stats(model, n_trials, matrices, records)
 

@@ -259,7 +259,9 @@ class TestSpanAssembly:
             pairs = [every[k] for k in rng.integers(0, len(every), size=rng.integers(1, 25))]
         table = modsel._span_table(model)
         got = modsel._span_matrices(mats, table, pairs)
-        assert got.dtype == np.int64
+        # a span entry sums at most len(table.rounds) <= 4 products of |M| <= 3,
+        # so at most 36 in absolute value: the narrowest exact dtype is int8
+        assert got.dtype == np.int8
         assert got.shape == (batch, len(pairs), len(table.columns))
         if batch == 0:
             return  # the product's reshape cannot infer a length from an empty stack
@@ -267,15 +269,42 @@ class TestSpanAssembly:
         assert np.array_equal(got, want[..., list(table.columns)])
         assert np.array_equal(exact.batch_rank(got), exact.batch_rank(want))
 
-    @pytest.mark.parametrize("dtype", [np.uint8, bool])
-    def test_narrow_stacks_are_assembled_in_int64(self, dtype):
+    @pytest.mark.parametrize("dtype, span_dtype", [(bool, np.int8), (np.uint8, np.int32)])
+    def test_bool_and_uint8_stacks_span_in_a_signed_dtype(self, dtype, span_dtype):
         # bool products and sums would be logical, and uint8 ones (entries
-        # up to 255) would wrap: a narrow stack spans as its int64 copy
+        # up to 255) would wrap: a bool stack spans in int8, as its entries
+        # reach at most 4 * 1^2, and a uint8 one in int32 (4 * 255^2 = 260100)
         table, pairs = modsel._span_table(QUINTIC), first_three_rows_indices(6)
         mats = np.random.default_rng(3).integers(0, 2 if dtype is bool else 256, size=(20, 6, 6))
         got = modsel._span_matrices(mats.astype(dtype), table, pairs)
-        assert got.dtype == np.int64
-        assert np.array_equal(got, modsel._span_matrices(mats, table, pairs))
+        assert got.dtype == span_dtype
+        want = span_matrices_by_product(mats, scatter_matrix(QUINTIC), pairs)  # in int64
+        assert np.array_equal(got, want[..., list(table.columns)])
+
+    @pytest.mark.parametrize("model", [QUARTIC, QUINTIC], ids=["quartic", "quintic"])
+    @pytest.mark.parametrize(
+        "narrow, wider", [(np.int8, np.int16), (np.int16, np.int32), (np.int32, np.int64)]
+    )
+    def test_dtype_boundaries(self, model, narrow, wider):
+        # the largest top with len(rounds) * top^2 within narrow's limit spans
+        # in narrow, and top + 1 in the next wider dtype.  Entries are +-top:
+        # trial 0 is all +top, so a column of len(rounds) members sums to
+        # +len(rounds) * top^2, and trial 1 has row 0 +top and the others
+        # -top, so its rows (0, b) sum to -len(rounds) * top^2
+        g = model.genus
+        table, pairs = modsel._span_table(model), first_three_rows_indices(g)
+        top = math.isqrt(np.iinfo(narrow).max // len(table.rounds))
+        for t, dtype in ((top, narrow), (top + 1, wider)):
+            signs = np.random.default_rng(t).choice([-1, 1], size=(6, g, g))
+            signs[0], signs[1] = 1, -1
+            signs[1, 0] = 1
+            mats = t * signs
+            got = modsel._span_matrices(mats, table, pairs)
+            assert got.dtype == dtype
+            want = span_matrices_by_product(mats, scatter_matrix(model), pairs)
+            assert abs(want).max() == len(table.rounds) * t * t
+            assert np.array_equal(got, want[..., list(table.columns)])
+            assert np.array_equal(exact.batch_rank(got), exact.batch_rank(want))
 
 
 def _traced_peak(fn, *args):
@@ -315,7 +344,9 @@ class TestChunkMemory:
     rank, within fixed bounds.
 
     The bounds are the traced peaks of the kernels these replaced (4.24 and
-    3.04 times the array's bytes), rounded up, so both kernels must meet them.
+    3.04 times the array's bytes in int64), rounded up, so both kernels must
+    meet them.  The member rounds assemble a 0/1 stack in int8, and meet the
+    assembly bound over the int8 stack's bytes.
     """
 
     def _chunk(self):
@@ -331,7 +362,8 @@ class TestChunkMemory:
             args = (modsel._span_matrices, mats, modsel._span_table(QUINTIC), pairs)
         else:
             args = (span_matrices_by_product, mats, scatter_matrix(QUINTIC), pairs)
-        span_bytes = len(mats) * QUINTIC_SPAN_ELEMENTS * 8
+        itemsize = 1 if kernel == "member rounds" else 8  # int8 rounds, an int64 product
+        span_bytes = len(mats) * QUINTIC_SPAN_ELEMENTS * itemsize
         assert _traced_peak(*args) <= 4.3 * span_bytes
 
     @pytest.mark.parametrize("kernel", ["scratch block", "with temporaries"])
@@ -339,8 +371,21 @@ class TestChunkMemory:
     def test_rank(self, kernel, p):
         mats, pairs = self._chunk()
         span = modsel._span_matrices(mats, modsel._span_table(QUINTIC), pairs)
-        rank_mod = exact._rank_mod if kernel == "scratch block" else rank_mod_with_temporaries
-        assert _traced_peak(rank_mod, span, p) <= 3.1 * span.nbytes
+        rank_mod = exact._rank_mod
+        if kernel == "with temporaries":  # it takes int64 stacks only
+            span, rank_mod = span.astype(np.int64), rank_mod_with_temporaries
+        # the int64 work block's bytes: the int8 span's own bytes are an eighth
+        assert _traced_peak(rank_mod, span, p) <= 3.1 * span.size * 8
+
+    def test_select_call(self):
+        # a 100-trial quintic select peaks in its mod-P1 rank pass, bounded by
+        # test_rank at 3.1 int64 stacks (traced with numpy 2.4: 2.76), beside
+        # the int8 span stack and the uint8 bits, an eighth and a fiftieth of
+        # a stack.  A span stack widened to int64 adds a whole stack (traced:
+        # 3.95 stacks for the call against 2.93), so the call's bound is 3.5.
+        run_selection(QUINTIC, 0.5, 100, 1)  # cached tables and imports
+        int64_stack = 100 * QUINTIC_SPAN_ELEMENTS * 8
+        assert _traced_peak(run_selection, QUINTIC, 0.5, 100, 2) <= 3.5 * int64_stack
 
     def test_singularity_chunk_from_seeds_to_ranks(self):
         # one full g = 20 chunk of a 1600-trial singularity call: the draws mix
