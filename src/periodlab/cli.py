@@ -38,7 +38,6 @@ import json
 import os
 import stat
 import sys
-import tempfile
 
 from . import curves
 from .errors import DomainError, NumericError, PeriodLabError, ValidationError
@@ -105,19 +104,17 @@ def _commit(outputs) -> None:
     output are written in turn to a temp file beside its target, then all are
     renamed into place.  A failed write names the requested path; it, or an
     exception raised by a block, leaves no file behind.  One window remains: a
-    rename that fails after earlier renames succeeded keeps those files.  Files
-    get mode 0o666 less the umask, as ``open`` would give them.
+    rename that fails after earlier renames succeeded keeps those files.  Each
+    temp file, ``.periodlab-<random>.tmp``, is created by ``open`` in exclusive
+    mode, so it gets mode 0o666 less the umask and never replaces a file.
     """
-    umask = os.umask(0)
-    os.umask(umask)
     fulls = _check_targets([path for path, _blocks in outputs])
     temps, renamed = [], 0
     try:
         for (target, blocks), full in zip(outputs, fulls):
-            fd, tmp = tempfile.mkstemp(".tmp", ".periodlab-", os.path.dirname(full))
-            temps.append(tmp)
-            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-                os.chmod(tmp, 0o666 & ~umask)
+            tmp = os.path.join(os.path.dirname(full), f".periodlab-{os.urandom(8).hex()}.tmp")
+            with open(tmp, "x", encoding="utf-8", newline="") as fh:
+                temps.append(tmp)
                 fh.writelines(blocks)
         for (target, _blocks), tmp in zip(outputs, temps):
             os.replace(tmp, target)

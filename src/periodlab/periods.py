@@ -13,8 +13,10 @@ singularities exactly.  The square-root branch is tracked continuously
 along each segment from an anchor at the left endpoint.
 
 One kernel, ``_chain_moments``, evaluates all 2g segments at once,
-bit-identically to integrating them one at a time.  The node count starts
-at ``nodes`` and doubles at least once, up to ``MAX_NODES``.
+bit-identically to integrating them one at a time, in one complex block of
+4 x 2g x (N+2) values, so that curve after curve reuses the same heap
+memory.  The node count starts at ``nodes`` and doubles at least once, up
+to ``MAX_NODES``.
 
 Sorting makes the chain simple: non-adjacent segments never meet (see
 ``_chain_segments``).  The only geometric refusal is therefore a branch
@@ -165,6 +167,11 @@ def _refuse_overflow():
         ) from exc
 
 
+def _nodes(plane: np.ndarray, N: int) -> np.ndarray:
+    """A C-contiguous (rows x N) view on the start of a (rows x (N+2)) plane."""
+    return plane.reshape(-1)[: len(plane) * N].reshape(len(plane), N)
+
+
 def _chain_moments(roots, leading, segs, N: int, count: int):
     """Moments int_a^b x^(k-1) / sqrt(f(x)) dx, k = 1..count, of every segment (a, b).
 
@@ -176,24 +183,39 @@ def _chain_moments(roots, leading, segs, N: int, count: int):
     and continued sample to sample, as Chebyshev nodes keep consecutive
     roots within a quarter turn.  Returns the moments (pi/N) sum x^(k-1)/phi
     over the nodes and phi at each a and b, which orient the chain
-    junctions.  Scratch space is a few complex arrays of segments x (N+2).
-    An integrand beyond the float range raises DomainError.
+    junctions.  An integrand beyond the float range raises DomainError.
+
+    Memory: the grid, phi, their scratch space (the branch signs in its
+    real parts, then 1/phi) and the nodes are one complex
+    (4, segments, N+2) block.  The nodes and 1/phi are C-contiguous
+    (segments x N) views, so the moment loop's ufuncs allocate only their
+    result, without numpy's iteration buffers, and each term array is freed
+    before the next is made.  The buffers of the 2-D strided steps before
+    the loop (at most three of min(8192, segments x (N+1)) elements) fit
+    in three quarters of the block, so a call's transient memory stays
+    under glibc's heap-trim threshold of twice the largest block it has
+    freed: the heap is not trimmed after one curve and faulted back in for
+    the next.
     """
-    others = [list(roots) for _ in segs]
-    for other, (a, b) in zip(others, segs):
-        other.remove(a)
-        other.remove(b)
+    endpoints = np.array(segs, dtype=complex)
+    a, b = endpoints.T
+    points = np.array(roots, dtype=complex)
+    # drop the first root equal to a and the first equal to b, as list.remove would
+    keep = np.ones((len(segs), len(points)), dtype=bool)
+    first = np.argmax(points == endpoints[:, :, None], axis=-1)
+    keep[np.arange(len(segs))[:, None], first] = False
+    others = np.broadcast_to(points, keep.shape)[keep].reshape(len(segs), -1)
     theta = (2.0 * np.arange(1, N + 1) - 1.0) * np.pi / (2.0 * N)
     u = np.cos(theta)[::-1]  # ascending from near -1 to near +1
     with _refuse_overflow():
-        grid = np.empty((len(segs), N + 2), dtype=complex)
-        grid[:, 0], grid[:, -1] = zip(*segs)
-        x = grid[:, 1:-1]
-        np.multiply([[(b - a) / 2.0] for a, b in segs], u, out=x)
-        x += [[(a + b) / 2.0] for a, b in segs]
-        phi = np.full(grid.shape, -complex(leading))
-        scratch = np.empty_like(grid)
-        for e in np.array(others, dtype=complex).T:
+        block = np.empty((4, len(segs), N + 2), dtype=complex)
+        grid, phi, scratch = block[:3]
+        x = _nodes(block[3], N)
+        np.multiply(((b - a) / 2.0)[:, None], u, out=x)
+        x += ((a + b) / 2.0)[:, None]
+        grid[:, 0], grid[:, 1:-1], grid[:, -1] = a, x, b
+        phi.fill(-complex(leading))
+        for e in others.T:
             phi *= np.subtract(grid, e[:, None], out=scratch)
         # + 0j canonicalizes any -0.0 imaginary parts, which would otherwise
         # flip the principal branch cut of the square root
@@ -201,10 +223,11 @@ def _chain_moments(roots, leading, segs, N: int, count: int):
         np.sqrt(phi, out=phi)
         turn = np.conjugate(phi[:, :-1], out=scratch[:, 1:])
         np.multiply(phi[:, 1:], turn, out=turn)
-        signs = np.ones(grid.shape)
+        signs = scratch.real  # overwrites turn, which np.where reads first
+        signs[:, 0] = 1.0
         np.cumprod(np.where(turn.real < 0.0, -1.0, 1.0), axis=1, out=signs[:, 1:])
         phi *= signs
-        inv_phi = np.divide(1.0, phi[:, 1:-1], out=scratch[:, 1:-1])
+        inv_phi = np.divide(1.0, phi[:, 1:-1], out=_nodes(scratch, N))
         moments = np.empty((len(segs), count), dtype=complex)
         for k in range(1, count + 1):
             # x ** 0 and x ** 1 are exactly ones and x, but cost a power each
@@ -216,6 +239,7 @@ def _chain_moments(roots, leading, segs, N: int, count: int):
                 terms = x ** (k - 1)
                 terms *= inv_phi
             moments[:, k - 1] = np.sum(terms, axis=-1)
+            del terms  # freed before the next term array is made
         moments *= np.pi / N
     return moments, phi[:, 0].copy(), phi[:, -1].copy()
 
@@ -591,7 +615,12 @@ def dict_to_table(data: dict) -> tuple[np.ndarray, str, dict]:
     entries = json_pairs(list(itertools.chain.from_iterable(rows)), "each period file entry")
     if not rows or len(rows[0]) != g:
         raise ValidationError("period file entries do not match the declared genus")
-    return entries.reshape(len(rows), g), _period_kind(data["kind"]), data.get("meta", {})
+    kind = _period_kind(data["kind"])
+    if kind == "normalized" and len(rows) != g:
+        raise ValidationError("a normalized period file must hold g x g entries")
+    if kind == "raw" and len(rows) != 2 * g:
+        raise ValidationError("a raw period file must hold 2g x g entries")
+    return entries.reshape(len(rows), g), kind, data.get("meta", {})
 
 
 def load_period_json(path) -> tuple[np.ndarray, str, dict]:

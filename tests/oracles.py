@@ -459,7 +459,11 @@ def dict_to_table(data: dict) -> tuple[np.ndarray, str, dict]:
     entries = np.array([[json_complex(z, pair) for z in row] for row in rows], dtype=complex)
     if entries.ndim != 2 or entries.shape[1] != g:
         raise ValidationError("period file entries do not match the declared genus")
-    return entries, _period_kind(data["kind"]), data.get("meta", {})
+    kind = _period_kind(data["kind"])
+    factor, height = {"normalized": (1, "g"), "raw": (2, "2g")}[kind]
+    if entries.shape[0] != factor * g:
+        raise ValidationError(f"a {kind} period file must hold {height} x g entries")
+    return entries, kind, data.get("meta", {})
 
 
 def period_json_text(entries: np.ndarray, kind: str, meta: dict) -> str:

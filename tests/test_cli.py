@@ -467,14 +467,13 @@ class TestOutputTransaction:
         # the second temp file cannot be made after the first was written
         made = []
 
-        def mkstemp(*args, **kwargs):
+        def create(path, *args, **kwargs):
             if made:
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-            made.append(real_mkstemp(*args, **kwargs))
-            return made[-1]
+            made.append(path)
+            return open(path, *args, **kwargs)
 
-        real_mkstemp = tempfile.mkstemp
-        monkeypatch.setattr(tempfile, "mkstemp", mkstemp)
+        monkeypatch.setattr(cli, "open", create, raising=False)  # shadows the builtin in cli
         log, summary = tmp_path / "s.csv", tmp_path / "s.json"
         argv = ["select", "--model", "quartic", "--trials", 5, "--seed", 1]
         err = _refused(argv + ["--out", log, "--summary", summary], 2, tmp_path, capsys)
@@ -571,6 +570,8 @@ class TestMalformedInput:
         "not an object": 5,
         "entry a boolean pair": {"g": 1, "kind": "normalized", "entries": [[[False, True]]]},
         "entry beyond the float range": {"g": 1, "kind": "raw", "entries": [[[10**400, 0]]] * 2},
+        "normalized 1 x 2 for g = 2": {"g": 2, "kind": "normalized", "entries": [[[1, 0], [0, 1]]]},
+        "raw 3 x 1 for g = 1": {"g": 1, "kind": "raw", "entries": [[[1.0, 0.0]]] * 3},
     }
     CURVE_FILES = {
         "plane type unknown": {"type": "plane", "degree": "x"},
@@ -588,6 +589,8 @@ class TestMalformedInput:
         "plane type unknown": "error: unknown curve type 'plane'\n",
         "fermat degree a string": "error: degree must be an integer\n",
         "fermat degree above the table limit": "error: Fermat degree must satisfy 4 <= d <= 15\n",
+        "normalized 1 x 2 for g = 2": "error: a normalized period file must hold g x g entries\n",
+        "raw 3 x 1 for g = 1": "error: a raw period file must hold 2g x g entries\n",
     }
 
     # texts that fail to decode, whatever file the command expects

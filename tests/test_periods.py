@@ -331,6 +331,94 @@ def test_batched_kernel_matches_segment_loop_bit_for_bit(geometry, g, N, leading
         assert got.tobytes() == want.tobytes()  # the signs of zeros too
 
 
+def _circle(n, radius=1.0):
+    """n points near a circle of ``radius``, perturbed in radius and angle."""
+    return [
+        radius
+        * (1.0 + 0.15 * math.sin(3.0 * k))
+        * cmath.exp(2j * math.pi * (k + 0.2 * math.cos(5.0 * k)) / n)
+        for k in range(n)
+    ]
+
+
+def _lattice(n, scale=1.0):
+    """n scattered complex points, times ``scale``."""
+    return [
+        scale * complex(math.cos(1.7 * k) * (1 + k % 3), math.sin(2.3 * k) * (2 - k % 2))
+        for k in range(n)
+    ]
+
+
+def _signed_zeros(n):
+    """n real points whose imaginary parts alternate +0.0 and -0.0."""
+    return [complex(k - n / 2, -0.0 if k % 2 else 0.0) for k in range(n)]
+
+
+# (branch points, leading coefficient) of the curves whose kernel bits are pinned
+KERNEL_CURVES = {
+    "g1_real": ([0.0, 1.0, 2.0], 1.0),
+    "g1_complex_lead": ([-1.0, 1j, 1.0], 2 + 1j),
+    "g2_real_quintic": ([-2.0, -1.0, 0.0, 1.0, 2.0], 1.0),
+    "g2_x5_minus_1": ([cmath.exp(2j * math.pi * k / 5) for k in range(5)], 1.0),
+    "g3_real_even": ([float(k) ** 1.5 for k in range(8)], 1.0),
+    "g3_lattice_lead": (_lattice(7), 2 + 1j),
+    "g4_real_1e6": ([1e6 * math.sin(0.7 * k) for k in range(9)], 1.0),
+    "g4_lattice_1e-6_lead": (_lattice(10, 1e-6), 2 + 1j),
+    "g5_signed_zeros": (_signed_zeros(11), 1.0),
+    "g5_circle": (_circle(12), 1.0),
+    "g6_perturbed_circle": (_circle(13), 1.0),
+    "g6_signed_zeros_lead": (_signed_zeros(14), 2 + 1j),
+    "g7_linspace": ([float(x) for x in np.linspace(-1.0, 1.0, 15)], 1.0),
+    "g7_lattice": (_lattice(16), 1.0),
+    "g8_wide_integer": ([float(k) for k in range(17)], 1.0),
+    "g8_circle_lead": (_circle(18), 2 + 1j),
+    "g9_lattice_1e3_lead": (_lattice(19, 1e3), 2 + 1j),
+    "g10_linspace": ([float(x) for x in np.linspace(-1.0, 1.0, 21)], 1.0),
+    "g11_circle_1e3": (_circle(23, 1e3), 1.0),
+    "g12_linspace_lead": ([float(x) for x in np.linspace(-1.0, 1.0, 25)], 2 + 1j),
+}
+# sha256 of the kernel's moments, anchors and ends bytes at N = 4, 512 and
+# 2048, recorded with the kernel that built its arrays one at a time and
+# each segment's other roots with list.remove.
+KERNEL_PINS = {
+    "g1_real": "4d1f3440ea08255d0cd9744fd1038dbb8da660a0b6b688894603fd0906f2587c",
+    "g1_complex_lead": "9cf5b7a3514124748d88a8e9b54b79b2ad5b552364f1ee66c2f6f90b909dbcb0",
+    "g2_real_quintic": "bc1a1c19ee4276bc20a40f3c2a1c1ee9a07f2077615f3544eddfa6399a936404",
+    "g2_x5_minus_1": "6535542f555c6a65a9b8ce44b578cb3cb70de720105706f87b6d66f1ce44c715",
+    "g3_real_even": "bc8e355b3cc24c98e45723660c6df7362eb039461aaa5574ccf525809d4a072a",
+    "g3_lattice_lead": "883af85e9147125f7a8e1aa50ebc99b5ddff2496fccaf0148747ea11221c5a8b",
+    "g4_real_1e6": "c03b5e426b566df0ec0be8daef2ddef91e7ebca5d95023bd4198d8bc9a09401f",
+    "g4_lattice_1e-6_lead": "f55fe3a933819b356c73fb82419c03aca17fc04f2b3a4e4ea0e472d16c30d1a1",
+    "g5_signed_zeros": "bb11f5260da9cdc391fd4e30ae8bc28e3ff1ea13969a4dee807caa152b5c528f",
+    "g5_circle": "8fe95393d77349d4e3e04e7579c6f81b45b64b8443a5e4020ae2a95dac8fb1b6",
+    "g6_perturbed_circle": "c1e923278fbd0174634f9ab825ae0408f76878cde3e27b469699ad50db200192",
+    "g6_signed_zeros_lead": "232afded2d5de02316ab0d0a6f1f0bb94f5fc8b5a6f434da38d6b52c8219b467",
+    "g7_linspace": "cc9552e1bbc833c0f4dd6d376e7b8033f9c216298d8d2ef999670cc8017d98ec",
+    "g7_lattice": "bfc6284b90ade013f01d014b71b18c294781bc327312df26c9158e301d3a0b1c",
+    "g8_wide_integer": "eeb33bc2af490a290957751947ea4e2130b52ad28f9b88142aac4a7f6f41a051",
+    "g8_circle_lead": "b558d1e5a0a761f23a757ed912d18a803208cd76e4c262a53e2b1abe4f63e2ff",
+    "g9_lattice_1e3_lead": "e84e379933caeab44d9575fc5869caad9f87d9ab70dd3d223c9af061671b571a",
+    "g10_linspace": "fd48acfdf336ca5709393e54fad6a4f7d7ec2c78ec4423addfcf9fb7f966d2db",
+    "g11_circle_1e3": "19f9e34c4c539c59345e1cb27b68a0254a7e37c5835fad4ccc8777804a805bb8",
+    "g12_linspace_lead": "d8eb2dcfc10393afc95505252b3032d6fd33e8c3eaa7c2056872006004b82ffc",
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CURVES))
+def test_chain_kernel_bytes_pinned(name):
+    points, leading = KERNEL_CURVES[name]
+    curve = HyperellipticCurve(points, leading)
+    _, segs = periods._chain_segments(curve)
+    digest = hashlib.sha256()
+    for N in (4, 512, 2048):
+        arrays = periods._chain_moments(
+            curve.branch_points, curve.leading_coefficient, segs, N, curve.genus
+        )
+        for array in arrays:
+            digest.update(array.tobytes())
+    assert digest.hexdigest() == KERNEL_PINS[name]
+
+
 @pytest.mark.parametrize(
     "points",
     [
@@ -748,7 +836,7 @@ META = st.dictionaries(
 def _draw_values(draw, values, n):
     """n values picked at random from a few drawn from ``values``.
 
-    Drawing every one of up to 288 values would make each example slow;
+    Drawing every one of up to 576 values would make each example slow;
     a small pool keeps the edge cases and the random picks spread them.
     """
     pool = draw(st.lists(values, min_size=1, max_size=8))
@@ -787,13 +875,15 @@ FILE_NUMBERS = st.one_of(
 
 
 @st.composite
-def period_documents(draw, rows=st.integers(1, 12)):
-    n_rows, cols = draw(rows), draw(st.integers(0, 12))
-    numbers = iter(_draw_values(draw, FILE_NUMBERS, 2 * n_rows * cols))
+def period_documents(draw, genus=st.integers(1, 12)):
+    """A period file of the shape its kind declares: g x g normalized, 2g x g raw."""
+    g, kind = draw(genus), draw(st.sampled_from(["raw", "normalized"]))
+    n_rows = g if kind == "normalized" else 2 * g
+    numbers = iter(_draw_values(draw, FILE_NUMBERS, 2 * n_rows * g))
     return {
-        "g": cols,
-        "kind": draw(st.sampled_from(["raw", "normalized"])),
-        "entries": [[[next(numbers), next(numbers)] for _ in range(cols)] for _ in range(n_rows)],
+        "g": g,
+        "kind": kind,
+        "entries": [[[next(numbers), next(numbers)] for _ in range(g)] for _ in range(n_rows)],
         "meta": {"nodes": 512},
     }
 
@@ -816,7 +906,7 @@ def test_dict_to_table_matches_pair_decoder(data):
 
 
 # One defect each: a pair element, a pair, a row or the whole entries field
-# replaced, or the declared genus off by one.
+# replaced, the declared genus off by one, or the other kind declared.
 PAIR_ELEMENT_DEFECTS = [True, False, "1.0", [1.0, 0.0], 10**400, -(10**400), None]
 PAIR_DEFECTS = [[1.0], [1.0, 2.0, 3.0], [], "1.0", 1.0, [[1.0, 0.0], [0.0, 1.0]], {"re": 1}]
 ROW_DEFECTS = ["row", 1.0, None, {"0": [1.0, 0.0]}]
@@ -825,10 +915,10 @@ ENTRIES_DEFECTS = [[], [[]], "entries", None, {"0": []}]
 
 @st.composite
 def malformed_period_documents(draw):
-    data = draw(period_documents(rows=st.integers(2, 6)))
+    data = draw(period_documents(genus=st.integers(2, 6)))
     rows = data["entries"]
-    where = draw(st.sampled_from(["element", "pair", "row", "ragged", "entries", "genus"]))
-    if where in ("element", "pair") and rows[0]:
+    where = draw(st.sampled_from(["element", "pair", "row", "ragged", "entries", "genus", "kind"]))
+    if where in ("element", "pair"):
         i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows[0]) - 1))
         if where == "element":
             rows[i][j][draw(st.integers(0, 1))] = draw(st.sampled_from(PAIR_ELEMENT_DEFECTS))
@@ -840,9 +930,10 @@ def malformed_period_documents(draw):
         rows[draw(st.integers(0, len(rows) - 1))].append([0.0, 0.0])
     elif where == "entries":
         data["entries"] = draw(st.sampled_from(ENTRIES_DEFECTS))
-        data["g"] += 1  # so that [[]] is a mismatch too
-    else:  # also an element or pair defect drawn for a table with no pairs
+    elif where == "genus":
         data["g"] += draw(st.sampled_from([-1, 1]))
+    else:  # a raw table declared normalized, or a normalized one declared raw
+        data["kind"] = {"raw": "normalized", "normalized": "raw"}[data["kind"]]
     return data
 
 
