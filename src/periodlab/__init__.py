@@ -21,7 +21,7 @@ _EXPORTS = {
     "curves": "FermatCurve HyperellipticCurve PlaneCurveModel bundled_curve load_curve "
     "moduli_count period_count",
     "modsel": "BernoulliMatrix bernoulli_matrix exhaustive first_three_rows_indices monte_carlo "
-    "is_nonsingular_exact paper_bounds product_span_rank run_trial singularity_rate",
+    "is_nonsingular_exact product_span_rank run_trial singularity_rate",
     "periods": "beta_function chebyshev_segment_integral fermat_raw_periods "
     "hyperelliptic_raw_periods normalize period_matrix",
     "perstats": "arg_histogram band_limit_score best_k_energy fit_power_law spectrum",

@@ -1,10 +1,9 @@
 """Command-line front end.
 
 Subcommands map one-to-one onto library operations: ``periods``,
-``validate``, ``select``, ``exhaustive``, ``singularity``, ``stats``,
-``siegel-sample`` and ``bounds``.  All randomness flows through explicit
---seed flags, and every command prints a single machine-readable
-key=value summary line.
+``validate``, ``select``, ``exhaustive``, ``singularity``, ``stats`` and
+``siegel-sample``.  All randomness flows through explicit --seed flags,
+and every command prints a single machine-readable key=value summary line.
 
 Handlers only call the library and render what it returns: ``periods``
 loads the curve, calls ``periods.period_matrix`` and writes the table and
@@ -65,13 +64,6 @@ def _summary(command: str, **fields) -> str:
 
 def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _selection_summary(stats, model) -> str:
-    """The --summary text of select and exhaustive."""
-    from . import modsel
-    bounds = dict(modsel.paper_bounds(model.genus))
-    return _json_text({**dataclasses.asdict(stats), "paper_bounds": bounds})
 
 
 def _check_targets(paths) -> list[str]:
@@ -174,7 +166,7 @@ def _cmd_select(args):
     stats, log = modsel.run_selection(model, args.p, args.trials, args.seed, records=True)
     outputs = [(args.out, modsel.trial_log_rows(log))]
     if args.summary:
-        outputs.append((args.summary, [_selection_summary(stats, model)]))
+        outputs.append((args.summary, [_json_text(dataclasses.asdict(stats))]))
     line = _summary(
         "select",
         model=args.model,
@@ -190,9 +182,8 @@ def _cmd_select(args):
 
 def _cmd_exhaustive(args):
     from . import modsel
-    model = MODELS[args.model]
-    stats = modsel.exhaustive(model)
-    outputs = [(args.summary, [_selection_summary(stats, model)])] if args.summary else []
+    stats = modsel.exhaustive(MODELS[args.model])
+    outputs = [(args.summary, [_json_text(dataclasses.asdict(stats))])] if args.summary else []
     line = _summary(
         "exhaustive",
         model=args.model,
@@ -260,12 +251,6 @@ def _cmd_siegel_sample(args):
     outputs = [(args.out, [periods.period_json_text(m, "normalized", meta)])]
     line = _summary("siegel-sample", g=args.g, seed=args.seed, scale=args.scale, out=args.out)
     return EXIT_OK, line, outputs
-
-
-def _cmd_bounds(args):
-    from . import modsel
-    values = modsel.paper_bounds(args.g)
-    return EXIT_OK, json.dumps({"g": args.g, "bounds": dict(values)}, sort_keys=True), []
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_siegel_sample, outputs=("out",))
-
-    p = sub.add_parser("bounds", help="evaluate the labeled probability expressions")
-    p.add_argument("--g", type=int, required=True)
-    p.set_defaults(func=_cmd_bounds, outputs=())
 
     return parser
 

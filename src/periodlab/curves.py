@@ -40,7 +40,9 @@ from .errors import DomainError, ValidationError
 
 Monomial = tuple[int, int, int]
 
-# Largest genus the commands that allocate g x g arrays accept.
+# Largest genus the commands that allocate g x g arrays accept, and of a
+# hyperelliptic curve, whose periods need 2g x g tables: at most 2 * 1024 + 2
+# branch points.
 MAX_GENUS = 1024
 MAX_FERMAT_DEGREE = 15  # the largest Fermat degree with a period table
 
@@ -61,6 +63,11 @@ class HyperellipticCurve:
 
     def __init__(self, branch_points: Sequence[complex], leading_coefficient: complex = 1.0):
         pts = tuple(complex(b) for b in branch_points)
+        if len(pts) > 2 * MAX_GENUS + 2:
+            raise ValidationError(
+                f"hyperelliptic curve has {len(pts)} branch points; at most "
+                f"{2 * MAX_GENUS + 2} (genus {MAX_GENUS}) are accepted"
+            )
         if not all(cmath.isfinite(z) for z in pts + (complex(leading_coefficient),)):
             raise ValidationError("branch points and leading coefficient must be finite")
         if len(pts) < 3:

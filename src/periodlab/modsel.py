@@ -445,35 +445,6 @@ def singularity_rate(g: int, p: float, n_trials: int, seed: int) -> SuccessStats
 
 
 # ---------------------------------------------------------------------------
-# Probability expressions
-
-def paper_bounds(g: int) -> list[tuple[str, float]]:
-    """Heuristic probability expressions for size-g experiments.
-
-    The o(1) terms in the Tao-Vu style rates are dropped, so the first
-    two values are heuristic approximations, not bounds certified here:
-
-    * tao_vu_conjectured_nonsingular: 1 - (1/2)^g, the conjectured
-      nonsingularity rate for random 0/1 matrices.
-    * tao_vu_proved_lower_bound: 1 - (3/4)^g, the proved lower-bound form.
-    * displayed_expression: (3g-3) / 16^(3g-3).
-    * union_bound_reading: 1 - (3g-3) * (1/16)^(3g-3), the complementary
-      reading of the same expression as a failure-probability bound.
-    """
-    if g < 2:
-        raise DomainError("paper_bounds requires g >= 2")
-    g = min(g, 2**11)  # all at their float limits from g = 131; 2^1024 overflows a float
-    k = moduli_count(g)
-    displayed = k * 16.0**-k  # underflows to 0.0 for large g; 16.0**k would overflow
-    return [
-        ("tao_vu_conjectured_nonsingular", 1.0 - 0.5**g),
-        ("tao_vu_proved_lower_bound", 1.0 - 0.75**g),
-        ("displayed_expression", displayed),
-        ("union_bound_reading", 1.0 - displayed),
-    ]
-
-
-# ---------------------------------------------------------------------------
 # Trial logs
 
 

@@ -41,7 +41,9 @@ def validate_siegel(m: np.ndarray, tol: float = DEFAULT_TOL) -> SiegelValidation
 
     The minimum eigenvalue is computed on the symmetrized imaginary part
     (Im m + Im m^T)/2 so the result is well defined even for inputs that
-    fail the symmetry check.
+    fail the symmetry check.  Entries whose differences, their moduli or
+    sums overflow a double are refused with ``ValidationError`` rather than
+    measured as inf or nan.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
@@ -50,8 +52,14 @@ def validate_siegel(m: np.ndarray, tol: float = DEFAULT_TOL) -> SiegelValidation
         raise DomainError("tol must be positive and finite")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValidationError("matrix entries must be finite")
-    residual = float(np.max(np.abs(m - m.T)))
-    im_sym = (m.imag + m.imag.T) / 2.0
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            residual = float(np.max(np.abs(m - m.T)))
+            im_sym = (m.imag + m.imag.T) / 2.0
+        except FloatingPointError as exc:
+            raise ValidationError(f"matrix too large for the Siegel check: {exc}") from None
+    if math.isinf(residual):  # a finite m - m^T whose modulus is not: np.abs sets no flag
+        raise ValidationError("matrix too large for the Siegel check: |m - m^T| overflows")
     min_eig = float(np.linalg.eigvalsh(im_sym)[0])
     return SiegelValidation(symmetry_residual=residual, min_im_eigenvalue=min_eig, tol=tol)
 

@@ -5,8 +5,9 @@ than the library code it checks: the arithmetic-geometric mean for
 complete elliptic integrals, Gauss-Jacobi quadrature for Fermat path
 integrals, cofactor expansion for exact determinants, an exhaustive
 search over every chain intersection sign pattern, a general integer
-lattice reduction for the symplectic basis of an intersection form, and
-exact rational orientation tests for segment intersection.
+lattice reduction for the symplectic basis of an intersection form,
+exact rational orientation tests for segment intersection, and the
+paper's displayed expression written out from its formula.
 
 Four references take the same route on purpose, kept verbatim so that
 the code that replaced them can be required to reproduce them: the
@@ -49,6 +50,17 @@ def agm(a: float, b: float) -> float:
 def elliptic_K(k: float) -> float:
     """Complete elliptic integral of the first kind via the AGM."""
     return np.pi / (2.0 * agm(1.0, (1.0 - k * k) ** 0.5))
+
+
+def displayed_expression(g: int) -> float:
+    """The paper's displayed expression (3g-3) * 16^-(3g-3) at genus g >= 2.
+
+    It is the paper's formula, not a probability this experiment measures:
+    acceptance criterion 6 requires the quintic success rate to clear it.
+    Evaluated as ``k * 16.0 ** -k``: 1.3010426069826053e-17 at g = 6.
+    """
+    k = 3 * g - 3
+    return k * 16.0 ** -k
 
 
 def fermat_path_integral(d: int, r: int, s: int, n: int = 200) -> float:

@@ -19,6 +19,7 @@ import numpy as np
 
 from oracles import (
     cofactor_determinant,
+    displayed_expression,
     elliptic_K,
     fermat_path_integral,
     fermat_translated_path_integral,
@@ -30,7 +31,6 @@ from periodlab.modsel import (
     exhaustive,
     first_three_rows_indices,
     monte_carlo,
-    paper_bounds,
     product_span_rank,
     singularity_rate,
 )
@@ -148,8 +148,7 @@ def test_criterion_06_main_theorem_experiment_d5():
     se_a = (a.estimate * (1.0 - a.estimate) / n) ** 0.5
     se_b = (b.estimate * (1.0 - b.estimate) / n) ** 0.5
     combined = (se_a**2 + se_b**2) ** 0.5
-    bounds = dict(paper_bounds(g))
-    displayed = bounds["displayed_expression"]
+    displayed = displayed_expression(g)
     dt = time.time() - t0
     ok = (
         id_rank <= 14
@@ -163,7 +162,7 @@ def test_criterion_06_main_theorem_experiment_d5():
         ok,
         f"identity_rank={id_rank} estimates=({a.estimate:.4f},{b.estimate:.4f}) "
         f"seed_gap/se={abs(a.estimate - b.estimate) / combined:.2f} "
-        f"displayed={displayed:.3e} bounds={ {k: f'{v:.3e}' for k, v in bounds.items()} } "
+        f"displayed={displayed:.3e} "
         f"t={dt:.1f}s",
     )
 

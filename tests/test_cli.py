@@ -178,6 +178,12 @@ class TestPeriodsCommand:
         argv = ["periods", "--curve", self._curve(tmp_path, points)]
         self._assert_refused(argv, code, tmp_path, capsys)
 
+    def test_curve_past_the_genus_limit_refused(self, tmp_path, capsys):
+        points = [[float(k), 0.0] for k in range(2 * curves.MAX_GENUS + 3)]
+        argv = ["periods", "--curve", self._curve(tmp_path, points)]
+        err = self._assert_refused(argv, 3, tmp_path, capsys)
+        assert "2051 branch points; at most 2050" in err
+
     def test_huge_scale_alone_is_harmless(self, tmp_path):
         # Omega does not change under x -> c x; at g = 1 nothing overflows
         curve = self._curve(tmp_path, [[0.0, 0.0], [1e300, 0.0], [2e300, 0.0]])
@@ -224,6 +230,21 @@ class TestValidateCommand:
         path.write_text(periods.period_json_text(np.ones((4, 2), dtype=complex), "raw", {}))
         assert run(["validate", path]) == 3
 
+    @pytest.mark.parametrize(
+        "m",
+        [
+            np.full((2, 2), 1e308j),
+            np.array([[1e308 + 1j, 1e308], [-1e308, 1j]]),
+            np.array([[1j, 1.2e308 + 1.2e308j], [-0.5e308 - 0.5e308j, 1j]]),
+        ],
+        ids=["im-sum", "difference", "modulus"],
+    )
+    def test_overflowing_entries_exit_three(self, tmp_path, capsys, m):
+        path = tmp_path / "big.json"
+        path.write_text(periods.period_json_text(m, "normalized", {}))
+        err = _refused(["validate", path], 3, tmp_path, capsys, before=["big.json"])
+        assert err.startswith("error: matrix too large for the Siegel check: ")
+
     def test_missing_file(self, tmp_path):
         assert run(["validate", tmp_path / "nope.json"]) == 2
 
@@ -260,7 +281,9 @@ class TestSelectCommands:
         assert len(rows) == 51  # header + one row per trial
         payload = json.loads(summary.read_text())
         assert payload["trials"] == 50
-        assert "paper_bounds" in payload
+        assert sorted(payload) == [
+            "ci95_halfwidth", "estimate", "nonsingular_count", "successes", "trials",
+        ]
         assert "estimate=" in capsys.readouterr().out
 
     def test_select_deterministic_bytes(self, tmp_path):
@@ -419,28 +442,6 @@ class TestSiegelSampleCommand:
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
         assert list(tmp_path.iterdir()) == []
-
-
-class TestBoundsCommand:
-    def test_prints_json(self, capsys):
-        assert run(["bounds", "--g", 6]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["g"] == 6
-        assert payload["bounds"]["displayed_expression"] == pytest.approx(15.0 / 16.0**15)
-
-    def test_domain(self):
-        assert run(["bounds", "--g", 1]) == 2
-
-    @pytest.mark.parametrize("g", [300, 10**400, 2**1100], ids=["300", "10**400", "2**1100"])
-    def test_large_genus_underflows_cleanly(self, capsys, g):
-        # a genus beyond a float's range is no error: every value is at its limit
-        assert run(["bounds", "--g", g]) == 0
-        bounds = json.loads(capsys.readouterr().out)["bounds"]
-        assert all(np.isfinite(v) for v in bounds.values())
-        assert bounds["displayed_expression"] == 0.0
-        assert bounds["union_bound_reading"] == 1.0
-        assert bounds["tao_vu_conjectured_nonsingular"] == 1.0
-        assert bounds["tao_vu_proved_lower_bound"] == 1.0
 
 
 class TestOutputTransaction:
@@ -656,15 +657,18 @@ class TestExitCodes:
         assert "invalid choice: 'nope'" in _refused(argv, 2, tmp_path, capsys)
 
     def test_numeric_error_maps_to_four(self, tmp_path, monkeypatch, capsys):
-        def boom(g):
+        def boom(g, p, n_trials, seed):
             raise NumericError("synthetic failure")
 
-        monkeypatch.setattr(modsel, "paper_bounds", boom)
-        assert _refused(["bounds", "--g", 6], 4, tmp_path, capsys) == "error: synthetic failure\n"
+        monkeypatch.setattr(modsel, "singularity_rate", boom)
+        argv = ["singularity", "--g", 3, "--trials", 5, "--seed", 1]
+        assert _refused(argv, 4, tmp_path, capsys) == "error: synthetic failure\n"
 
 
 # sha256 of the files each command writes, recorded before the JSON pair
-# decoder, the model table and the summary serializer were merged.  ROADMAP
+# decoder, the model table and the summary serializer were merged; the select
+# and exhaustive summaries were re-recorded when they dropped the paper's
+# formula values and became the five SuccessStats fields alone.  ROADMAP
 # item 2 (trial keys that cannot collide across seeds) changes the trial
 # bits, and will re-record the select and singularity pins.
 SAMPLE = ["siegel-sample", "--g", 4, "--seed", 5, "--out", "sample.json"]
@@ -674,12 +678,12 @@ PINNED_OUTPUTS = {
           "--out", "log.csv", "--summary", "select.json"]],
         {
             "log.csv": "d88f86d7d0637f19480b63d3fad7a2375edd6e057f70dfa7bf32e1d033924f0c",
-            "select.json": "798cd02aa0e3aa7e09dc1728c580718d7d0a5e89307e3e086d9bb36e4fae378b",
+            "select.json": "5cf123da4ee0505727050f3e4450067539c70654d68ba7ac0222db87ec75936e",
         },
     ),
     "exhaustive": (
         [["exhaustive", "--model", "quartic", "--summary", "exhaustive.json"]],
-        {"exhaustive.json": "7a0e1615f81909f690320e823c2b4f6c8f26d9ea14f37b34a3eb45bf56bd0d5f"},
+        {"exhaustive.json": "337eb3dc0b8367241f21a43044b366f50efe857d9fe2b9e89430003a362fd3ac"},
     ),
     "singularity": (
         [["singularity", "--g", 7, "--trials", 300, "--seed", 99,
@@ -754,7 +758,6 @@ CURVE_INPUTS = ("real.json", "nan.json", "duplicate.json", "huge.json", "plane.j
 CONTRACT = {
     "validate": ([[name] for name in PERIOD_INPUTS], ("tol",), ()),
     "siegel-sample": ([[]], ("g", "seed", "scale"), ("--out",)),
-    "bounds": ([[]], ("g",), ()),
     "singularity": ([[]], ("g", "seed", "p", "trials"), ("--summary",)),
     "select": (
         [["--model", m] for m in ("quartic", "quintic", "sextic")],
@@ -817,7 +820,8 @@ def test_process_exit_status_and_streams(tmp_path):
         (["periods", "--bundled", "nope", "--out", str(tmp_path / "o.json")],
          2, "", "error: argument --bundled: invalid choice"),
         (["validate", str(broken)], 3, "", "error: malformed JSON input: "),
-        (["bounds", "--g", "6"], 0, '{"bounds": ', ""),
+        (["bounds", "--g", "6"], 2, "", "error: argument command: invalid choice: 'bounds'"),
+        (["singularity", "--g", "3", "--trials", "10", "--seed", "1"], 0, "singularity ", ""),
     ]
     for argv, code, out, err in cases:
         proc = subprocess.run(
@@ -844,7 +848,7 @@ REUSE_RUN = [
     ["stats", "--in", "omega.json", "--spectrum", "spec.csv", "--fit", "fit.json"],
     ["select", "--model", "quartic", "--trials", "20", "--seed", "3",
      "--out", "log.csv", "--summary", "select.json"],
-    ["bounds", "--g", "6"],
+    ["singularity", "--g", "3", "--trials", "10", "--seed", "1"],
 ]
 
 
@@ -864,7 +868,7 @@ def test_parser_built_once_per_process(tmp_path, monkeypatch, capsys):
         expected.append((proc.returncode, proc.stdout, proc.stderr))
 
     monkeypatch.chdir(reused)
-    assert run(["bounds", "--g", 6]) == 0
+    assert run(["singularity", "--g", 3, "--trials", 10, "--seed", 1]) == 0
     capsys.readouterr()
     built = []
     init = cli._Parser.__init__

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from periodlab.curves import (
     BUNDLED_CURVES,
+    MAX_GENUS,
     FermatCurve,
     HyperellipticCurve,
     PlaneCurveModel,
@@ -34,6 +35,13 @@ def test_hyperelliptic_validation():
         HyperellipticCurve([0, 1])  # too few roots
     with pytest.raises(ValidationError):
         HyperellipticCurve([0, 1, 2], leading_coefficient=0)
+
+
+def test_hyperelliptic_genus_limit():
+    # 2 * MAX_GENUS + 2 = 2,050 points is genus MAX_GENUS; one more is refused
+    assert HyperellipticCurve(range(2 * MAX_GENUS + 2)).genus == MAX_GENUS
+    with pytest.raises(ValidationError, match=f"at most {2 * MAX_GENUS + 2} "):
+        HyperellipticCurve(range(2 * MAX_GENUS + 3))
 
 
 # signed zeros, which compare equal, and finite complex numbers of any size

@@ -28,7 +28,6 @@ from periodlab.modsel import (
     first_three_rows_indices,
     is_nonsingular_exact,
     monte_carlo,
-    paper_bounds,
     product_span_rank,
     run_selection,
     run_trial,
@@ -704,15 +703,3 @@ class TestSingularityRate:
         with pytest.raises(DomainError):
             singularity_rate(3, 0.5, 0, 1)
 
-
-class TestBounds:
-    def test_values_g6(self):
-        values = dict(paper_bounds(6))
-        assert values["tao_vu_conjectured_nonsingular"] == pytest.approx(1.0 - 0.5**6)
-        assert values["tao_vu_proved_lower_bound"] == pytest.approx(1.0 - 0.75**6)
-        assert values["displayed_expression"] == pytest.approx(15.0 / 16.0**15)
-        assert values["union_bound_reading"] == pytest.approx(1.0 - 15.0 / 16.0**15)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            paper_bounds(1)

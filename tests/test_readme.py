@@ -6,13 +6,19 @@ import io
 import pathlib
 import re
 
-from periodlab import curves, modsel
+from periodlab import cli, curves, modsel
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _python_blocks():
     return re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.DOTALL | re.MULTILINE)
+
+
+def _cli_block():
+    """The README's CLI example block: the ``sh`` block after the ``## CLI`` heading."""
+    cli_section = README.read_text().split("\n## CLI\n", 1)[1]
+    return re.search(r"^```sh\n(.*?)^```$", cli_section, re.DOTALL | re.MULTILINE)[1]
 
 
 def _printed(block):
@@ -47,3 +53,11 @@ def test_stated_cli_limits_match_the_code():
     assert int(genus[1]) == curves.MAX_GENUS
     exponent = trials[1].translate(str.maketrans("⁰¹²³⁴⁵⁶⁷⁸⁹", "0123456789"))
     assert 10 ** int(exponent) == modsel.MAX_LOGGED_TRIALS
+
+
+def test_cli_block_lists_every_command():
+    # the subcommands as the parser's usage line names them, {periods,validate,...}
+    usage = cli.build_parser().format_usage()
+    commands = re.search(r"\{([^}]*)\}", usage)[1].split(",")
+    listed = re.findall(r"^periodlab (\S+)", _cli_block(), re.MULTILINE)
+    assert sorted(set(listed)) == sorted(commands)

@@ -55,6 +55,21 @@ def test_empty_matrix_refused():
         validate_siegel(np.zeros((0, 0)))
 
 
+@pytest.mark.parametrize(
+    "m",
+    [
+        np.full((2, 2), 1e308j),  # symmetric; Im m + Im m^T overflows
+        np.array([[1e308 + 1j, 1e308], [-1e308, 1j]]),  # m - m^T overflows
+        np.array([[1j, 1.2e308 + 1.2e308j], [-0.5e308 - 0.5e308j, 1j]]),  # |m - m^T| does
+    ],
+    ids=["im-sum", "difference", "modulus"],
+)
+def test_overflowing_entries_refused(m):
+    # finite entries whose sum, difference or its modulus is not: refused, never inf or nan
+    with pytest.raises(ValidationError, match="too large for the Siegel check"):
+        validate_siegel(m)
+
+
 def test_random_siegel_members():
     for g in (1, 2, 6):
         for seed in (0, 1, 12345):
