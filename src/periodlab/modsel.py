@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -320,9 +320,9 @@ class SuccessStats:
     ci95_halfwidth: float
 
 
-def _stats(trials: int, successes: int, nonsingular: int, exact: bool = False) -> SuccessStats:
+def _stats(trials: int, successes: int, nonsingular: int) -> SuccessStats:
     est = successes / trials
-    half = 0.0 if exact else 1.96 * math.sqrt(est * (1.0 - est) / trials)
+    half = 1.96 * math.sqrt(est * (1.0 - est) / trials)
     return SuccessStats(trials, successes, nonsingular, est, half)
 
 
@@ -343,9 +343,7 @@ def run_trial(model: PlaneCurveModel, p: float, seed: int, trial_index: int = 0)
     return TrialRecord(trial_index, seed, bool(log.nonsingular[0]), rank, rank == log.target)
 
 
-def _select_stats(
-    model, n_trials, matrices, records=False, exact=False
-) -> tuple[SuccessStats, TrialLog | None]:
+def _select_stats(model, n_trials, matrices, records=False) -> tuple[SuccessStats, TrialLog | None]:
     """Stream trials 0..n_trials-1 through the ranks; the one select pipeline.
 
     ``matrices(start, stop)`` returns a chunk's per-trial labels (seeds or
@@ -376,7 +374,7 @@ def _select_stats(
         nonsing += nonsingular
         if records:
             log.span_rank[rows] = span
-    return _stats(n_trials, succ, nonsing, exact), log
+    return _stats(n_trials, succ, nonsing), log
 
 
 def run_selection(
@@ -409,7 +407,7 @@ def monte_carlo(model: PlaneCurveModel, p: float, n_trials: int, seed: int) -> S
 
 
 def exhaustive(model: PlaneCurveModel) -> SuccessStats:
-    """Exact success/nonsingularity counts over every 0/1 matrix.
+    """Exact success/nonsingularity counts over every 0/1 matrix, so ci95_halfwidth is 0.
 
     Matrix number ``code`` has entry (i, j) equal to bit i*g + j of code.
     Refused above genus 3 because the enumeration has 2^(g^2) cases.
@@ -425,7 +423,7 @@ def exhaustive(model: PlaneCurveModel) -> SuccessStats:
         codes = np.arange(start, stop, dtype=np.int64)
         return codes, ((codes[:, None] >> shifts) & 1).reshape(-1, g, g)
 
-    return _select_stats(model, 2 ** (g * g), matrices, exact=True)[0]
+    return replace(_select_stats(model, 2 ** (g * g), matrices)[0], ci95_halfwidth=0.0)
 
 
 def singularity_rate(g: int, p: float, n_trials: int, seed: int) -> SuccessStats:

@@ -42,12 +42,9 @@ identity P^T E^(-1) P = 0 must hold to ``BILINEAR_TOL`` and
 -(i/2) P^T E^(-1) conj(P) must be positive definite.  Scaling the
 differential basis leaves Omega and definiteness unchanged but keeps
 small columns from hiding behind large ones.  An ambiguous junction or a
-failed certificate raises NumericError.  Because E is a chain, the
-symplectic basis has a closed form (the chain construction of Molin and
-Neurohr, arXiv:1707.07249): on the loops c_0 .. c_2g-1,
-alpha_i = sum_{k<=i} eps_ik c_2k with eps_ii = 1 and eps_ik the product
-of s_2m s_2m+1 over k <= m < i, and beta_i = s_2i c_2i+1.  ``normalize``
-builds it from E and refuses an Omega = B A^(-1) outside H_g (NumericError).
+failed certificate raises NumericError.  ``normalize`` reduces E, as it
+would any unimodular skew integer form, to a symplectic basis and refuses
+an Omega = B A^(-1) outside H_g (NumericError).
 
 Fermat periods use the classical closed form: on x^d + y^d = 1 the
 integral of x^(r-1) y^(s-d) dx along the path x = t, y = (1-t^d)^(1/d)
@@ -55,8 +52,8 @@ from (0,1) to (1,0) equals B(r/d, s/d) / d, and the automorphism
 translate (x, y) -> (zeta^a x, zeta^b y) multiplies it by zeta^(a*r+b*s).
 The table's rows are the closed set of translates 0 <= a <= d-3,
 0 <= b <= d-2 (``FermatCurve.cycles``), a Z-basis of the translates'
-lattice.  They are not a symplectic basis, so the Fermat table is only
-ever raw.
+lattice.  Their intersection form is not derived yet, so the Fermat table
+is only ever raw.
 
 ``period_matrix(curve, nodes, kind)`` runs either family's stages and
 returns a period file's table with its ``meta`` as ``provenance``.  The
@@ -125,11 +122,11 @@ class RawPeriodTable:
 
 @dataclass(frozen=True, eq=False)
 class HomologyBasis:
-    """Intersection data of the chain cycles.
+    """Intersection data of the table's cycles.
 
-    ``intersection_matrix`` E is the int64 chain matrix; ``normalize``
-    derives the symplectic basis from it and refuses an Omega outside
-    H_g.  ``bilinear_residual`` and ``positive_form_min_eig`` are the
+    ``intersection_matrix`` E is any unimodular skew integer form, the chain
+    matrix for hyperelliptic periods; ``normalize`` reduces it to a symplectic
+    basis.  ``bilinear_residual`` and ``positive_form_min_eig`` are the
     certificate of E against the periods (NaN when E was not certified).
     """
 
@@ -366,15 +363,15 @@ def _choose_intersection_matrix(P: np.ndarray, segs, anchors, ends):
 
 
 def symplectic_transform_from_intersection(E: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Integer T with T E T^T = [[0, I], [-I, 0]] for a chain intersection matrix E.
+    """Integer T with T E T^T = J = [[0, I], [-I, 0]] for any unimodular skew integer E.
 
-    E must be skew with signs s_j = E[j][j+1] in {1, -1} and zeros off the
-    first diagonals.  Rows of T are alpha_0 .. alpha_g-1, beta_0 .. beta_g-1
-    in the closed form of the module docstring, built from the signs: with
-    eps = cumprod(1, s_0 s_1, s_2 s_3, ...), the alpha block on the even
-    columns is tril(outer(eps, eps)), and beta_i is s_2i at column 2i + 1.
-    For +-1 signs T is unimodular, so the one exact check T E T^T = J
-    holds exactly when E is the chain of those signs.
+    Symplectic Gram-Schmidt over Z, <x, y> = x E y^T: e is the first remaining
+    cycle, f the first with <e, f> = +-1 (after a Euclid step if none; never on
+    a chain) signed to +1, and every other x becomes x - <x, f> e + <x, e> f.
+    T is the e's over the f's.  Every T returned has passed the exact int64
+    check T E T^T = J; a T too large for it, or one that fails it, raises
+    NumericError (exit 4).  An E that is not square of even size, integer,
+    skew, nondegenerate and unimodular raises ValidationError (exit 3).
     """
     try:
         E = np.asarray(E)
@@ -386,24 +383,29 @@ def symplectic_transform_from_intersection(E: Sequence[Sequence[int]]) -> list[l
     if E.dtype.kind not in "biu" or E.dtype == np.uint64 and E.max() > np.iinfo(np.int64).max:
         raise ValidationError("intersection matrix entries must be integers within int64")
     E = E.astype(np.int64, copy=False)
-    signs = E.diagonal(1).tolist()
-    not_chain = "intersection matrix must be a skew chain with +-1 on the first off-diagonals"
-    if not set(signs) <= {1, -1}:
-        raise ValidationError(not_chain)
-    g = n // 2
-    pairs = map(operator.mul, signs[:-1:2], signs[1::2])  # s_0 s_1, s_2 s_3, ...
-    eps = np.array([*itertools.accumulate(pairs, operator.mul, initial=1)])
-    r = np.arange(g)
-    T = np.zeros((n, n), dtype=np.int64)
-    np.multiply.outer(eps, eps, out=T[:g, ::2], where=r[:, None] >= r)
-    T.flat[g * n + 1 :: n + 2] = signs[::2]  # row g + i, column 2i + 1
-    J = np.zeros((n, n), dtype=np.int64)
-    J.flat[g : g * n : n + 1] = 1
-    J.flat[g * n :: n + 1] = -1
-    # bytes compare two C-ordered int64 arrays exactly, without a reduction's call cost
-    if (T @ E @ T.T).tobytes() != J.tobytes():
-        if (E != _tridiagonal_intersection(signs)).any():
-            raise ValidationError(not_chain)
+    top = max(int(E.max()), -int(E.min()))
+    if top > np.iinfo(np.int64).max or (E != -E.T).any():  # no skew int64 E holds -2^63
+        raise ValidationError("intersection matrix must be skew")
+    g, T, R = n // 2, np.empty((n, n), dtype=np.int64), np.eye(n, dtype=np.int64)
+    for i in range(g):
+        e = T[i] = R[R.any(axis=1).argmax()]  # the rows of the cycles taken are 0
+        d = R @ (e @ E)  # <e, x> for each row x
+        while not (unit := np.abs(d) == 1).any():  # the Euclid step
+            nonzero = np.flatnonzero(d)
+            if nonzero.size < 2:
+                raise ValidationError("intersection form is degenerate or not unimodular")
+            k = nonzero[np.argmin(np.abs(d[nonzero]))]
+            q = d // d[k]
+            q[k] = 0
+            R, d = R - np.multiply.outer(q, R[k]), d - q * d[k]
+        j = unit.argmax()
+        f = T[g + i] = R[j] * d[j]
+        # x - <x, f> e + <x, e> f, as <x, e> = -d: this takes the rows of e and f to 0
+        R -= np.multiply.outer(R @ (E @ f), e) + np.multiply.outer(d, f)
+    # each entry of T E T^T is a sum of n^2 terms of at most max|T|^2 max|E|
+    if (n * int(np.abs(T).max())) ** 2 * top >= 2**63:
+        raise NumericError("symplectic basis would leave int64")
+    if (T @ E @ T.T != np.eye(n, k=g, dtype=np.int64) - np.eye(n, k=-g, dtype=np.int64)).any():
         raise NumericError("symplectic basis failed verification")
     return T.tolist()
 
@@ -463,7 +465,7 @@ def normalize(raw: RawPeriodTable, hom: HomologyBasis) -> PeriodMatrix:
     """Period matrix Omega = B A^(-1), refused with NumericError unless in H_g.
 
     A and B are the alpha- and beta-blocks of the table in the symplectic
-    basis built from the 2g x 2g chain matrix E of ``hom``; Omega is the
+    basis reduced from the 2g x 2g intersection matrix E of ``hom``; Omega is the
     matrix of beta-periods of the differential basis dual to the alpha-cycles.
     """
     if len(hom.intersection_matrix) != 2 * raw.g:

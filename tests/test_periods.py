@@ -550,6 +550,12 @@ class TestNormalize:
         assert np.allclose(pm.entries, self.B)
         assert pm.g == 2
 
+    def test_non_chain_form_reaches_omega(self):
+        # J itself is no chain; its basis is T = I, so the table [I; B] has Omega = B
+        J = np.eye(4, k=2, dtype=np.int64) - np.eye(4, k=-2, dtype=np.int64)
+        pm = normalize(self._table(np.vstack([np.eye(2), self.B])), HomologyBasis(J))
+        assert np.array_equal(pm.entries, self.B)
+
     def test_singular_a_block_refused(self):
         raw = self._chain_table([np.zeros((2, 2)), np.eye(2)])
         with pytest.raises(NumericError, match="A-block condition number"):
@@ -576,7 +582,18 @@ class TestNormalize:
         )
 
 
+def _exact_symplectic(T, E) -> bool:
+    """T E T^T == [[0, I], [-I, 0]] in Python integers."""
+    T, E = np.array(T, dtype=object), np.array(E, dtype=object)
+    g = len(T) // 2
+    J = np.eye(2 * g, k=g, dtype=int) - np.eye(2 * g, k=-g, dtype=int)
+    return (T @ E @ T.T == J).all()
+
+
 class TestSymplecticReduction:
+    # The two closed_form tests are the chain's byte-identity guard: the
+    # reduction must return the oracle's T on every chain, which keeps every
+    # period file byte-identical.
     def test_standard_block(self):
         J = [[0, 1], [-1, 0]]
         T = symplectic_transform_from_intersection(J)
@@ -609,8 +626,8 @@ class TestSymplecticReduction:
             [[0, 2], [-2, 0]],  # not unimodular
             [[0, 1], [1, 0]],  # not skew
             [[0, 1, 0], [-1, 0, 1], [0, -1, 0]],  # odd size
-            [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]],  # J, not a chain
-            [[0, 1, 0, 1], [-1, 0, 1, 0], [0, -1, 0, 1], [-1, 0, -1, 0]],  # extra entry
+            np.array([[0, -(2**63)], [-(2**63), 0]]),  # int64 wraps -(-2^63): not skew
+            [[0, 1, 0, 1], [-1, 0, 1, 0], [0, -1, 0, 1], [-1, 0, -1, 0]],  # Pfaffian 2
             [[0, 1.5], [-1.5, 0]],  # float: int64 would truncate it to the standard block
             [[0, 1.9], [-1.9, 0]],
             [[0.0, 1.0], [-1.0, 0.0]],  # float, though integral
@@ -620,7 +637,57 @@ class TestSymplecticReduction:
         ],
     )
     def test_non_chain_rejected(self, E):
+        # not a unimodular skew integer form, whether a chain or not
         with pytest.raises(ValidationError):
+            symplectic_transform_from_intersection(E)
+
+    def test_non_chain_forms_accepted(self):
+        # J is its own symplectic basis; the chain (1, 1, 1) with c_0 . c_2 = 1 has Pfaffian 1
+        J = [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]
+        assert symplectic_transform_from_intersection(J) == np.eye(4, dtype=int).tolist()
+        E = [[0, 1, 1, 0], [-1, 0, 1, 0], [-1, -1, 0, 1], [0, 0, -1, 0]]
+        assert _exact_symplectic(symplectic_transform_from_intersection(E), E)
+
+    @pytest.mark.parametrize("g", range(1, 9))
+    def test_unimodular_forms_reduce_exactly(self, g):
+        # E = U J U^T for seeded unimodular U; most need the Euclid step
+        n = 2 * g
+        rng = random.Random(f"unimodular/{g}")
+        J = [[(j == i + g) - (i == j + g) for j in range(n)] for i in range(n)]
+        for _ in range(20):
+            U = [[int(i == j) for j in range(n)] for i in range(n)]
+            for _ in range(3 * n):  # row i += +-row j
+                i, j = rng.sample(range(n), 2)
+                c = rng.choice((1, -1))
+                U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+            U = np.array(U, dtype=object)
+            E = (U @ np.array(J, dtype=object) @ U.T).tolist()
+            assert _exact_symplectic(symplectic_transform_from_intersection(E), E)
+
+    @pytest.mark.parametrize("d", range(4, 9))
+    def test_fermat_candidate_form_matches_reduction(self, d):
+        # E[(a,b),(a',b')] = f(a'-a, b'-b mod d): f(0,1) = f(1,0) = -1, f(1,1) = 1, f(-x) = -f(x)
+        f = {(0, 1): -1, (1, 0): -1, (1, 1): 1, (0, d - 1): 1, (d - 1, 0): 1, (d - 1, d - 1): -1}
+        cycles = FermatCurve(d).cycles
+        E = [[f.get(((a2 - a) % d, (b2 - b) % d), 0) for a2, b2 in cycles] for a, b in cycles]
+        T = symplectic_transform_from_intersection(E)
+        assert T == reduced_symplectic_transform(E)
+        assert _exact_symplectic(T, E)
+
+    def test_reduction_beyond_int64_refused(self):
+        # unimodular, but its basis needs the entry K^3 = 2^90: in int64 the reduction
+        # wraps to a T that still passes T E T^T = J modulo 2^64, so the bound on T refuses it
+        K = 2**30
+        E = [
+            [0, 0, 0, 1, -K, K],
+            [0, 0, 0, 0, 1, 0],
+            [0, 0, 0, 0, 0, 1],
+            [-1, 0, 0, 0, 0, K * K],
+            [K, -1, 0, 0, 0, 0],
+            [-K, 0, -1, -K * K, 0, 0],
+        ]
+        assert max(map(abs, itertools.chain(*reduced_symplectic_transform(E)))) == K**3
+        with pytest.raises(NumericError, match="would leave int64"):
             symplectic_transform_from_intersection(E)
 
     @pytest.mark.parametrize("g", range(1, 6))
