@@ -42,9 +42,9 @@ identity P^T E^(-1) P = 0 must hold to ``BILINEAR_TOL`` and
 -(i/2) P^T E^(-1) conj(P) must be positive definite.  Scaling the
 differential basis leaves Omega and definiteness unchanged but keeps
 small columns from hiding behind large ones.  An ambiguous junction or a
-failed certificate raises NumericError.  ``normalize`` reduces E, as it
-would any unimodular skew integer form, to a symplectic basis and refuses
-an Omega = B A^(-1) outside H_g (NumericError).
+failed certificate raises NumericError.  ``normalize`` takes E as any
+unimodular skew integer form, which ``symplectic_transform_from_intersection``
+reduces to a symplectic basis, and refuses an Omega = B A^(-1) outside H_g.
 
 Fermat periods use the classical closed form: on x^d + y^d = 1 the
 integral of x^(r-1) y^(s-d) dx along the path x = t, y = (1-t^d)^(1/d)
@@ -55,13 +55,16 @@ The table's rows are the closed set of translates 0 <= a <= d-3,
 lattice.  Their intersection form is not derived yet, so the Fermat table
 is only ever raw.
 
-``period_matrix(curve, nodes, kind)`` runs either family's stages and
-returns a period file's table with its ``meta`` as ``provenance``.  The
-file is one JSON object: ``entries``, the table as rows of [re, im]
-pairs, ``g``, ``kind`` ("raw" or "normalized") and ``meta``.  Its bytes
-are fixed: the text of ``json.dumps(..., indent=2, sort_keys=True)``
-and a final newline, written without the pure-Python encoder
-(``period_json_text``) and read back in one ``np.array`` call
+Every stage returns a ``PeriodMatrix`` whose ``provenance`` is the
+``meta`` of its period file: ``hyperelliptic_raw_periods`` the raw table,
+with E beside it; ``fermat_raw_periods`` the raw table; ``normalize``
+Omega, with the raw meta plus ``a_block_condition`` and the raw table as
+``raw``.  ``period_matrix(curve, nodes, kind)`` runs either family's
+stages.  The file is one JSON object: ``entries``, the table as rows of
+[re, im] pairs, ``g``, ``kind`` ("raw" or "normalized") and ``meta``.
+Its bytes are fixed: the text of ``json.dumps(..., indent=2,
+sort_keys=True)`` and a final newline, written without the pure-Python
+encoder (``period_json_text``) and read back in one ``np.array`` call
 (``curves.json_pairs``).
 """
 
@@ -96,51 +99,13 @@ BILINEAR_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
-class RawPeriodTable:
-    """2g x g table of unnormalized cycle-by-differential integrals."""
-
-    entries: np.ndarray
-    quadrature_nodes: int
-    est_error: float
-
-    def __post_init__(self):
-        n_cycles, n_diffs = self.entries.shape
-        if n_cycles != 2 * n_diffs:
-            raise ValidationError("raw period table must be 2g x g")
-        if not (math.isfinite(self.est_error) and self.est_error >= 0):
-            raise ValidationError("est_error must be finite and non-negative")
-
-    @property
-    def g(self) -> int:
-        return self.entries.shape[1]
-
-    @property
-    def converged(self) -> bool:
-        """Whether node doubling reached its target before the node limit."""
-        return self.est_error <= NODE_DOUBLING_TARGET
-
-
-@dataclass(frozen=True, eq=False)
-class HomologyBasis:
-    """Intersection data of the table's cycles.
-
-    ``intersection_matrix`` E is any unimodular skew integer form, the chain
-    matrix for hyperelliptic periods; ``normalize`` reduces it to a symplectic
-    basis.  ``bilinear_residual`` and ``positive_form_min_eig`` are the
-    certificate of E against the periods (NaN when E was not certified).
-    """
-
-    intersection_matrix: np.ndarray
-    bilinear_residual: float = math.nan
-    positive_form_min_eig: float = math.nan
-
-
-@dataclass(frozen=True, eq=False)
 class PeriodMatrix:
+    """A raw 2g x g table or a g x g Omega, with its period file's meta as ``provenance``."""
+
     entries: np.ndarray
     provenance: dict = field(default_factory=dict)
     kind: str = "normalized"  # or "raw"
-    raw: PeriodMatrix | None = None  # the raw table of an Omega from period_matrix
+    raw: PeriodMatrix | None = None  # the raw table of an Omega from normalize
 
     @property
     def g(self) -> int:
@@ -341,8 +306,9 @@ def _choose_intersection_matrix(P: np.ndarray, segs, anchors, ends):
     For the true intersection matrix E the column-equilibrated period
     table P satisfies P^T E^(-1) P = 0 up to quadrature error, and the
     Hermitian form -(i/2) P^T E^(-1) conj(P) is positive definite.
-    Returns E, an int64 array, with the bilinear residual and the form's
-    minimum eigenvalue.
+    Returns E, an int64 array, and its certificate as period-file meta:
+    ``bilinear_residual`` and the form's minimum eigenvalue,
+    ``positive_form_min_eig``.
     """
     E = _tridiagonal_intersection(_junction_signs(segs, anchors, ends))
     Pn = P / np.max(np.abs(P), axis=0)
@@ -359,7 +325,7 @@ def _choose_intersection_matrix(P: np.ndarray, segs, anchors, ends):
         raise NumericError(
             f"bilinear identity residual {residual:.3e} too large; periods unreliable"
         )
-    return E, residual, min_eig
+    return E, {"bilinear_residual": residual, "positive_form_min_eig": min_eig}
 
 
 def symplectic_transform_from_intersection(E: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -370,8 +336,13 @@ def symplectic_transform_from_intersection(E: Sequence[Sequence[int]]) -> list[l
     a chain) signed to +1, and every other x becomes x - <x, f> e + <x, e> f.
     T is the e's over the f's.  Every T returned has passed the exact int64
     check T E T^T = J; a T too large for it, or one that fails it, raises
-    NumericError (exit 4).  An E that is not square of even size, integer,
-    skew, nondegenerate and unimodular raises ValidationError (exit 3).
+    NumericError (exit 4).  The check is exact while M = max(|T| |E| |T|^T)
+    < 2^63: M bounds every partial sum of (T E) T^T and, as every column of
+    a unimodular T has a nonzero entry, every partial sum of T E (a zero
+    column of T multiplies its column of T E by zeros).  M is summed in
+    float64, whose rounding is far below a factor of 2, so T is refused from
+    M >= 2^62.  An E that is not square of even size, integer, skew,
+    nondegenerate and unimodular raises ValidationError (exit 3).
     """
     try:
         E = np.asarray(E)
@@ -402,8 +373,8 @@ def symplectic_transform_from_intersection(E: Sequence[Sequence[int]]) -> list[l
         f = T[g + i] = R[j] * d[j]
         # x - <x, f> e + <x, e> f, as <x, e> = -d: this takes the rows of e and f to 0
         R -= np.multiply.outer(R @ (E @ f), e) + np.multiply.outer(d, f)
-    # each entry of T E T^T is a sum of n^2 terms of at most max|T|^2 max|E|
-    if (n * int(np.abs(T).max())) ** 2 * top >= 2**63:
+    A = np.abs(T.astype(float))
+    if (A @ np.abs(E.astype(float)) @ A.T).max() >= 2.0**62:
         raise NumericError("symplectic basis would leave int64")
     if (T @ E @ T.T != np.eye(n, k=g, dtype=np.int64) - np.eye(n, k=-g, dtype=np.int64)).any():
         raise NumericError("symplectic basis failed verification")
@@ -437,16 +408,19 @@ def check_nodes(nodes: int) -> int:
 
 def hyperelliptic_raw_periods(
     curve: HyperellipticCurve, nodes: int = DEFAULT_NODES
-) -> tuple[RawPeriodTable, HomologyBasis]:
-    """Raw chain periods of y^2 = f(x), with node-doubling error control.
+) -> tuple[PeriodMatrix, np.ndarray]:
+    """The raw chain table of y^2 = f(x) and its certified int64 intersection matrix E.
 
     The node count starts at ``nodes`` and doubles until the maximum entry
     change is below ``NODE_DOUBLING_TARGET`` or ``MAX_NODES`` is reached;
     the final discrepancy is recorded as ``est_error`` either way, and
     ``converged`` says which.  It doubles at least once, so ``nodes`` may
-    be at most ``MAX_NODES // 2``.
+    be at most ``MAX_NODES // 2``.  The table's ``provenance`` is the raw
+    file's meta: ``curve``, ``nodes``, ``est_error``, ``converged`` and E's
+    certificate, ``bilinear_residual`` and ``positive_form_min_eig``.
     """
     N = check_nodes(nodes)
+    meta = {"curve": curves.curve_to_dict(curve)}  # refuses a curve of another model
     with _refuse_overflow():  # abs() in the chain geometry, and the doubling arithmetic
         _, segs = _chain_segments(curve)
         P, _, _ = _chain_period_table(curve, segs, N)
@@ -457,20 +431,29 @@ def hyperelliptic_raw_periods(
             P = P2
             if err <= NODE_DOUBLING_TARGET or 2 * N > MAX_NODES:
                 break
-    hom = HomologyBasis(*_choose_intersection_matrix(P, segs, anchors, ends))
-    return RawPeriodTable(entries=P, quadrature_nodes=N, est_error=err), hom
+    E, certificate = _choose_intersection_matrix(P, segs, anchors, ends)
+    meta.update(nodes=N, est_error=err, converged=err <= NODE_DOUBLING_TARGET, **certificate)
+    return PeriodMatrix(P, meta, kind="raw"), E
 
 
-def normalize(raw: RawPeriodTable, hom: HomologyBasis) -> PeriodMatrix:
-    """Period matrix Omega = B A^(-1), refused with NumericError unless in H_g.
+def normalize(raw: PeriodMatrix, E: Sequence[Sequence[int]]) -> PeriodMatrix:
+    """Period matrix Omega = B A^(-1) of a raw table, refused with NumericError unless in H_g.
 
-    A and B are the alpha- and beta-blocks of the table in the symplectic
-    basis reduced from the 2g x 2g intersection matrix E of ``hom``; Omega is the
+    E is the 2g x 2g intersection matrix of the table's cycles, any
+    unimodular skew integer form; A and B are the alpha- and beta-blocks of
+    the table in the symplectic basis that
+    ``symplectic_transform_from_intersection`` reduces from E.  Omega is the
     matrix of beta-periods of the differential basis dual to the alpha-cycles.
+    It carries ``raw``, and its provenance is the raw table's plus
+    ``a_block_condition``.  A table that is not 2g x g, or an E of another
+    size, raises ValidationError.
     """
-    if len(hom.intersection_matrix) != 2 * raw.g:
+    cycles, g = raw.entries.shape
+    if cycles != 2 * g:
+        raise ValidationError("raw period table must be 2g x g")
+    if len(E) != 2 * g:
         raise ValidationError("intersection matrix size does not match the table")
-    T = np.array(symplectic_transform_from_intersection(hom.intersection_matrix), dtype=float)
+    T = np.array(symplectic_transform_from_intersection(E), dtype=float)
     A, B = np.split(T @ raw.entries, 2)
     cond = float(np.linalg.cond(A))
     if not math.isfinite(cond) or cond > CONDITION_LIMIT:
@@ -482,7 +465,7 @@ def normalize(raw: RawPeriodTable, hom: HomologyBasis) -> PeriodMatrix:
             "normalized period matrix is not in the Siegel upper half-space (symmetry residual "
             f"{check.symmetry_residual:.3e}, min Im eigenvalue {check.min_im_eigenvalue:.3e})"
         )
-    return PeriodMatrix(entries=omega, provenance={"a_block_condition": cond})
+    return PeriodMatrix(omega, {**raw.provenance, "a_block_condition": cond}, raw=raw)
 
 
 # ---------------------------------------------------------------------------
@@ -504,8 +487,8 @@ def fermat_period_closed_form(d: int, r: int, s: int, a: int, b: int) -> complex
     return magnitude * complex(math.cos(phase), math.sin(phase))
 
 
-def fermat_raw_periods(d: int) -> RawPeriodTable:
-    """Period table of the degree-d Fermat curve over its closed cycle set.
+def fermat_raw_periods(d: int) -> PeriodMatrix:
+    """Raw period table of the degree-d Fermat curve over its closed cycle set.
 
     The rows are the path translates ``FermatCurve(d).cycles``, (a, b) with
     0 <= a <= d-3 and 0 <= b <= d-2 in lexicographic order: (d-1)(d-2) = 2g
@@ -524,7 +507,14 @@ def fermat_raw_periods(d: int) -> RawPeriodTable:
     curve = FermatCurve(d)
     exps = curve.diff_exponents
     entries = [[fermat_period_closed_form(d, r, s, a, b) for r, s in exps] for a, b in curve.cycles]
-    return RawPeriodTable(np.array(entries, dtype=complex), quadrature_nodes=0, est_error=0.0)
+    meta = {
+        "curve": curves.curve_to_dict(curve),
+        "row_labels": [list(c) for c in curve.cycles],
+        "col_labels": [list(e) for e in exps],
+        "nodes": 0,
+        "est_error": 0.0,
+    }
+    return PeriodMatrix(np.array(entries, dtype=complex), meta, kind="raw")
 
 
 # ---------------------------------------------------------------------------
@@ -534,28 +524,17 @@ def fermat_raw_periods(d: int) -> RawPeriodTable:
 def period_matrix(curve, nodes: int = DEFAULT_NODES, kind: str = "normalized") -> PeriodMatrix:
     """The table of ``curve`` that a period file of ``kind`` holds, its meta as ``provenance``.
 
-    ``nodes`` must pass ``check_nodes`` for both families.  A hyperelliptic curve
-    goes raw -> certificate -> symplectic basis -> Omega -> Siegel check, and its
-    Omega carries the raw table as ``raw``; ``kind="raw"`` stops before ``normalize``.
+    ``nodes`` must pass ``check_nodes`` for both families.  A Fermat curve gives
+    its raw table for either kind.  A hyperelliptic curve goes raw -> certificate
+    -> symplectic basis -> Omega -> Siegel check; ``kind="raw"`` stops before
+    ``normalize``.  A curve of any other model raises ValidationError.
     """
     check_nodes(nodes)
     _period_kind(kind)
-    meta = {"curve": curves.curve_to_dict(curve)}
     if isinstance(curve, FermatCurve):
-        table, hom = fermat_raw_periods(curve.degree), None
-        meta["row_labels"] = [list(c) for c in curve.cycles]
-        meta["col_labels"] = [list(e) for e in curve.diff_exponents]
-    else:
-        table, hom = hyperelliptic_raw_periods(curve, nodes)
-        meta["converged"] = table.converged
-        meta["bilinear_residual"] = hom.bilinear_residual
-        meta["positive_form_min_eig"] = hom.positive_form_min_eig
-    meta.update(nodes=table.quadrature_nodes, est_error=table.est_error)
-    raw = PeriodMatrix(table.entries, meta, kind="raw")
-    if hom is None or kind == "raw":
-        return raw
-    omega = normalize(table, hom)
-    return PeriodMatrix(omega.entries, {**meta, **omega.provenance}, raw=raw)
+        return fermat_raw_periods(curve.degree)
+    raw, E = hyperelliptic_raw_periods(curve, nodes)
+    return raw if kind == "raw" else normalize(raw, E)
 
 
 # JSON's spellings of the floats whose Python repr is nan, inf or -inf.

@@ -83,7 +83,7 @@ def test_criterion_03_quadrature_convergence():
     worst = 0.0
     for name in ("g1_lemniscatic", "g2_x5_minus_1", "g2_real_quintic", "g3_real_septic"):
         raw, _ = hyperelliptic_raw_periods(bundled_curve(name))
-        worst = max(worst, raw.est_error)
+        worst = max(worst, raw.provenance["est_error"])
     ok = worst <= 1e-10
     report(3, "quadrature_convergence", ok, f"max doubling change={worst:.2e}")
 

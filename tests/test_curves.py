@@ -150,6 +150,8 @@ def test_parser_rejects_with_named_rule():
         curve_from_dict({})
     with pytest.raises(ValidationError, match="branch_points"):
         curve_from_dict({"type": "hyperelliptic"})
+    with pytest.raises(ValidationError, match="^branch_points must be \\[re, im\\] pairs$"):
+        curve_from_dict({"type": "hyperelliptic", "branch_points": {"0": [0, 0]}})
     with pytest.raises(ValidationError, match="distinct"):
         curve_from_dict({"type": "hyperelliptic", "branch_points": [[0, 0], [0, 0], [1, 0]]})
     with pytest.raises(ValidationError, match="degree"):

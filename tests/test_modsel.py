@@ -180,6 +180,12 @@ class TestProductSpanRank:
         with pytest.raises(ValidationError):
             product_span_rank(QUARTIC, m, first_three_rows_indices(3))
 
+    @pytest.mark.parametrize("pair", [(0, 3), (-1, 0), (2, 1)])
+    def test_pairs_out_of_range_refused(self, pair):
+        m = _matrix(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        with pytest.raises(ValidationError, match="^index pairs must satisfy 0 <= i <= j < g$"):
+            product_span_rank(QUARTIC, m, [(0, 0), pair])
+
     def test_entries_whose_products_could_overflow_are_refused(self):
         # a quartic span entry sums at most two products of entries of M, so
         # |M| <= 2^31 - 1 keeps every sum within int64 and the span rank of

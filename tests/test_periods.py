@@ -31,13 +31,13 @@ from periodlab.curves import (
     BUNDLED_CURVES,
     FermatCurve,
     HyperellipticCurve,
+    PlaneCurveModel,
     bundled_curve,
     curve_to_dict,
 )
 from periodlab.errors import DomainError, NumericError, ValidationError
 from periodlab.periods import (
-    HomologyBasis,
-    RawPeriodTable,
+    PeriodMatrix,
     beta_function,
     chebyshev_segment_integral,
     dict_to_table,
@@ -112,6 +112,8 @@ class TestSegmentIntegral:
             chebyshev_segment_integral([-1, 1], 1, -1, 1, 2)
         with pytest.raises(DomainError):
             chebyshev_segment_integral([-1, 1], 0, -1, 1, 32)
+        with pytest.raises(DomainError, match="^segment endpoints must be branch points of f$"):
+            chebyshev_segment_integral([-1, 1], 1, -1, 0.5, 32)
 
 
 class TestHyperellipticPeriods:
@@ -144,12 +146,12 @@ class TestHyperellipticPeriods:
     def test_node_doubling_converges(self):
         for name in ("g1_lemniscatic", "g2_real_quintic", "g2_x5_minus_1", "g3_real_septic"):
             raw, _ = hyperelliptic_raw_periods(bundled_curve(name))
-            assert raw.est_error <= 1e-10
+            assert raw.provenance["est_error"] <= 1e-10
 
     def test_homology_invariants(self):
-        raw, hom = hyperelliptic_raw_periods(bundled_curve("g3_real_septic"))
-        E = np.array(hom.intersection_matrix)
-        T = np.array(symplectic_transform_from_intersection(hom.intersection_matrix))
+        raw, E = hyperelliptic_raw_periods(bundled_curve("g3_real_septic"))
+        T = np.array(symplectic_transform_from_intersection(E))
+        assert E.dtype == np.int64
         g = raw.g
         assert np.array_equal(E, -E.T)
         assert round(abs(np.linalg.det(E))) == 1
@@ -167,19 +169,19 @@ class TestHyperellipticPeriods:
         assert validate_siegel(pm.entries, tol=1e-8).is_member
 
     def test_certificate_recorded(self):
-        raw, hom = hyperelliptic_raw_periods(bundled_curve("g3_real_septic"))
-        assert raw.converged
-        assert 0.0 <= hom.bilinear_residual <= periods.BILINEAR_TOL
-        assert hom.positive_form_min_eig > 0.0
+        raw, _ = hyperelliptic_raw_periods(bundled_curve("g3_real_septic"))
+        assert raw.provenance["converged"] is True
+        assert 0.0 <= raw.provenance["bilinear_residual"] <= periods.BILINEAR_TOL
+        assert raw.provenance["positive_form_min_eig"] > 0.0
 
     def test_node_limit_reached_is_not_converged(self, monkeypatch):
         # the clustered pair needs far more than 16 nodes
         monkeypatch.setattr(periods, "MAX_NODES", 16)
         curve = HyperellipticCurve([0.0, 1e-3, 1.0])
         raw, _ = hyperelliptic_raw_periods(curve, nodes=4)
-        assert raw.quadrature_nodes == 16
-        assert raw.est_error > periods.NODE_DOUBLING_TARGET
-        assert not raw.converged
+        assert raw.provenance["nodes"] == 16
+        assert raw.provenance["est_error"] > periods.NODE_DOUBLING_TARGET
+        assert raw.provenance["converged"] is False
 
     def test_nodes_above_limit_rejected(self, monkeypatch):
         monkeypatch.setattr(periods, "MAX_NODES", 32)
@@ -190,7 +192,7 @@ class TestHyperellipticPeriods:
         # nodes is the first level and doubling runs at least once
         curve = bundled_curve("g2_real_quintic")
         raw, _ = hyperelliptic_raw_periods(curve, nodes=periods.MAX_NODES // 2)
-        assert raw.quadrature_nodes == periods.MAX_NODES
+        assert raw.provenance["nodes"] == periods.MAX_NODES
         for nodes in (5000, periods.MAX_NODES):
             with pytest.raises(DomainError, match="nodes must be <="):
                 hyperelliptic_raw_periods(curve, nodes=nodes)
@@ -203,14 +205,18 @@ class TestHyperellipticPeriods:
     def test_integer_like_nodes_accepted(self):
         curve = bundled_curve("g1_lemniscatic")
         raw, _ = hyperelliptic_raw_periods(curve, nodes=np.int64(256))
-        assert type(raw.quadrature_nodes) is int
+        assert type(raw.provenance["nodes"]) is int
         assert raw.entries.tobytes() == hyperelliptic_raw_periods(curve, 256)[0].entries.tobytes()
 
-    def test_converged_follows_est_error(self):
-        entries = np.zeros((2, 1), dtype=complex)
-        target = periods.NODE_DOUBLING_TARGET
-        assert RawPeriodTable(entries, 0, est_error=target).converged
-        assert not RawPeriodTable(entries, 0, est_error=1.0).converged
+    def test_converged_follows_est_error(self, monkeypatch):
+        # one doubling level, so the run's est_error does not depend on the target
+        monkeypatch.setattr(periods, "MAX_NODES", 8)
+        curve = bundled_curve("g1_lemniscatic")
+        est_error = hyperelliptic_raw_periods(curve, nodes=4)[0].provenance["est_error"]
+        for target, converged in ((est_error, True), (math.nextafter(est_error, 0.0), False)):
+            monkeypatch.setattr(periods, "NODE_DOUBLING_TARGET", target)
+            meta = hyperelliptic_raw_periods(curve, nodes=4)[0].provenance
+            assert (meta["est_error"], meta["converged"]) == (est_error, converged)
 
 
 def _chain_data(curve):
@@ -244,12 +250,19 @@ class TestOrientationTracking:
     def test_flipped_junction_fails_certificate(self):
         # a wrong junction sign is refused, never repaired by a search
         segs, P, anchors, ends = _chain_data(bundled_curve("g2_x5_minus_1"))
-        E, _, _ = periods._choose_intersection_matrix(P, segs, anchors, ends)
+        E, _ = periods._choose_intersection_matrix(P, segs, anchors, ends)
         flipped = ends.copy()
         flipped[1] *= -1.0
         assert periods._junction_signs(segs, anchors, flipped)[1] == -E[1][2]
         with pytest.raises(NumericError):
             periods._choose_intersection_matrix(P, segs, anchors, flipped)
+
+    def test_bilinear_residual_refused(self):
+        # one entry off by 1e-5 of itself keeps the form positive definite
+        segs, P, anchors, ends = _chain_data(bundled_curve("g2_x5_minus_1"))
+        P[0, 1] *= 1.0 + 1e-5
+        with pytest.raises(NumericError, match="^bilinear identity residual .* too large; periods"):
+            periods._choose_intersection_matrix(P, segs, anchors, ends)
 
     def test_ambiguous_junction_rejected(self):
         segs = [(0j, 1 + 0j), (1 + 0j, 2 + 0j)]
@@ -298,14 +311,14 @@ def test_tracked_intersection_matches_exhaustive_search(g, geometry, leading):
         n = 2 * g + 1 + rng.randrange(2)
         curve = HyperellipticCurve(_branch_points(rng, geometry, n), LEADING[leading](rng))
         try:
-            raw, hom = hyperelliptic_raw_periods(curve)
+            raw, E = hyperelliptic_raw_periods(curve)
             break
         except ValidationError as exc:
             if "a branch point lies on a chain segment" not in str(exc):
                 raise
             # branch point near a segment: draw another configuration
     expected = searched_intersection_matrix(raw.entries)
-    assert np.array_equal(np.array(hom.intersection_matrix), expected)
+    assert np.array_equal(E, expected)
 
 
 @settings(max_examples=150, deadline=None)
@@ -537,8 +550,7 @@ class TestNormalize:
 
     @staticmethod
     def _table(entries):
-        entries = np.asarray(entries, dtype=complex)
-        return RawPeriodTable(entries=entries, quadrature_nodes=0, est_error=0.0)
+        return PeriodMatrix(np.asarray(entries, dtype=complex), kind="raw")
 
     def _chain_table(self, blocks):
         """The g = 2 table whose symplectic transform under E2 is ``blocks``."""
@@ -546,36 +558,42 @@ class TestNormalize:
         return self._table(np.linalg.solve(T, np.vstack(blocks)))
 
     def test_identity_a_block(self):
-        pm = normalize(self._chain_table([np.eye(2), self.B]), HomologyBasis(self.E2))
+        raw = self._chain_table([np.eye(2), self.B])
+        pm = normalize(raw, self.E2)
         assert np.allclose(pm.entries, self.B)
         assert pm.g == 2
+        assert (pm.kind, pm.raw, list(pm.provenance)) == ("normalized", raw, ["a_block_condition"])
 
     def test_non_chain_form_reaches_omega(self):
         # J itself is no chain; its basis is T = I, so the table [I; B] has Omega = B
         J = np.eye(4, k=2, dtype=np.int64) - np.eye(4, k=-2, dtype=np.int64)
-        pm = normalize(self._table(np.vstack([np.eye(2), self.B])), HomologyBasis(J))
+        pm = normalize(self._table(np.vstack([np.eye(2), self.B])), J)
         assert np.array_equal(pm.entries, self.B)
 
     def test_singular_a_block_refused(self):
         raw = self._chain_table([np.zeros((2, 2)), np.eye(2)])
         with pytest.raises(NumericError, match="A-block condition number"):
-            normalize(raw, HomologyBasis(self.E2))
+            normalize(raw, self.E2)
+
+    def test_table_not_2g_by_g_refused(self):
+        with pytest.raises(ValidationError, match="^raw period table must be 2g x g$"):
+            normalize(self._table(np.vstack([np.eye(2), self.B])[:3]), self.E2)
 
     def test_intersection_size_mismatch_refused(self):
         raw = self._chain_table([np.eye(2), self.B])
         with pytest.raises(ValidationError, match="intersection matrix size does not match"):
-            normalize(raw, HomologyBasis(self.E1))
+            normalize(raw, self.E1)
 
     def test_float_intersection_matrix_refused(self):
         # truncated to int64, E would be the standard block and Omega = i
         raw = self._table([[1], [1j]])
         with pytest.raises(ValidationError, match="integers within int64"):
-            normalize(raw, HomologyBasis([[0, 1.7], [-1.7, 0]]))
+            normalize(raw, [[0, 1.7], [-1.7, 0]])
 
     def test_non_member_refused(self):
         # E1 gives T = I, so A = 1, B = -i and Omega = -i, outside H_1
         with pytest.raises(NumericError) as exc:
-            normalize(self._table([[1], [-1j]]), HomologyBasis(self.E1))
+            normalize(self._table([[1], [-1j]]), self.E1)
         assert str(exc.value) == (
             "normalized period matrix is not in the Siegel upper half-space "
             "(symmetry residual 0.000e+00, min Im eigenvalue -1.000e+00)"
@@ -641,6 +659,10 @@ class TestSymplecticReduction:
         with pytest.raises(ValidationError):
             symplectic_transform_from_intersection(E)
 
+    def test_ragged_form_refused(self):
+        with pytest.raises(ValidationError, match="^intersection matrix must be square of positive"):
+            symplectic_transform_from_intersection([[0, 1], [-1]])
+
     def test_non_chain_forms_accepted(self):
         # J is its own symplectic basis; the chain (1, 1, 1) with c_0 . c_2 = 1 has Pfaffian 1
         J = [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]
@@ -676,7 +698,7 @@ class TestSymplecticReduction:
 
     def test_reduction_beyond_int64_refused(self):
         # unimodular, but its basis needs the entry K^3 = 2^90: in int64 the reduction
-        # wraps to a T that still passes T E T^T = J modulo 2^64, so the bound on T refuses it
+        # wraps to a T that still passes T E T^T = J modulo 2^64, so the bound refuses it
         K = 2**30
         E = [
             [0, 0, 0, 1, -K, K],
@@ -689,6 +711,15 @@ class TestSymplecticReduction:
         assert max(map(abs, itertools.chain(*reduced_symplectic_transform(E)))) == K**3
         with pytest.raises(NumericError, match="would leave int64"):
             symplectic_transform_from_intersection(E)
+
+    def test_basis_at_the_int64_scale_accepted(self):
+        # T = [c0, c2 - K c1, c1, c3] has max|T| = 2^31 and every partial sum of its
+        # check fits in int64, though (n max|T|)^2 max|E| = 2^97
+        K = 2**31
+        E = [[0, 1, K, 0], [-1, 0, 0, 0], [-K, 0, 0, 1], [0, 0, -1, 0]]
+        T = symplectic_transform_from_intersection(E)
+        assert max(map(abs, itertools.chain(*T))) == K
+        assert _exact_symplectic(T, E)
 
     @pytest.mark.parametrize("g", range(1, 6))
     def test_closed_form_matches_reduction_on_every_pattern(self, g):
@@ -782,8 +813,8 @@ def _staged(curve, kind):
         if isinstance(curve, FermatCurve):
             raw = fermat_raw_periods(curve.degree).entries
             return raw, raw
-        table, hom = hyperelliptic_raw_periods(curve, periods.DEFAULT_NODES)
-        return table.entries, table.entries if kind == "raw" else normalize(table, hom).entries
+        table, E = hyperelliptic_raw_periods(curve, periods.DEFAULT_NODES)
+        return table.entries, table.entries if kind == "raw" else normalize(table, E).entries
     except (DomainError, NumericError, ValidationError) as exc:
         return type(exc), str(exc)
 
@@ -848,6 +879,11 @@ class TestPeriodMatrix:
         with pytest.raises(DomainError, match="^nodes must be "):
             period_matrix(curve, nodes)
 
+    @pytest.mark.parametrize("kind", ["raw", "normalized"])
+    def test_unknown_curve_model_refused(self, kind):
+        with pytest.raises(ValidationError, match="^unknown curve model: PlaneCurveModel$"):
+            period_matrix(PlaneCurveModel(4), kind=kind)
+
     def test_unknown_kind_refused(self):
         with pytest.raises(ValidationError, match="kind must be 'raw' or 'normalized'"):
             period_matrix(bundled_curve("g1_lemniscatic"), kind="omega")
@@ -857,10 +893,10 @@ class TestPeriodFiles:
     def test_roundtrip(self, tmp_path):
         raw, hom = hyperelliptic_raw_periods(bundled_curve("g2_real_quintic"))
         path = tmp_path / "p.json"
-        path.write_text(period_json_text(raw.entries, "raw", {"nodes": raw.quadrature_nodes}))
+        path.write_text(period_json_text(raw.entries, "raw", raw.provenance))
         entries, kind, meta = load_period_json(path)
         assert kind == "raw"
-        assert meta["nodes"] == raw.quadrature_nodes
+        assert meta == raw.provenance
         assert np.array_equal(entries, raw.entries)
 
     def test_bad_kind_rejected(self):
